@@ -6,7 +6,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 from typing import List
 
 from . import compositions as comps
@@ -21,6 +20,7 @@ from .gamma import (
     NotTertispecialError,
     WeightedDoublePoset,
     antipode_theorem_check,
+    antipode_theorem_sides,
     gamma_coproduct_check,
     gamma_product_check,
     weighted_from_dict,
@@ -40,12 +40,25 @@ def _load_weighted(path: str) -> WeightedDoublePoset:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_action(path: str, base: WeightedDoublePoset, cap: int) -> equi.GroupAction:
+def _load_action(args) -> equi.GroupAction:
+    """The group of ``args.group`` acting on the poset of ``args.poset``."""
+    base = _load_weighted(args.poset)
     try:
-        with open(path) as fh:
-            return equi.action_from_dict(base, json.load(fh), cap=cap)
+        with open(args.group) as fh:
+            return equi.action_from_dict(base, json.load(fh), cap=args.group_cap)
     except (OSError, ValueError, equi.ClosureTooLargeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{args.group}: {exc}") from exc
+
+
+def _load_shape(args) -> young.SkewShape:
+    """The shape of ``args.shape``, at most ``args.max_cells`` cells."""
+    try:
+        shape = young.parse_shape(args.shape)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if shape.size > args.max_cells:
+        raise InputError(f"shape has {shape.size} cells, above cap {args.max_cells}")
+    return shape
 
 
 def _parse_comp(text: str) -> Composition:
@@ -115,10 +128,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_verify_antipode(args) -> int:
-    d = _load_weighted(args.poset)
-    lhs = qsym.antipode_closed(gamma_of(d))
-    flipped = WeightedDoublePoset(poset=pos.opposite1(d.poset), w=dict(d.w))
-    rhs = gamma_of(flipped).scale(Fraction(-1) ** d.poset.size)
+    lhs, rhs = antipode_theorem_sides(_load_weighted(args.poset))
     ok = lhs == rhs
     print(f"S(Gamma): {qsym.format_qsym(lhs)}")
     print(f"(-1)^|E| Gamma(opposite): {qsym.format_qsym(rhs)}")
@@ -127,28 +137,20 @@ def cmd_verify_antipode(args) -> int:
 
 
 def cmd_equivariant(args) -> int:
-    d = _load_weighted(args.poset)
-    a = _load_action(args.group, d, args.group_cap)
+    a = _load_action(args)
     f = equi.gamma_plus(a) if args.plus else equi.gamma_equivariant(a)
     _emit_qsym(f, args.json)
     return 0
 
 
 def cmd_verify_equivariant(args) -> int:
-    d = _load_weighted(args.poset)
-    a = _load_action(args.group, d, args.group_cap)
-    try:
-        ok = equi.equivariant_theorem_check(a)
-    except NotTertispecialError as exc:
-        raise InputError(str(exc)) from exc
+    ok = equi.equivariant_theorem_check(_load_action(args))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
 def cmd_order_poly(args) -> int:
-    d = _load_weighted(args.poset)
-    a = _load_action(args.group, d, args.group_cap)
-    omega = opoly.order_polynomial(a)
+    omega = opoly.order_polynomial(_load_action(args))
     binom = " + ".join(
         f"{c}*C(q,{k})" for k, c in enumerate(omega.binom_coeffs) if c != 0
     ) or "0"
@@ -172,55 +174,25 @@ def cmd_order_poly(args) -> int:
 
 
 def cmd_reciprocity(args) -> int:
-    d = _load_weighted(args.poset)
-    a = _load_action(args.group, d, args.group_cap)
-    try:
-        ok = opoly.reciprocity_check(a, args.q)
-    except (NotTertispecialError, opoly.BoundExceededError) as exc:
-        raise InputError(str(exc)) from exc
+    ok = opoly.reciprocity_check(_load_action(args), args.q)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
 def cmd_schur(args) -> int:
-    try:
-        shape = young.parse_shape(args.shape)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if shape.size > args.max_cells:
-        raise InputError(
-            f"shape has {shape.size} cells, above cap {args.max_cells}"
-        )
-    _emit_qsym(young.skew_schur(shape), args.json)
+    _emit_qsym(young.skew_schur(_load_shape(args)), args.json)
     return 0
 
 
 def cmd_verify_schur(args) -> int:
-    try:
-        shape = young.parse_shape(args.shape)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if shape.size > args.max_cells:
-        raise InputError(
-            f"shape has {shape.size} cells, above cap {args.max_cells}"
-        )
-    ok = young.schur_antipode_check(shape)
+    ok = young.schur_antipode_check(_load_shape(args))
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def _selftest_posets(max_size: int):
-    """All double posets with |E| <= max_size, deterministic order."""
-    for n in range(max_size + 1):
-        labels = [chr(ord("a") + i) for i in range(n)]
-        orders = pos.all_strict_orders(labels)
-        for lt1 in orders:
-            for lt2 in orders:
-                yield pos.DoublePoset(elements=tuple(labels), lt1=lt1, lt2=lt2)
-
-
 def cmd_selftest(args) -> int:
     max_size = args.max_size
+    posets = [p for n in range(max_size + 1) for p in pos.all_double_posets(n)]
     failures = 0
 
     def report(name: str, ok: bool, count: int):
@@ -256,7 +228,7 @@ def cmd_selftest(args) -> int:
 
     # gamma against the truncated power-series oracle
     count, ok = 0, True
-    for poset in _selftest_posets(max_size):
+    for poset in posets:
         weights = [{}, {e: 1 + i % 2 for i, e in enumerate(poset.elements)}]
         for w in weights:
             d = WeightedDoublePoset(poset=poset, w=w)
@@ -267,7 +239,7 @@ def cmd_selftest(args) -> int:
 
     # antipode theorem on tertispecial posets; known failure otherwise
     count, ok = 0, True
-    for poset in _selftest_posets(max_size):
+    for poset in posets:
         d = WeightedDoublePoset(poset=poset, w={})
         result = antipode_theorem_check(d)
         if pos.is_tertispecial(poset):
@@ -280,7 +252,7 @@ def cmd_selftest(args) -> int:
     # coproduct rule; product rule on a deterministic sample
     count, ok = 0, True
     sample = []
-    for i, poset in enumerate(_selftest_posets(max_size)):
+    for i, poset in enumerate(posets):
         d = WeightedDoublePoset(poset=poset, w={})
         ok = ok and gamma_coproduct_check(d)
         count += 1
@@ -311,6 +283,13 @@ def cmd_selftest(args) -> int:
 
     print("selftest: " + ("PASS" if failures == 0 else f"FAIL ({failures} suites)"))
     return 0 if failures == 0 else 1
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -371,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reciprocity", help="check order-polynomial reciprocity")
     p.add_argument("poset")
     p.add_argument("group")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_reciprocity)
 
     p = sub.add_parser("schur", help="skew Schur function of a shape")
@@ -385,7 +364,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_schur)
 
     p = sub.add_parser("selftest", help="run the exhaustive desk-scale suites")
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=non_negative_int, default=3)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -396,7 +375,7 @@ def run(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, NotTertispecialError, opoly.BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
 from .poset import DoublePoset, build, is_tertispecial, opposite1
-from .qsym import QSymElem, ZERO, antipode_closed
+from .qsym import QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
 
@@ -158,23 +158,24 @@ def sign_of(g: Permutation) -> int:
     return -1 if (len(g) - len(orbits_of(g))) % 2 else 1
 
 
-def gamma_equivariant(a: GroupAction) -> QSymElem:
-    """Gamma(E, w, G) = (1/|G|) sum over g of Gamma(E^g, w^g)."""
-    acc = ZERO
+def _orbit_sum(a: GroupAction, weight) -> QSymElem:
+    """(1/|G|) sum over g of weight(g) Gamma(E^g, w^g)."""
+    terms = []
     for g in a.elements:
         q = quotient_by(g, a.base)
-        acc = acc + gamma(WeightedDoublePoset(poset=q.quotient, w=dict(q.wq)))
-    return acc.scale(Fraction(1, a.order))
+        quotient = WeightedDoublePoset(poset=q.quotient, w=dict(q.wq))
+        terms.append((weight(g), gamma(quotient)))
+    return linear_combination(terms).scale(Fraction(1, a.order))
+
+
+def gamma_equivariant(a: GroupAction) -> QSymElem:
+    """Gamma(E, w, G) = (1/|G|) sum over g of Gamma(E^g, w^g)."""
+    return _orbit_sum(a, lambda g: 1)
 
 
 def gamma_plus(a: GroupAction) -> QSymElem:
     """Gamma+(E, w, G) = (1/|G|) sum over g of sign(g) Gamma(E^g, w^g)."""
-    acc = ZERO
-    for g in a.elements:
-        q = quotient_by(g, a.base)
-        term = gamma(WeightedDoublePoset(poset=q.quotient, w=dict(q.wq)))
-        acc = acc + term.scale(sign_of(g))
-    return acc.scale(Fraction(1, a.order))
+    return _orbit_sum(a, sign_of)
 
 
 def opposite1_action(a: GroupAction) -> GroupAction:
@@ -194,11 +195,13 @@ def equivariant_theorem_check(a: GroupAction) -> bool:
 
 def action_from_dict(base: WeightedDoublePoset, doc: Dict, cap: int = DEFAULT_GROUP_CAP) -> GroupAction:
     """Group JSON: {"generators": [{"a": "b", "b": "a"}]}."""
-    try:
-        gens = doc["generators"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed group document: {exc}") from exc
-    return build_action(base, [dict(g) for g in gens], cap=cap)
+    gens = doc.get("generators") if isinstance(doc, dict) else None
+    if not isinstance(gens, list) or not all(
+        isinstance(g, dict) and all(isinstance(v, str) for v in g.values())
+        for g in gens
+    ):
+        raise ValueError("'generators' must be a list of objects mapping labels to labels")
+    return build_action(base, gens, cap=cap)
 
 
 def action_from_json(base: WeightedDoublePoset, text: str, cap: int = DEFAULT_GROUP_CAP) -> GroupAction:

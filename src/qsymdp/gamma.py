@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
-from .compositions import Composition, sort_key
+from .compositions import Composition
 from .poset import (
     DoublePoset,
     admissible_pairs,
@@ -17,7 +17,7 @@ from .poset import (
     opposite1,
     restrict,
 )
-from .qsym import ONE, QSymElem, ZERO, antipode_closed, coproduct, monomial, product
+from .qsym import QSymElem, antipode_closed, coproduct, product
 
 
 class NotTertispecialError(ValueError):
@@ -53,18 +53,24 @@ class PackedPartition:
         return dict(self.values)
 
 
-def is_epartition(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
-    """Weakly increasing along <1, strictly when the <2-reversal triggers."""
+def _is_epartition_on(d: WeightedDoublePoset, pairs, pi: Mapping[str, int]) -> bool:
+    """pi weakly increases along each pair e <1 f, strictly when f <2 e."""
     p = d.poset
     if set(pi) != set(p.elements):
         raise ValueError("partition map must be total on the ground set")
-    for e, f in p.lt1:
-        if (f, e) in p.lt2:
-            if not pi[e] < pi[f]:
+    lt2 = p.lt2
+    for e, f in pairs:
+        if (f, e) in lt2:
+            if pi[e] >= pi[f]:
                 return False
-        elif not pi[e] <= pi[f]:
+        elif pi[e] > pi[f]:
             return False
     return True
+
+
+def is_epartition(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
+    """Weakly increasing along <1, strictly when the <2-reversal triggers."""
+    return _is_epartition_on(d, d.poset.lt1, pi)
 
 
 def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
@@ -72,15 +78,7 @@ def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
     p = d.poset
     if not is_tertispecial(p):
         raise NotTertispecialError("cover-based test requires a tertispecial poset")
-    if set(pi) != set(p.elements):
-        raise ValueError("partition map must be total on the ground set")
-    for e, f in p.covers(p.lt1):
-        if (f, e) in p.lt2:
-            if not pi[e] < pi[f]:
-                return False
-        elif not pi[e] <= pi[f]:
-            return False
-    return True
+    return _is_epartition_on(d, p.covers(p.lt1), pi)
 
 
 def packed_epartitions(d: WeightedDoublePoset) -> List[PackedPartition]:
@@ -155,27 +153,27 @@ def _tensor_table(
 def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
     """True iff Delta(Gamma(E,w)) equals the sum over admissible pairs (P, Q)
     of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q)."""
-    lhs = _tensor_table(coproduct(gamma(d)))
-    rhs_pairs = []
-    for pair in admissible_pairs(d.poset):
-        dp = WeightedDoublePoset(
-            poset=restrict(d.poset, pair.p), w={e: d.w[e] for e in pair.p}
-        )
-        dq = WeightedDoublePoset(
-            poset=restrict(d.poset, pair.q), w={e: d.w[e] for e in pair.q}
-        )
-        rhs_pairs.append((gamma(dp), gamma(dq)))
-    return lhs == _tensor_table(rhs_pairs)
+    def part(labels):
+        w = {e: d.w[e] for e in labels}
+        return gamma(WeightedDoublePoset(poset=restrict(d.poset, labels), w=w))
+
+    rhs_pairs = [(part(pair.p), part(pair.q)) for pair in admissible_pairs(d.poset)]
+    return _tensor_table(coproduct(gamma(d))) == _tensor_table(rhs_pairs)
+
+
+def antipode_theorem_sides(d: WeightedDoublePoset) -> Tuple[QSymElem, QSymElem]:
+    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w)."""
+    flipped = WeightedDoublePoset(poset=opposite1(d.poset), w=dict(d.w))
+    sign = Fraction(-1) ** d.poset.size
+    return antipode_closed(gamma(d)), gamma(flipped).scale(sign)
 
 
 def antipode_theorem_check(d: WeightedDoublePoset) -> bool:
-    """True iff S(Gamma((E,<1,<2),w)) = (-1)^|E| Gamma((E,>1,<2),w).
+    """True iff the two sides of :func:`antipode_theorem_sides` are equal.
 
     Guaranteed true for tertispecial posets; reported (not required) otherwise.
     """
-    lhs = antipode_closed(gamma(d))
-    flipped = WeightedDoublePoset(poset=opposite1(d.poset), w=dict(d.w))
-    rhs = gamma(flipped).scale(Fraction(-1) ** d.poset.size)
+    lhs, rhs = antipode_theorem_sides(d)
     return lhs == rhs
 
 
@@ -192,8 +190,12 @@ def weighted_from_dict(doc: Dict) -> WeightedDoublePoset:
     """Poset JSON extended with optional "w"; omitted w defaults to all-ones."""
     poset = from_dict(doc)
     w = doc.get("w")
-    if w is not None:
-        w = {str(k): int(v) for k, v in w.items()}
+    if w is not None and (
+        not isinstance(w, dict)
+        or not all(type(v) is int for v in w.values())  # no bool, no float
+        or (not w and poset.size)
+    ):
+        raise ValueError("'w' must map every label to an integer weight")
     return WeightedDoublePoset(poset=poset, w=w or {})
 
 

@@ -1,4 +1,5 @@
-"""Brute-force reference computations, used by the self-test harness and tests.
+"""Brute-force reference computations, used by the self-test harness, the
+tests, and the orbit counts on the right-hand side of reciprocity.
 
 Everything here goes through the raw definitions (all maps E -> [m], the
 power-series truncation), never through the packed-partition route, so that
@@ -23,8 +24,6 @@ def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
         pi = dict(zip(elems, values))
         if is_epartition(d, pi):
             out.append(pi)
-    if not elems:
-        out = [{}]
     return out
 
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .equivariant import GroupAction, opposite1_action, sign_of
-from .gamma import NotTertispecialError, WeightedDoublePoset, is_epartition
+from .gamma import NotTertispecialError, WeightedDoublePoset
+from .oracles import epartitions_into
 from .poset import is_tertispecial
 from .qsym import binomial
 
@@ -104,20 +104,14 @@ def _orbit_decomposition(a: GroupAction, partitions: List[Dict[str, int]]):
 
 
 def enumerate_partitions(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> List[Dict[str, int]]:
-    """All E-partitions of the base poset with values in {1,...,q}."""
-    elems = a.base.poset.elements
+    """All E-partitions of the base poset with values in {1,...,q}, from the
+    brute-force oracle after a check of the number of maps it would try."""
+    n = a.base.poset.size
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if q ** len(elems) > limit:
-        raise BoundExceededError(f"{q}^{len(elems)} assignments exceed limit {limit}")
-    out = []
-    for values in itertools.product(range(1, q + 1), repeat=len(elems)):
-        pi = dict(zip(elems, values))
-        if is_epartition(a.base, pi):
-            out.append(pi)
-    if not elems:
-        out = [{}]
-    return out
+    if q ** n > limit:
+        raise BoundExceededError(f"{q}^{n} assignments exceed limit {limit}")
+    return epartitions_into(a.base, q)
 
 
 def count_orbits_bruteforce(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:

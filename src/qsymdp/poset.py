@@ -214,13 +214,25 @@ def to_json(d: DoublePoset) -> str:
 
 
 def from_dict(doc: Dict) -> DoublePoset:
-    try:
-        elements = doc["elements"]
-        lt1 = [tuple(p) for p in doc.get("lt1", [])]
-        lt2 = [tuple(p) for p in doc.get("lt2", [])]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed poset document: {exc}") from exc
-    return build(elements, lt1, lt2)
+    """Poset JSON: {"elements": [labels], "lt1": [[a, b], ...], "lt2": [...]},
+    lt1 and lt2 optional; an error names the field at fault."""
+    elements = doc.get("elements") if isinstance(doc, dict) else None
+    if (
+        not isinstance(elements, list)
+        or not all(isinstance(e, str) for e in elements)
+        or len(set(elements)) != len(elements)
+    ):
+        raise ValueError("'elements' must be a list of distinct strings")
+    orders = []
+    for name in ("lt1", "lt2"):
+        pairs = doc.get(name, [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(x in elements for x in p)
+            for p in pairs
+        ):
+            raise ValueError(f"'{name}' must list pairs [a, b] of labels from 'elements'")
+        orders.append([tuple(p) for p in pairs])
+    return build(elements, *orders)
 
 
 def from_json(text: str) -> DoublePoset:
@@ -245,3 +257,12 @@ def all_strict_orders(elements: Sequence[str]) -> List[FrozenSet[Pair]]:
             continue
         orders.append(rel)
     return orders
+
+
+def all_double_posets(n: int) -> List[DoublePoset]:
+    """All double posets on the labels a, b, c, ... (n of them), in a fixed order."""
+    labels = tuple(chr(ord("a") + i) for i in range(n))
+    orders = all_strict_orders(labels)
+    return [
+        DoublePoset(elements=labels, lt1=lt1, lt2=lt2) for lt1 in orders for lt2 in orders
+    ]

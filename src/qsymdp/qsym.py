@@ -15,7 +15,6 @@ from .compositions import (
     conjugate,
     descent_set,
     format_composition,
-    parse_composition,
     reverse,
     sort_key,
 )
@@ -43,16 +42,6 @@ class QSymElem:
     def degree(self) -> int:
         """Max degree of the support; 0 for the zero element."""
         return max((sum(a) for a in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(a) for a in self.terms}
-        return len(degs) <= 1
-
-    def homogeneous_component(self, n: int) -> "QSymElem":
-        return QSymElem({a: c for a, c in self.terms.items() if sum(a) == n})
-
-    def degrees(self) -> List[int]:
-        return sorted({sum(a) for a in self.terms})
 
     def sorted_terms(self) -> List[Tuple[Composition, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
@@ -106,6 +95,20 @@ ZERO = QSymElem()
 ONE = monomial(Composition())
 
 
+def linear_combination(pairs: Iterable[Tuple[Fraction, QSymElem]]) -> QSymElem:
+    """The sum of c * f over the (c, f) pairs, accumulated in one dict."""
+    terms: Dict[Composition, Fraction] = {}
+    for c, f in pairs:
+        for alpha, v in f.terms.items():
+            terms[alpha] = terms.get(alpha, 0) + c * v
+    return QSymElem(terms)
+
+
+def _apply_linear(basis_map, f: QSymElem) -> QSymElem:
+    """Extend a map on basis elements, alpha -> basis_map(alpha), linearly to f."""
+    return linear_combination((c, basis_map(alpha)) for alpha, c in f.terms.items())
+
+
 def _expand(f: QSymElem, m: int) -> Dict[Tuple[int, ...], Fraction]:
     """Expand f as a polynomial in x_1..x_m; keys are exponent vectors."""
     poly: Dict[Tuple[int, ...], Fraction] = {}
@@ -156,16 +159,17 @@ def coproduct(f: QSymElem) -> List[Tuple[QSymElem, QSymElem]]:
 
     Normalized: left factors are distinct basis elements M_beta, sorted.
     """
-    by_left: Dict[Composition, QSymElem] = {}
+    by_left: Dict[Composition, Dict[Composition, Fraction]] = {}
     for alpha, c in f.terms.items():
         for k in range(len(alpha) + 1):
-            left = Composition(alpha[:k])
-            right = monomial(Composition(alpha[k:])).scale(c)
-            by_left[left] = by_left.get(left, ZERO) + right
+            right = by_left.setdefault(Composition(alpha[:k]), {})
+            beta = Composition(alpha[k:])
+            right[beta] = right.get(beta, 0) + c
+    rights = {left: QSymElem(right) for left, right in by_left.items()}
     return [
-        (monomial(beta), by_left[beta])
-        for beta in sorted(by_left, key=sort_key)
-        if by_left[beta]
+        (monomial(left), rights[left])
+        for left in sorted(rights, key=sort_key)
+        if rights[left]
     ]
 
 
@@ -188,10 +192,7 @@ def _antipode_closed_basis(alpha: Composition) -> QSymElem:
 
 def antipode_closed(f: QSymElem) -> QSymElem:
     """Antipode via the closed form: S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma."""
-    out = ZERO
-    for alpha, c in f.terms.items():
-        out = out + _antipode_closed_basis(alpha).scale(c)
-    return out
+    return _apply_linear(_antipode_closed_basis, f)
 
 
 @lru_cache(maxsize=None)
@@ -209,10 +210,7 @@ def _antipode_recursive_basis(alpha: Composition) -> QSymElem:
 
 def antipode_recursive(f: QSymElem) -> QSymElem:
     """Antipode computed degree-by-degree from m(S x id)Delta = u eps."""
-    out = ZERO
-    for alpha, c in f.terms.items():
-        out = out + _antipode_recursive_basis(alpha).scale(c)
-    return out
+    return _apply_linear(_antipode_recursive_basis, f)
 
 
 def fundamental(alpha: Composition) -> QSymElem:

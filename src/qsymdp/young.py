@@ -75,44 +75,31 @@ def _cell_label(cell: Cell) -> str:
     return f"{cell[0]},{cell[1]}"
 
 
+def _cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
+    """The cells ordered by <1, (i,j) <1 (i',j') iff both coordinates weakly
+    increase, and by <2, a <2 b iff below2(a, b)."""
+    cells = shape.cells
+
+    def pairs(rel):
+        return [
+            (_cell_label(a), _cell_label(b)) for a in cells for b in cells if rel(a, b)
+        ]
+
+    lt1 = pairs(lambda a, b: a != b and a[0] <= b[0] and a[1] <= b[1])
+    labels = [_cell_label(c) for c in cells]
+    return WeightedDoublePoset(poset=build(labels, lt1, pairs(below2)), w={})
+
+
 def build_Y(shape: SkewShape) -> WeightedDoublePoset:
     """The tertispecial double poset on the cells: (i,j) <1 (i',j') iff both
     coordinates weakly increase; (i,j) <2 (i',j') iff i >= i', j <= j'."""
-    cells = shape.cells
-    labels = [_cell_label(c) for c in cells]
-    lt1 = [
-        (_cell_label(a), _cell_label(b))
-        for a in cells
-        for b in cells
-        if a != b and a[0] <= b[0] and a[1] <= b[1]
-    ]
-    lt2 = [
-        (_cell_label(a), _cell_label(b))
-        for a in cells
-        for b in cells
-        if a != b and a[0] >= b[0] and a[1] <= b[1]
-    ]
-    return WeightedDoublePoset(poset=build(labels, lt1, lt2), w={})
+    return _cell_poset(shape, lambda a, b: a != b and a[0] >= b[0] and a[1] <= b[1])
 
 
 def build_Yh(shape: SkewShape) -> WeightedDoublePoset:
     """The special variant: same <1, but <2 is the total reading order
     (i,j) <h (i',j') iff i > i', or i = i' and j < j'."""
-    cells = shape.cells
-    labels = [_cell_label(c) for c in cells]
-    lt1 = [
-        (_cell_label(a), _cell_label(b))
-        for a in cells
-        for b in cells
-        if a != b and a[0] <= b[0] and a[1] <= b[1]
-    ]
-    lth = [
-        (_cell_label(a), _cell_label(b))
-        for a in cells
-        for b in cells
-        if a[0] > b[0] or (a[0] == b[0] and a[1] < b[1])
-    ]
-    return WeightedDoublePoset(poset=build(labels, lt1, lth), w={})
+    return _cell_poset(shape, lambda a, b: a[0] > b[0] or (a[0] == b[0] and a[1] < b[1]))
 
 
 def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:

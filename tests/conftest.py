@@ -3,22 +3,11 @@ import random
 
 import pytest
 
-from qsymdp.poset import DoublePoset, all_strict_orders, build, is_tertispecial
+from qsymdp.poset import DoublePoset, all_double_posets, build, is_tertispecial
 
 
 def labels_for(n):
     return [chr(ord("a") + i) for i in range(n)]
-
-
-def all_double_posets(n):
-    """All labeled double posets on n elements (exhaustive, desk scale)."""
-    labs = labels_for(n)
-    orders = all_strict_orders(labs)
-    return [
-        DoublePoset(elements=tuple(labs), lt1=lt1, lt2=lt2)
-        for lt1 in orders
-        for lt2 in orders
-    ]
 
 
 def random_double_poset(n, rng: random.Random) -> DoublePoset:

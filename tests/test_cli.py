@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -229,3 +230,368 @@ def test_selftest_deterministic():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip().splitlines()[-1] == "selftest: PASS"
+
+
+def test_reciprocity_negative_q(capsys, chain2, trivial_group):
+    with pytest.raises(SystemExit) as exc:
+        run(["reciprocity", chain2, trivial_group, "--q", "-2"])
+    assert exc.value.code == 2
+    assert "--q" in capsys.readouterr().err
+
+
+def test_selftest_negative_max_size(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["selftest", "--max-size", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-size" in err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"elements": "ab"}, "elements"),
+        ({"elements": [1, 2]}, "elements"),
+        ({"elements": ["a", "a"]}, "elements"),
+        ({"elements": ["a", "b"], "lt1": [["a"]]}, "lt1"),
+        ({"elements": ["a", "b"], "lt2": [["a", "z"]]}, "lt2"),
+        ({"elements": ["a", "b"], "lt1": "ab"}, "lt1"),
+        ({"elements": ["a"], "w": {"a": 1.7}}, "w"),
+        ({"elements": ["a"], "w": {"a": True}}, "w"),
+        ({"elements": ["a"], "w": {}}, "w"),
+        ({"elements": ["a"], "w": [1]}, "w"),
+    ],
+)
+def test_malformed_poset_names_field(capsys, tmp_path, doc, field):
+    code, out, err = invoke(capsys, "gamma", write_poset(tmp_path, "p.json", doc))
+    assert (code, out) == (2, "")
+    assert f"'{field}'" in err
+
+
+def test_empty_weights_on_empty_poset(capsys, tmp_path):
+    path = write_poset(tmp_path, "e.json", {"elements": [], "lt1": [], "lt2": [], "w": {}})
+    assert invoke(capsys, "gamma", path) == (0, "M()\n", "")
+
+
+@pytest.mark.parametrize("generators", ["x", ["x"], [{"a": 1, "b": "a"}], None])
+def test_malformed_group_names_field(capsys, antichain2, tmp_path, generators):
+    path = write_poset(tmp_path, "g.json", {"generators": generators})
+    code, out, err = invoke(capsys, "equivariant", antichain2, path)
+    assert (code, out) == (2, "")
+    assert "'generators'" in err
+
+
+# Fixed inputs for test_golden: the README's poset and group (the group
+# moves a <1 c to b <1 c, so it does not act on that poset), a poset the
+# README group does act on, a non-tertispecial poset and the trivial group.
+GOLDEN_FILES = {
+    "readme.json": {
+        "elements": ["a", "b", "c"],
+        "lt1": [["a", "b"], ["a", "c"]],
+        "lt2": [["a", "b"], ["c", "a"]],
+        "w": {"a": 1, "b": 2, "c": 1},
+    },
+    "readme-group.json": {
+        "generators": [{"a": "b", "b": "a", "c": "c"}],
+    },
+    "fork.json": {
+        "elements": ["a", "b", "c"],
+        "lt1": [["c", "a"], ["c", "b"]],
+        "lt2": [["c", "a"], ["c", "b"]],
+        "w": {"a": 1, "b": 1, "c": 2},
+    },
+    "nontert.json": {
+        "elements": ["a", "b"],
+        "lt1": [["a", "b"]],
+        "lt2": [],
+    },
+    "trivial-group.json": {
+        "generators": [],
+    },
+}
+
+# argv, exit code, stdout, and the start of stderr (file names stand for the
+# written files).  stderr is pinned whole except where the not-preserving
+# error names its witness pair: which of the two broken pairs is found first
+# depends on set iteration order.
+GOLDEN = [
+    pytest.param(
+        ["antipode-m", "(1,2)"],
+        0,
+        "M(3) + M(2,1)\n",
+        "",
+        id="antipode-m",
+    ),
+    pytest.param(
+        ["--json", "antipode-m", "(2,1,1)"],
+        0,
+        (
+            '[["-1", [4]], ["-1", [1, 3]], ["-1", [2, 2]], ["-1", [1, 1,'
+            " 2]]]\n"
+        ),
+        "",
+        id="antipode-m-json",
+    ),
+    pytest.param(
+        ["antipode-f", "(1,2)"],
+        0,
+        (
+            "conjugate: (1,2)\n"
+            "-M(1,2) - M(1,1,1)\n"
+        ),
+        "",
+        id="antipode-f",
+    ),
+    pytest.param(
+        ["--json", "antipode-f", "(2,1,1)"],
+        0,
+        (
+            '{"conjugate": [3, 1], "terms": [["1", [3, 1]], ["1", [1, 2, 1]],'
+            ' ["1", [2, 1, 1]], ["1", [1, 1, 1, 1]]]}\n'
+        ),
+        "",
+        id="antipode-f-json",
+    ),
+    pytest.param(
+        ["gamma", "readme.json"],
+        0,
+        "M(1,3) + M(3,1) + M(1,1,2) + M(1,2,1)\n",
+        "",
+        id="gamma",
+    ),
+    pytest.param(
+        ["--json", "gamma", "readme.json"],
+        0,
+        (
+            '[["1", [1, 3]], ["1", [3, 1]], ["1", [1, 1, 2]], ["1", [1, 2,'
+            " 1]]]\n"
+        ),
+        "",
+        id="gamma-json",
+    ),
+    pytest.param(
+        ["coproduct", "readme.json"],
+        0,
+        (
+            "M() (x) M(1,3) + M(3,1) + M(1,1,2) + M(1,2,1)\n"
+            "M(1) (x) M(3) + M(1,2) + M(2,1)\n"
+            "M(1,1) (x) M(2)\n"
+            "M(3) (x) M(1)\n"
+            "M(1,2) (x) M(1)\n"
+            "M(1,3) (x) M()\n"
+            "M(3,1) (x) M()\n"
+            "M(1,1,2) (x) M()\n"
+            "M(1,2,1) (x) M()\n"
+        ),
+        "",
+        id="coproduct",
+    ),
+    pytest.param(
+        ["--json", "coproduct", "fork.json"],
+        0,
+        (
+            '[[[["1", []]], [["1", [4]], ["1", [2, 2]], ["2", [3, 1]], ["2",'
+            ' [2, 1, 1]]]], [[["1", [2]]], [["1", [2]], ["2", [1, 1]]]],'
+            ' [[["1", [3]]], [["2", [1]]]], [[["1", [2, 1]]], [["2", [1]]]],'
+            ' [[["1", [4]]], [["1", []]]], [[["1", [2, 2]]], [["1", []]]],'
+            ' [[["1", [3, 1]]], [["2", []]]], [[["1", [2, 1, 1]]], [["2",'
+            " []]]]]\n"
+        ),
+        "",
+        id="coproduct-json",
+    ),
+    pytest.param(
+        ["product", "readme.json", "nontert.json"],
+        0,
+        (
+            "M(1,5) + M(2,4) + 2*M(3,3) + M(4,2) + M(5,1) + 3*M(1,1,4) +"
+            " 4*M(1,2,3) + 4*M(1,3,2) + 3*M(1,4,1) + 3*M(2,1,3) + 2*M(2,2,2)"
+            " + 3*M(2,3,1) + 3*M(3,1,2) + 3*M(3,2,1) + 2*M(4,1,1) +"
+            " 6*M(1,1,1,3) + 6*M(1,1,2,2) + 6*M(1,1,3,1) + 5*M(1,2,1,2) +"
+            " 5*M(1,2,2,1) + 5*M(1,3,1,1) + 3*M(2,1,1,2) + 3*M(2,1,2,1) +"
+            " 2*M(2,2,1,1) + 3*M(3,1,1,1) + 6*M(1,1,1,1,2) + 6*M(1,1,1,2,1) +"
+            " 5*M(1,1,2,1,1) + 3*M(1,2,1,1,1)\n"
+        ),
+        "",
+        id="product",
+    ),
+    pytest.param(
+        ["--json", "product", "fork.json", "nontert.json"],
+        0,
+        (
+            '[["1", [6]], ["1", [1, 5]], ["2", [2, 4]], ["3", [3, 3]], ["4",'
+            ' [4, 2]], ["3", [5, 1]], ["1", [1, 1, 4]], ["1", [1, 2, 3]],'
+            ' ["3", [1, 3, 2]], ["3", [1, 4, 1]], ["3", [2, 1, 3]], ["5", [2,'
+            ' 2, 2]], ["5", [2, 3, 1]], ["7", [3, 1, 2]], ["7", [3, 2, 1]],'
+            ' ["7", [4, 1, 1]], ["1", [1, 1, 2, 2]], ["2", [1, 1, 3, 1]],'
+            ' ["3", [1, 2, 1, 2]], ["3", [1, 2, 2, 1]], ["6", [1, 3, 1, 1]],'
+            ' ["7", [2, 1, 1, 2]], ["7", [2, 1, 2, 1]], ["9", [2, 2, 1, 1]],'
+            ' ["12", [3, 1, 1, 1]], ["2", [1, 1, 2, 1, 1]], ["6", [1, 2, 1,'
+            ' 1, 1]], ["12", [2, 1, 1, 1, 1]]]\n'
+        ),
+        "",
+        id="product-json",
+    ),
+    pytest.param(
+        ["verify-antipode", "readme.json"],
+        0,
+        (
+            "S(Gamma): -M(2,2) - M(3,1) - M(1,2,1) - M(2,1,1)\n"
+            "(-1)^|E| Gamma(opposite): -M(2,2) - M(3,1) - M(1,2,1) -"
+            " M(2,1,1)\n"
+            "PASS\n"
+        ),
+        "",
+        id="verify-antipode",
+    ),
+    pytest.param(
+        ["verify-antipode", "nontert.json"],
+        1,
+        (
+            "S(Gamma): M(1,1)\n"
+            "(-1)^|E| Gamma(opposite): M(2) + M(1,1)\n"
+            "FAIL\n"
+        ),
+        "",
+        id="verify-antipode-fail",
+    ),
+    pytest.param(
+        ["equivariant", "fork.json", "readme-group.json"],
+        0,
+        "M(4) + M(2,2) + M(3,1) + M(2,1,1)\n",
+        "",
+        id="equivariant",
+    ),
+    pytest.param(
+        ["--json", "equivariant", "fork.json", "readme-group.json", "--plus"],
+        0,
+        '[["1", [3, 1]], ["1", [2, 1, 1]]]\n',
+        "",
+        id="equivariant-plus-json",
+    ),
+    pytest.param(
+        ["equivariant", "readme.json", "readme-group.json"],
+        2,
+        "",
+        (
+            "error: readme-group.json: permutation {'a': 'b', 'b': 'a', 'c':"
+            " 'c'} does not preserve ('lt1', "
+        ),
+        id="equivariant-not-preserving",
+    ),
+    pytest.param(
+        ["verify-equivariant", "fork.json", "readme-group.json"],
+        0,
+        "PASS\n",
+        "",
+        id="verify-equivariant",
+    ),
+    pytest.param(
+        ["verify-equivariant", "nontert.json", "trivial-group.json"],
+        2,
+        "",
+        "error: equivariant antipode theorem requires tertispecial base\n",
+        id="verify-equivariant-nontert",
+    ),
+    pytest.param(
+        ["order-poly", "fork.json", "readme-group.json"],
+        0,
+        (
+            "binomial basis: 1*C(q,1) + 2*C(q,2) + 1*C(q,3)\n"
+            "power basis: 1/3*q^1 + 1/2*q^2 + 1/6*q^3\n"
+        ),
+        "",
+        id="order-poly",
+    ),
+    pytest.param(
+        ["--json", "order-poly", "readme.json", "trivial-group.json"],
+        0,
+        (
+            '{"binomial": ["0", "0", "2", "2"], "power": ["0", "-1/3", "0",'
+            ' "1/3"]}\n'
+        ),
+        "",
+        id="order-poly-json",
+    ),
+    pytest.param(
+        ["reciprocity", "fork.json", "readme-group.json", "--q", "2"],
+        0,
+        "PASS\n",
+        "",
+        id="reciprocity",
+    ),
+    pytest.param(
+        ["reciprocity", "nontert.json", "trivial-group.json", "--q", "2"],
+        2,
+        "",
+        "error: reciprocity requires a tertispecial base poset\n",
+        id="reciprocity-nontert",
+    ),
+    pytest.param(
+        ["schur", "[3,2]/[1]"],
+        0,
+        (
+            "M(1,3) + 2*M(2,2) + M(3,1) + 3*M(1,1,2) + 3*M(1,2,1) +"
+            " 3*M(2,1,1) + 5*M(1,1,1,1)\n"
+        ),
+        "",
+        id="schur",
+    ),
+    pytest.param(
+        ["--json", "schur", "[2,1]"],
+        0,
+        '[["1", [1, 2]], ["1", [2, 1]], ["2", [1, 1, 1]]]\n',
+        "",
+        id="schur-json",
+    ),
+    pytest.param(
+        ["schur", "[3,3]", "--max-cells", "5"],
+        2,
+        "",
+        "error: shape has 6 cells, above cap 5\n",
+        id="schur-cap",
+    ),
+    pytest.param(
+        ["verify-schur", "[2,2]/[1]"],
+        0,
+        "PASS\n",
+        "",
+        id="verify-schur",
+    ),
+    pytest.param(
+        ["--json", "verify-schur", "[3,1]"],
+        0,
+        "PASS\n",
+        "",
+        id="verify-schur-json",
+    ),
+    pytest.param(
+        ["selftest", "--max-size", "2"],
+        0,
+        (
+            "ok composition-calculus (31 checks)\n"
+            "ok antipode-consistency (4 checks)\n"
+            "ok gamma-truncation (22 checks)\n"
+            "ok antipode-theorem (12 checks)\n"
+            "ok coproduct-product-rules (12 checks)\n"
+            "ok equivariant-reciprocity (16 checks)\n"
+            "selftest: PASS\n"
+        ),
+        "",
+        id="selftest",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN)
+def test_golden(capsys, tmp_path, argv, code, out, err):
+    for name, doc in GOLDEN_FILES.items():
+        write_poset(tmp_path, name, doc)
+    argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
+    got_code, got_out, got_err = invoke(capsys, *argv)
+    got_err = got_err.replace(str(tmp_path) + os.sep, "")
+    assert (got_code, got_out) == (code, out)
+    if err.endswith("\n") or not err:
+        assert got_err == err
+    else:  # pinned up to the witness pair
+        assert got_err.startswith(err) and got_err.count("\n") == 1
