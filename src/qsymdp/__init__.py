@@ -26,16 +26,13 @@ from .equivariant import (
 )
 from .gamma import (
     NotTertispecialError,
-    PackedPartition,
     WeightedDoublePoset,
     antipode_theorem_check,
-    ev_w,
     gamma,
     gamma_coproduct_check,
     gamma_product_check,
     is_epartition,
     is_epartition_covers,
-    packed_epartitions,
 )
 from .orderpoly import (
     BoundExceededError,

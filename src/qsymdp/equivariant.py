@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,12 +59,13 @@ def _perm_from_mapping(base: WeightedDoublePoset, mapping: Mapping[str, str]) ->
     return tuple(idx[mapping[e]] for e in labels)
 
 
-def _validate_preserving(base: WeightedDoublePoset, perm: Permutation, mapping) -> None:
+def _validate_preserving(base: WeightedDoublePoset, perm: Permutation) -> None:
+    """Raise on the first broken pair or weight, in declaration order of the labels."""
     labels = base.poset.elements
     img = {labels[i]: labels[perm[i]] for i in range(len(labels))}
     for rel_name, rel in (("lt1", base.poset.lt1), ("lt2", base.poset.lt2)):
-        for a, b in rel:
-            if (img[a], img[b]) not in rel:
+        for a, b in itertools.product(labels, repeat=2):
+            if (a, b) in rel and (img[a], img[b]) not in rel:
                 raise NotPreservingError(img, (rel_name, (a, b)))
     for e in labels:
         if base.w[img[e]] != base.w[e]:
@@ -85,7 +87,7 @@ def build_action(
     gens = []
     for mapping in generators:
         perm = _perm_from_mapping(base, mapping)
-        _validate_preserving(base, perm, mapping)
+        _validate_preserving(base, perm)
         gens.append(perm)
     group = {identity}
     frontier = [identity]

@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from .compositions import Composition
 from .poset import (
     DoublePoset,
     admissible_pairs,
     disjoint_union,
+    down_sets,
     from_dict,
     is_tertispecial,
     opposite1,
@@ -42,17 +43,6 @@ class WeightedDoublePoset:
         return sum(self.w.values())
 
 
-@dataclass(frozen=True)
-class PackedPartition:
-    """A packed E-partition: values form the initial interval {1,...,k}."""
-
-    values: Tuple[Tuple[str, int], ...]
-    k: int
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.values)
-
-
 def _is_epartition_on(d: WeightedDoublePoset, pairs, pi: Mapping[str, int]) -> bool:
     """pi weakly increases along each pair e <1 f, strictly when f <2 e."""
     p = d.poset
@@ -81,61 +71,33 @@ def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
     return _is_epartition_on(d, p.covers(p.lt1), pi)
 
 
-def packed_epartitions(d: WeightedDoublePoset) -> List[PackedPartition]:
-    """All packed E-partitions, enumerated by backtracking over a linear
-    extension of <1; deterministic order by assignment vector."""
-    p = d.poset
-    order = p.linear_extension1()
-    n = len(order)
-    if n == 0:
-        return [PackedPartition(values=(), k=0)]
-    results: List[PackedPartition] = []
-    assignment: Dict[str, int] = {}
-
-    def feasible(e: str, value: int) -> bool:
-        for f, val in assignment.items():
-            if (f, e) in p.lt1:
-                if (e, f) in p.lt2:
-                    if not val < value:
-                        return False
-                elif not val <= value:
-                    return False
-        return True
-
-    def backtrack(i: int):
-        if i == n:
-            image = sorted(set(assignment.values()))
-            if image == list(range(1, len(image) + 1)):
-                values = tuple((e, assignment[e]) for e in p.elements)
-                results.append(PackedPartition(values=values, k=len(image)))
-            return
-        e = order[i]
-        for value in range(1, n + 1):
-            if feasible(e, value):
-                assignment[e] = value
-                backtrack(i + 1)
-                del assignment[e]
-
-    backtrack(0)
-    return results
-
-
-def ev_w(d: WeightedDoublePoset, phi: PackedPartition) -> Composition:
-    """Weight composition: alpha_i = sum of w(e) over the fiber phi^{-1}(i)."""
-    values = phi.as_dict()
-    parts = [0] * phi.k
-    for e, i in values.items():
-        parts[i - 1] += d.w[e]
-    return Composition(parts)
-
-
 def gamma(d: WeightedDoublePoset) -> QSymElem:
-    """Gamma(E, w) as a monomial-basis expansion over packed E-partitions."""
-    terms: Dict[Composition, Fraction] = {}
-    for phi in packed_epartitions(d):
-        alpha = ev_w(d, phi)
-        terms[alpha] = terms.get(alpha, Fraction(0)) + 1
-    return QSymElem(terms)
+    """Gamma(E, w) in the monomial basis, summed over chains of <1-down-sets.
+
+    A packed E-partition phi onto {1,...,k} is the same thing as a chain of
+    <1-down-sets {} = D_0 < D_1 < ... < D_k = E, with D_i = phi^{-1}{1,...,i},
+    in which no block D_i - D_{i-1} holds a pair e <1 f with f <2 e; it
+    contributes M_alpha with alpha_i = w(D_i - D_{i-1}).  chains[D] maps each
+    alpha to the number of such chains from {} up to D.
+    """
+    p = d.poset
+    reversed_pairs = [(e, f) for e, f in p.lt1 if (f, e) in p.lt2]
+    downs = sorted(down_sets(p), key=len)
+    chains: Dict[FrozenSet[str], Dict[Tuple[int, ...], int]] = {downs[0]: {(): 1}}
+    for top in downs[1:]:
+        into: Dict[Tuple[int, ...], int] = {}
+        for low in downs:
+            if len(low) >= len(top):
+                break
+            block = top - low
+            if not low < top or any(e in block and f in block for e, f in reversed_pairs):
+                continue
+            part = (sum(d.w[e] for e in block),)
+            for alpha, c in chains[low].items():
+                key = alpha + part
+                into[key] = into.get(key, 0) + c
+        chains[top] = into
+    return QSymElem(chains[downs[-1]])
 
 
 def _tensor_table(

@@ -2,7 +2,7 @@
 tests, and the orbit counts on the right-hand side of reciprocity.
 
 Everything here goes through the raw definitions (all maps E -> [m], the
-power-series truncation), never through the packed-partition route, so that
+power-series truncation), never through the down-set chain sum, so that
 agreement is a genuine two-route check.
 """
 

@@ -71,20 +71,6 @@ class DoublePoset:
         order = {e: i for i, e in enumerate(self.elements)}
         return sorted(out, key=lambda p: (order[p[0]], order[p[1]]))
 
-    def linear_extension1(self) -> List[str]:
-        """Topological order of <1, ties broken by declaration order."""
-        remaining = list(self.elements)
-        out: List[str] = []
-        while remaining:
-            for e in remaining:
-                if not any((f, e) in self.lt1 for f in remaining):
-                    out.append(e)
-                    remaining.remove(e)
-                    break
-            else:  # pragma: no cover - closure is acyclic by construction
-                raise AssertionError("no minimal element in acyclic order")
-        return out
-
 
 def build(
     elements: Sequence[str],

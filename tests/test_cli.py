@@ -310,10 +310,7 @@ GOLDEN_FILES = {
     },
 }
 
-# argv, exit code, stdout, and the start of stderr (file names stand for the
-# written files).  stderr is pinned whole except where the not-preserving
-# error names its witness pair: which of the two broken pairs is found first
-# depends on set iteration order.
+# argv, exit code, stdout and stderr (file names stand for the written files).
 GOLDEN = [
     pytest.param(
         ["antipode-m", "(1,2)"],
@@ -475,7 +472,7 @@ GOLDEN = [
         "",
         (
             "error: readme-group.json: permutation {'a': 'b', 'b': 'a', 'c':"
-            " 'c'} does not preserve ('lt1', "
+            " 'c'} does not preserve ('lt1', ('a', 'b'))\n"
         ),
         id="equivariant-not-preserving",
     ),
@@ -590,8 +587,18 @@ def test_golden(capsys, tmp_path, argv, code, out, err):
     argv = [str(tmp_path / a) if a in GOLDEN_FILES else a for a in argv]
     got_code, got_out, got_err = invoke(capsys, *argv)
     got_err = got_err.replace(str(tmp_path) + os.sep, "")
-    assert (got_code, got_out) == (code, out)
-    if err.endswith("\n") or not err:
-        assert got_err == err
-    else:  # pinned up to the witness pair
-        assert got_err.startswith(err) and got_err.count("\n") == 1
+    assert (got_code, got_out, got_err) == (code, out, err)
+
+
+def test_not_preserving_witness_independent_of_hash_seed(tmp_path):
+    for name, doc in GOLDEN_FILES.items():
+        write_poset(tmp_path, name, doc)
+    cmd = [sys.executable, "-m", "qsymdp.cli", "equivariant"]
+    cmd += [str(tmp_path / "readme.json"), str(tmp_path / "readme-group.json")]
+    errs = [
+        subprocess.run(
+            cmd, capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed}
+        ).stderr
+        for seed in ("1", "2")
+    ]
+    assert errs[0] == errs[1] and "('lt1', ('a', 'b'))" in errs[0]

@@ -1,28 +1,28 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsymdp.compositions import Composition, compositions_of
 from qsymdp.gamma import (
     NotTertispecialError,
     WeightedDoublePoset,
     antipode_theorem_check,
-    ev_w,
     gamma,
     gamma_coproduct_check,
     gamma_product_check,
     is_epartition,
     is_epartition_covers,
-    packed_epartitions,
     weighted_from_json,
 )
 from qsymdp.oracles import epartitions_into, gamma_truncation_matches
 from qsymdp.poset import build, is_tertispecial
-from qsymdp.qsym import monomial
+from qsymdp.qsym import fundamental, monomial
 
-from conftest import all_double_posets, random_tertispecial_posets
+from conftest import all_double_posets, random_double_poset, random_tertispecial_posets
 
 
 def chain(n, strict=False):
@@ -71,29 +71,44 @@ def test_covers_test_rejects_non_tertispecial():
         is_epartition_covers(d, {"a": 1, "b": 1})
 
 
-def test_packed_epartitions_antichain():
+def test_gamma_antichain2():
     d = WeightedDoublePoset(poset=build("ab", [], []), w={})
-    packed = packed_epartitions(d)
-    assert len(packed) == 3  # {a:1,b:1}, {a:1,b:2}, {a:2,b:1}
-    assert all(sorted(set(p.as_dict().values())) == list(range(1, p.k + 1)) for p in packed)
+    # packed maps {a:1,b:1}, {a:1,b:2}, {a:2,b:1}
+    assert gamma(d) == monomial(Composition([2])) + 2 * monomial(Composition([1, 1]))
 
 
-def test_packed_epartitions_empty():
+def test_gamma_empty_poset_is_one():
     d = WeightedDoublePoset(poset=build([], [], []), w={})
     assert gamma(d) == monomial(Composition())
 
 
-def test_ev_w():
+def test_gamma_weighted_antichain2():
     d = WeightedDoublePoset(poset=build("ab", [], []), w={"a": 2, "b": 3})
-    for phi in packed_epartitions(d):
-        alpha = ev_w(d, phi)
-        assert sum(alpha) == 5
+    assert gamma(d) == (
+        monomial(Composition([5])) + monomial(Composition([2, 3])) + monomial(Composition([3, 2]))
+    )
+
+
+def test_gamma_antichain8_is_multinomial():
+    d = WeightedDoublePoset(poset=build("abcdefgh", [], []), w={})
+    expected = {
+        alpha: math.factorial(8) // math.prod(math.factorial(a) for a in alpha)
+        for alpha in compositions_of(8)
+    }
+    assert gamma(d).terms == expected
+
+
+def test_gamma_natural_chain12_is_fundamental():
+    labs = [f"e{i}" for i in range(12)]
+    gens = list(zip(labs, labs[1:]))
+    d = WeightedDoublePoset(poset=build(labs, gens, gens), w={})
+    assert gamma(d) == fundamental(Composition([12]))
 
 
 def test_gamma_chain_is_single_monomial():
     # Example: a <1-chain with strict <2-reversal carrying weights (a1,...,ak)
     # has exactly one packed partition, so Gamma = M_alpha.
-    for alpha in [a for n in range(6) for a in compositions_of(n)]:
+    for alpha in [a for n in range(6) for a in compositions_of(n)] + [(1, 2) * 6]:
         labs = [f"e{i}" for i in range(len(alpha))]
         gens = list(zip(labs, labs[1:]))
         lt2 = [(b, a) for a, b in gens]
@@ -115,13 +130,20 @@ def test_gamma_matches_bruteforce_truncation():
 def test_packed_count_matches_bruteforce_packed_filter():
     for d in all_double_posets(3):
         wd = WeightedDoublePoset(poset=d, w={})
-        packed = {tuple(sorted(p.as_dict().items())) for p in packed_epartitions(wd)}
-        brute = set()
+        brute = 0
         for pi in epartitions_into(wd, 3):
             image = sorted(set(pi.values()))
-            if image == list(range(1, len(image) + 1)):
-                brute.add(tuple(sorted(pi.items())))
-        assert packed == brute
+            brute += image == list(range(1, len(image) + 1))
+        assert sum(gamma(wd).terms.values()) == brute
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=5), st.randoms(use_true_random=False), st.data())
+def test_gamma_matches_bruteforce_truncation_drawn(n, rng, data):
+    d = random_double_poset(n, rng)
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    wd = WeightedDoublePoset(poset=d, w=dict(zip(d.elements, weights)))
+    assert gamma_truncation_matches(wd, gamma(wd), n + 1)
 
 
 def test_antipode_theorem_true_on_tertispecial():

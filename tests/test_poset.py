@@ -54,13 +54,6 @@ def test_covers_of_chain():
     assert d.covers(d.lt1) == [("a", "b"), ("b", "c")]
 
 
-def test_linear_extension_respects_order():
-    d = build("abc", [("c", "a")], [])
-    order = d.linear_extension1()
-    assert order.index("c") < order.index("a")
-    assert sorted(order) == ["a", "b", "c"]
-
-
 def test_specialness_hierarchy():
     # total <2 chain: special, hence semispecial and tertispecial
     d = build("ab", [("a", "b")], [("a", "b")])
