@@ -34,6 +34,7 @@ from .gamma import (
     is_epartition,
     is_epartition_covers,
 )
+from .oracles import antipode_recursive
 from .orderpoly import (
     BoundExceededError,
     OrderPolynomial,
@@ -56,7 +57,6 @@ from .poset import (
 from .qsym import (
     QSymElem,
     antipode_closed,
-    antipode_recursive,
     coproduct,
     counit,
     fundamental,

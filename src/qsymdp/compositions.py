@@ -11,18 +11,10 @@ class Composition(tuple):
     """A finite sequence of positive integers.  The empty composition is ``()``."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
+        parts = tuple(map(int, parts))
+        if min(parts, default=1) < 1:
             raise ValueError(f"composition parts must be >= 1, got {parts}")
         return super().__new__(cls, parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def __repr__(self) -> str:
         return f"Composition({tuple(self)!r})"
@@ -75,18 +67,18 @@ def conjugate(alpha: Composition) -> Composition:
     return comp_of_subset(DescentSet(n=n, members=complement))
 
 
+def compositions_between(n: int, low: Iterable[int], high: Iterable[int]) -> Iterator[Composition]:
+    """The compositions of n whose descent set D satisfies low <= D <= high."""
+    low = frozenset(low)
+    extra = sorted(frozenset(high) - low)
+    for k in range(len(extra) + 1):
+        for sub in itertools.combinations(extra, k):
+            yield comp_of_subset(DescentSet(n=n, members=low | frozenset(sub)))
+
+
 def compositions_of(n: int) -> Iterator[Composition]:
     """All compositions of n, in the deterministic order of sort_key."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    comps = [
-        comp_of_subset(DescentSet(n=n, members=frozenset(s)))
-        for k in range(n)
-        for s in itertools.combinations(range(1, n), k)
-    ]
-    if n == 0:
-        comps = [Composition()]
-    return iter(sorted(comps, key=sort_key))
+    return iter(sorted(compositions_between(n, (), range(1, n)), key=sort_key))
 
 
 def format_composition(alpha: Composition) -> str:

@@ -168,12 +168,25 @@ class AdmissiblePair:
 
 
 def down_sets(d: DoublePoset) -> Iterator[FrozenSet[str]]:
-    """All down-sets of (E, <1), lexicographic in the characteristic vector."""
+    """All down-sets of (E, <1), lexicographic in the characteristic vector.
+
+    Built in declaration order: e may be left out unless a chosen f has e <1 f,
+    and put in if its earlier <1-predecessors are chosen; as <1 is transitive,
+    no branch dead-ends.
+    """
     elems = d.elements
-    for chi in itertools.product((0, 1), repeat=len(elems)):
-        p = frozenset(e for e, c in zip(elems, chi) if c)
-        if all(a in p for a, b in d.lt1 if b in p):
-            yield p
+
+    def extend(i: int, chosen: FrozenSet[str]):
+        if i == len(elems):
+            yield chosen
+            return
+        e = elems[i]
+        if not any((e, f) in d.lt1 for f in chosen):
+            yield from extend(i + 1, chosen)
+        if all(f in chosen for f in elems[:i] if (f, e) in d.lt1):
+            yield from extend(i + 1, chosen | {e})
+
+    return extend(0, frozenset())
 
 
 def admissible_pairs(d: DoublePoset) -> List[AdmissiblePair]:

@@ -1,8 +1,8 @@
-"""Quasisymmetric functions in monomial coordinates with exact rational coefficients."""
+"""Quasisymmetric functions in monomial coordinates with exact rational coefficients,
+computed in the monomial basis alone (the product is the quasi-shuffle product)."""
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -10,8 +10,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from .compositions import (
     Composition,
-    DescentSet,
-    comp_of_subset,
+    compositions_between,
     conjugate,
     descent_set,
     format_composition,
@@ -38,10 +37,6 @@ class QSymElem:
 
     def coeff(self, alpha: Composition) -> Fraction:
         return self.terms.get(Composition(alpha), Fraction(0))
-
-    def degree(self) -> int:
-        """Max degree of the support; 0 for the zero element."""
-        return max((sum(a) for a in self.terms), default=0)
 
     def sorted_terms(self) -> List[Tuple[Composition, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
@@ -109,49 +104,31 @@ def _apply_linear(basis_map, f: QSymElem) -> QSymElem:
     return linear_combination((c, basis_map(alpha)) for alpha, c in f.terms.items())
 
 
-def _expand(f: QSymElem, m: int) -> Dict[Tuple[int, ...], Fraction]:
-    """Expand f as a polynomial in x_1..x_m; keys are exponent vectors."""
-    poly: Dict[Tuple[int, ...], Fraction] = {}
-    for alpha, c in f.terms.items():
-        ell = len(alpha)
-        if ell > m:
-            continue
-        for positions in itertools.combinations(range(m), ell):
-            exps = [0] * m
-            for pos, part in zip(positions, alpha):
-                exps[pos] = part
-            key = tuple(exps)
-            poly[key] = poly.get(key, Fraction(0)) + c
-    return poly
+@lru_cache(maxsize=None)
+def _quasi_shuffle(a: Composition, b: Composition) -> Dict[tuple, int]:
+    """M_a * M_b as {gamma: multiplicity} over the quasi-shuffles gamma of a and b:
+    the first part of gamma is a[0], b[0] or a[0] + b[0] (Hoffman's recursion)."""
+    if not a or not b:
+        return {a + b: 1}
+    terms: Dict[tuple, int] = {}
+    for head, rest in (
+        (a[0], _quasi_shuffle(a[1:], b)),
+        (b[0], _quasi_shuffle(a, b[1:])),
+        (a[0] + b[0], _quasi_shuffle(a[1:], b[1:])),
+    ):
+        for gamma, c in rest.items():
+            key = (head,) + gamma
+            terms[key] = terms.get(key, 0) + c
+    return terms
 
 
 def product(f: QSymElem, g: QSymElem) -> QSymElem:
-    """QSym product, computed by truncated-polynomial multiplication.
-
-    An element of degree <= m is determined by its polynomial in m variables,
-    so we expand both factors in deg(f) + deg(g) variables, multiply, and read
-    the monomial-basis coefficients back off the exponents at x_1..x_ell.
-    """
-    if not f.terms or not g.terms:
-        return ZERO
-    m = f.degree() + g.degree()
-    if m == 0:
-        return ONE.scale(f.coeff(Composition()) * g.coeff(Composition()))
-    pf = _expand(f, m)
-    pg = _expand(g, m)
-    prod: Dict[Tuple[int, ...], Fraction] = {}
-    for ea, ca in pf.items():
-        for eb, cb in pg.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            prod[key] = prod.get(key, Fraction(0)) + ca * cb
-    # coefficient of M_alpha is the coefficient of x_1^a1 ... x_ell^a_ell
-    out: Dict[Composition, Fraction] = {}
-    for exps, c in prod.items():
-        support = [i for i, e in enumerate(exps) if e > 0]
-        if support != list(range(len(support))):
-            continue
-        out[Composition(exps[: len(support)])] = c
-    return QSymElem(out)
+    """QSym product, the bilinear extension of the quasi-shuffle product."""
+    return linear_combination(
+        (cf * cg, QSymElem(_quasi_shuffle(a, b)))
+        for a, cf in f.terms.items()
+        for b, cg in g.terms.items()
+    )
 
 
 def coproduct(f: QSymElem) -> List[Tuple[QSymElem, QSymElem]]:
@@ -179,15 +156,9 @@ def counit(f: QSymElem) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _antipode_closed_basis(alpha: Composition) -> QSymElem:
-    n = sum(alpha)
     rev_d = descent_set(reverse(alpha)).members
-    sign = Fraction(-1) ** len(alpha)
-    terms: Dict[Composition, Fraction] = {}
-    for k in range(len(rev_d) + 1):
-        for sub in itertools.combinations(sorted(rev_d), k):
-            gamma = comp_of_subset(DescentSet(n=n, members=frozenset(sub)))
-            terms[gamma] = terms.get(gamma, Fraction(0)) + sign
-    return QSymElem(terms)
+    gammas = compositions_between(sum(alpha), (), rev_d)
+    return QSymElem(dict.fromkeys(gammas, Fraction(-1) ** len(alpha)))
 
 
 def antipode_closed(f: QSymElem) -> QSymElem:
@@ -195,35 +166,11 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     return _apply_linear(_antipode_closed_basis, f)
 
 
-@lru_cache(maxsize=None)
-def _antipode_recursive_basis(alpha: Composition) -> QSymElem:
-    if len(alpha) == 0:
-        return ONE
-    acc = ZERO
-    for k in range(len(alpha)):
-        acc = acc + product(
-            _antipode_recursive_basis(Composition(alpha[:k])),
-            monomial(Composition(alpha[k:])),
-        )
-    return -acc
-
-
-def antipode_recursive(f: QSymElem) -> QSymElem:
-    """Antipode computed degree-by-degree from m(S x id)Delta = u eps."""
-    return _apply_linear(_antipode_recursive_basis, f)
-
-
 def fundamental(alpha: Composition) -> QSymElem:
     """The fundamental function F_alpha = sum over beta with D(beta) >= D(alpha) of M_beta."""
     n = sum(alpha)
     d = descent_set(Composition(alpha)).members
-    rest = sorted(frozenset(range(1, n)) - d)
-    terms: Dict[Composition, Fraction] = {}
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            beta = comp_of_subset(DescentSet(n=n, members=d | frozenset(extra)))
-            terms[beta] = Fraction(1)
-    return QSymElem(terms)
+    return QSymElem(dict.fromkeys(compositions_between(n, d, range(1, n)), 1))
 
 
 def antipode_fundamental_identity_check(alpha: Composition) -> bool:

@@ -32,7 +32,7 @@ from qsymdp.gamma import (
     gamma_product_check,
     is_epartition,
 )
-from qsymdp.oracles import gamma_truncation_matches
+from qsymdp.oracles import _expand, antipode_recursive, gamma_truncation_matches
 from qsymdp.orderpoly import (
     _is_coeven,
     _orbit_decomposition,
@@ -45,9 +45,7 @@ from qsymdp.poset import build, is_tertispecial
 from qsymdp.qsym import (
     ONE,
     ZERO,
-    _expand,
     antipode_closed,
-    antipode_recursive,
     coproduct,
     counit,
     fundamental,

@@ -239,6 +239,28 @@ def test_reciprocity_negative_q(capsys, chain2, trivial_group):
     assert "--q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["schur", "[2,1]", "--max-cells", "-1"], "--max-cells"),
+        (["verify-schur", "[2,1]", "--max-cells", "-1"], "--max-cells"),
+        (["--group-cap", "-3", "equivariant", "P", "G"], "--group-cap"),
+    ],
+)
+def test_negative_caps(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
+
+
+def test_zero_cap_accepted(capsys):
+    code, out, err = invoke(capsys, "schur", "[1]", "--max-cells", "0")
+    assert code == 2 and out == ""
+    assert err == "error: shape has 1 cells, above cap 0\n"
+
+
 def test_selftest_negative_max_size(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["selftest", "--max-size", "-1"])

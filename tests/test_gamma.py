@@ -181,6 +181,8 @@ def test_gamma_product_rule_sampled():
             WeightedDoublePoset(poset=d1, w=w1),
             WeightedDoublePoset(poset=d2, w=w2),
         )
+    anti3 = WeightedDoublePoset(poset=build("abc", [], []), w={"a": 3, "b": 2, "c": 3})
+    assert gamma_product_check(anti3, anti3)
 
 
 def test_weighted_from_json():

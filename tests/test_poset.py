@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsymdp.poset import (
     AdmissiblePair,
@@ -23,7 +24,7 @@ from qsymdp.poset import (
     transitive_closure,
 )
 
-from conftest import all_double_posets, labels_for
+from conftest import all_double_posets, labels_for, random_double_poset
 
 
 def test_transitive_closure_chain():
@@ -111,6 +112,27 @@ def test_down_sets_of_chain():
         frozenset({"a"}),
         frozenset({"a", "b"}),
     }
+
+
+def down_sets_by_filter(d):
+    elems = d.elements
+    for chi in itertools.product((0, 1), repeat=len(elems)):
+        p = frozenset(e for e, c in zip(elems, chi) if c)
+        if all(a in p for a, b in d.lt1 if b in p):
+            yield p
+
+
+def test_down_sets_sequence_small():
+    for n in range(4):
+        for d in all_double_posets(n):
+            assert list(down_sets(d)) == list(down_sets_by_filter(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=7), st.randoms(use_true_random=False))
+def test_down_sets_sequence_drawn(n, rng):
+    d = random_double_poset(n, rng)
+    assert list(down_sets(d)) == list(down_sets_by_filter(d))
 
 
 def test_admissible_pairs_against_raw_definition():

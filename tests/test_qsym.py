@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsymdp.compositions import Composition, compositions_of, conjugate
+from qsymdp.oracles import antipode_recursive, product_truncation_matches
 from qsymdp.qsym import (
     ONE,
     QSymElem,
     ZERO,
     antipode_closed,
     antipode_fundamental_identity_check,
-    antipode_recursive,
     binomial,
     coproduct,
     counit,
@@ -53,6 +53,14 @@ def test_product_commutative_associative_sampled():
     for a, b, c in triples:
         fa, fb, fc = M(*a), M(*b), M(*c)
         assert product(product(fa, fb), fc) == product(fa, product(fb, fc))
+
+
+def test_product_matches_polynomial_product():
+    basis = all_basis_upto(6)
+    for a in basis:
+        for b in basis:
+            if sum(a) + sum(b) <= 6:
+                assert product_truncation_matches(M(*a), M(*b), sum(a) + sum(b))
 
 
 def test_product_integer_coefficients():

@@ -108,7 +108,7 @@ def test_ssyt_matches_epartitions():
 
 
 def test_skew_schur_matches_ssyt_enumeration():
-    from qsymdp.qsym import _expand
+    from qsymdp.oracles import _expand
 
     for n in range(5):
         for lam in partitions_of(n):
