@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
-from .poset import DoublePoset, build, is_tertispecial, opposite1
+from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1
 from .qsym import QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
@@ -62,14 +61,15 @@ def _perm_from_mapping(base: WeightedDoublePoset, mapping: Mapping[str, str]) ->
 def _validate_preserving(base: WeightedDoublePoset, perm: Permutation) -> None:
     """Raise on the first broken pair or weight, in declaration order of the labels."""
     labels = base.poset.elements
-    img = {labels[i]: labels[perm[i]] for i in range(len(labels))}
-    for rel_name, rel in (("lt1", base.poset.lt1), ("lt2", base.poset.lt2)):
-        for a, b in itertools.product(labels, repeat=2):
-            if (a, b) in rel and (img[a], img[b]) not in rel:
-                raise NotPreservingError(img, (rel_name, (a, b)))
-    for e in labels:
-        if base.w[img[e]] != base.w[e]:
-            raise NotPreservingError(img, ("w", e))
+    broken = [
+        (name, (labels[i], labels[j]))
+        for name, rel in (("lt1", base.poset.lt1), ("lt2", base.poset.lt2))
+        for i, j in index_pairs(rel)
+        if not rel[perm[i]] >> perm[j] & 1
+    ]
+    broken += [("w", e) for e, i in zip(labels, perm) if base.w[labels[i]] != base.w[e]]
+    if broken:
+        raise NotPreservingError({e: labels[i] for e, i in zip(labels, perm)}, broken[0])
 
 
 def build_action(
@@ -92,12 +92,12 @@ def build_action(
     group = {identity}
     frontier = [identity]
     while frontier:
+        if len(group) > cap:
+            raise ClosureTooLargeError(f"group closure exceeds cap {cap}")
         current = frontier.pop()
         for g in gens:
             nxt = _compose(g, current)
             if nxt not in group:
-                if len(group) >= cap:
-                    raise ClosureTooLargeError(f"group closure exceeds cap {cap}")
                 group.add(nxt)
                 frontier.append(nxt)
     return GroupAction(base=base, elements=tuple(sorted(group)))
@@ -130,28 +130,28 @@ class QuotientPoset:
     wq: Mapping[str, int]
 
 
-def _orbit_label(labels: Tuple[str, ...]) -> str:
-    return "{" + ",".join(labels) + "}"
-
-
 def quotient_by(g: Permutation, base: WeightedDoublePoset) -> QuotientPoset:
-    """Quotient double poset E^g: u <i v iff some a in u, b in v have a <i b."""
+    """Quotient double poset E^g: u <i v iff some a in u, b in v have a <i b,
+    for g preserving <1 and <2 (then these are orders as they stand); each
+    orbit is named by the label of its first member in declaration order."""
     labels = base.poset.elements
-    orbit_idx = orbits_of(g)
-    orbits = tuple(tuple(labels[i] for i in cyc) for cyc in orbit_idx)
-    names = tuple(_orbit_label(o) for o in orbits)
-    of = {}  # element -> orbit name
-    for name, orbit in zip(names, orbits):
-        for e in orbit:
-            of[e] = name
-    lt1 = {(of[a], of[b]) for a, b in base.poset.lt1 if of[a] != of[b]}
-    lt2 = {(of[a], of[b]) for a, b in base.poset.lt2 if of[a] != of[b]}
-    # Closure is a no-op for a preserved action, but build() also re-checks
-    # the order axioms (a CycleError here would mean g does not preserve <i).
-    quotient = build(names, lt1, lt2)
-    wq = {
-        name: sum(base.w[e] for e in orbit) for name, orbit in zip(names, orbits)
-    }
+    cycles = orbits_of(g)
+    of = {i: k for k, cycle in enumerate(cycles) for i in cycle}  # element -> orbit
+
+    def project(rel):
+        out = [0] * len(cycles)
+        for i, j in index_pairs(rel):
+            if of[i] != of[j]:
+                out[of[i]] |= 1 << of[j]
+        return tuple(out)
+
+    orbits = tuple(tuple(labels[i] for i in cycle) for cycle in cycles)
+    quotient = DoublePoset(
+        elements=tuple(orbit[0] for orbit in orbits),
+        lt1=project(base.poset.lt1),
+        lt2=project(base.poset.lt2),
+    )
+    wq = {orbit[0]: sum(base.w[e] for e in orbit) for orbit in orbits}
     return QuotientPoset(orbits=orbits, quotient=quotient, wq=wq)
 
 

@@ -5,15 +5,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .compositions import Composition
 from .poset import (
     DoublePoset,
+    Rel,
     admissible_pairs,
     disjoint_union,
     down_sets,
     from_dict,
+    index_pairs,
     is_tertispecial,
     opposite1,
     restrict,
@@ -43,19 +45,25 @@ class WeightedDoublePoset:
         return sum(self.w.values())
 
 
-def _is_epartition_on(d: WeightedDoublePoset, pairs, pi: Mapping[str, int]) -> bool:
-    """pi weakly increases along each pair e <1 f, strictly when f <2 e."""
-    p = d.poset
-    if set(pi) != set(p.elements):
-        raise ValueError("partition map must be total on the ground set")
-    lt2 = p.lt2
-    for e, f in pairs:
-        if (f, e) in lt2:
-            if pi[e] >= pi[f]:
+def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]:
+    """The test of a vector of values over declaration index: it weakly
+    increases along each pair i < j of rel, strictly when j <2 i."""
+    checks = [(i, j, p.lt2[j] >> i & 1) for i, j in index_pairs(rel)]
+
+    def holds(values: Sequence[int]) -> bool:
+        for i, j, strict in checks:
+            if values[i] + strict > values[j]:
                 return False
-        elif pi[e] > pi[f]:
-            return False
-    return True
+        return True
+
+    return holds
+
+
+def _is_epartition_on(d: WeightedDoublePoset, rel: Rel, pi: Mapping[str, int]) -> bool:
+    elements = d.poset.elements
+    if set(pi) != set(elements):
+        raise ValueError("partition map must be total on the ground set")
+    return epartition_test(d.poset, rel)([pi[e] for e in elements])
 
 
 def is_epartition(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
@@ -77,22 +85,24 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     A packed E-partition phi onto {1,...,k} is the same thing as a chain of
     <1-down-sets {} = D_0 < D_1 < ... < D_k = E, with D_i = phi^{-1}{1,...,i},
     in which no block D_i - D_{i-1} holds a pair e <1 f with f <2 e; it
-    contributes M_alpha with alpha_i = w(D_i - D_{i-1}).  chains[D] maps each
-    alpha to the number of such chains from {} up to D.
+    contributes M_alpha with alpha_i = w(D_i) - w(D_{i-1}).  chains[D] maps
+    each alpha to the number of such chains from {} up to D.
     """
     p = d.poset
-    reversed_pairs = [(e, f) for e, f in p.lt1 if (f, e) in p.lt2]
-    downs = sorted(down_sets(p), key=len)
-    chains: Dict[FrozenSet[str], Dict[Tuple[int, ...], int]] = {downs[0]: {(): 1}}
+    reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(p.lt1) if p.lt2[j] >> i & 1]
+    downs = sorted(down_sets(p), key=int.bit_count)
+    weight = {s: sum(d.w[e] for i, e in enumerate(p.elements) if s >> i & 1) for s in downs}
+    chains: Dict[int, Dict[Tuple[int, ...], int]] = {0: {(): 1}}
     for top in downs[1:]:
         into: Dict[Tuple[int, ...], int] = {}
+        size = top.bit_count()
         for low in downs:
-            if len(low) >= len(top):
+            if low.bit_count() >= size:
                 break
-            block = top - low
-            if not low < top or any(e in block and f in block for e, f in reversed_pairs):
+            block = top ^ low
+            if low & ~top or any(block & r == r for r in reversed_pairs):
                 continue
-            part = (sum(d.w[e] for e in block),)
+            part = (weight[top] - weight[low],)
             for alpha, c in chains[low].items():
                 key = alpha + part
                 into[key] = into.get(key, 0) + c

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .compositions import Composition
-from .gamma import WeightedDoublePoset, is_epartition
+from .gamma import WeightedDoublePoset, epartition_test
 from .qsym import ONE, ZERO, QSymElem, _apply_linear, monomial, product
 
 Poly = Dict[Tuple[int, ...], Fraction]
@@ -67,12 +67,12 @@ def antipode_recursive(f: QSymElem) -> QSymElem:
 def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
     """All E-partitions with values in {1,...,m}, by filtering all maps."""
     elems = d.poset.elements
-    out = []
-    for values in itertools.product(range(1, m + 1), repeat=len(elems)):
-        pi = dict(zip(elems, values))
-        if is_epartition(d, pi):
-            out.append(pi)
-    return out
+    holds = epartition_test(d.poset, d.poset.lt1)
+    return [
+        dict(zip(elems, values))
+        for values in itertools.product(range(1, m + 1), repeat=len(elems))
+        if holds(values)
+    ]
 
 
 def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:

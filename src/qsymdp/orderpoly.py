@@ -76,26 +76,26 @@ def order_polynomial(a: GroupAction) -> OrderPolynomial:
     return OrderPolynomial(binom_coeffs=tuple(coeffs))
 
 
-def _apply_to_map(a: GroupAction, g, pi: Dict[str, int]) -> Dict[str, int]:
-    """Action on maps: (g pi)(e) = pi(g^{-1} e)."""
-    labels = a.base.poset.elements
-    inv = [0] * len(g)
-    for i, j in enumerate(g):
-        inv[j] = i
-    return {labels[i]: pi[labels[inv[i]]] for i in range(len(labels))}
+def _act(g, values: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Action on maps as value vectors over declaration index: (g pi)(e) = pi(g^{-1} e)."""
+    out = [0] * len(g)
+    for i, v in zip(g, values):
+        out[i] = v
+    return tuple(out)
 
 
 def _orbit_decomposition(a: GroupAction, partitions: List[Dict[str, int]]):
     """Split E-partitions into G-orbits; each orbit is a list of maps."""
-    index = {tuple(sorted(pi.items())): i for i, pi in enumerate(partitions)}
+    vectors = [tuple(pi[e] for e in a.base.poset.elements) for pi in partitions]
+    index = {v: i for i, v in enumerate(vectors)}
     seen = [False] * len(partitions)
     orbits = []
-    for i, pi in enumerate(partitions):
+    for i, v in enumerate(vectors):
         if seen[i]:
             continue
         orbit = []
         for g in a.elements:
-            j = index[tuple(sorted(_apply_to_map(a, g, pi).items()))]
+            j = index[_act(g, v)]
             if not seen[j]:
                 seen[j] = True
                 orbit.append(partitions[j])
@@ -120,11 +120,8 @@ def count_orbits_bruteforce(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LI
 
 
 def _is_coeven(a: GroupAction, pi: Dict[str, int]) -> bool:
-    key = tuple(sorted(pi.items()))
-    for g in a.elements:
-        if tuple(sorted(_apply_to_map(a, g, pi).items())) == key and sign_of(g) < 0:
-            return False
-    return True
+    v = tuple(pi[e] for e in a.base.poset.elements)
+    return not any(sign_of(g) < 0 and _act(g, v) == v for g in a.elements)
 
 
 def count_coeven_orbits_bruteforce(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 Pair = Tuple[str, str]
+Rel = Tuple[int, ...]  # rel[i]: bitmask of the j with i < j, over declaration index
 
 
 class CycleError(ValueError):
@@ -18,58 +19,69 @@ class CycleError(ValueError):
         super().__init__(f"order generators create a cycle through {element!r}")
 
 
-def transitive_closure(elements: Sequence, pairs: Iterable[Pair]) -> FrozenSet[Pair]:
-    """Warshall closure; raises CycleError if any (x, x) appears."""
+def index_pairs(rel: Rel) -> List[Tuple[int, int]]:
+    """The pairs (i, j) with i < j in rel, in declaration order."""
+    n = len(rel)
+    return [(i, j) for i, up in enumerate(rel) for j in range(n) if up >> j & 1]
+
+
+def transpose(rel: Rel) -> Rel:
+    """The opposite relation: j < i in the result wherever i < j in rel."""
+    out = [0] * len(rel)
+    for i, j in index_pairs(rel):
+        out[j] |= 1 << i
+    return tuple(out)
+
+
+def transitive_closure(elements: Sequence, pairs: Iterable[Pair]) -> Rel:
+    """Warshall closure on bitmasks; raises CycleError if any x < x appears."""
     elems = list(elements)
     idx = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    adj = [[False] * n for _ in range(n)]
+    rel = [0] * len(elems)
     for a, b in pairs:
         if a not in idx or b not in idx:
             raise ValueError(f"generator pair ({a!r}, {b!r}) uses unknown elements")
-        adj[idx[a]][idx[b]] = True
-    for k in range(n):
-        ak = adj[k]
-        for i in range(n):
-            if adj[i][k]:
-                ai = adj[i]
-                for j in range(n):
-                    if ak[j]:
-                        ai[j] = True
-    for i in range(n):
-        if adj[i][i]:
+        rel[idx[a]] |= 1 << idx[b]
+    for k in range(len(elems)):
+        bit, row = 1 << k, rel[k]
+        for i, up in enumerate(rel):
+            if up & bit:
+                rel[i] = up | row
+    for i, up in enumerate(rel):
+        if up >> i & 1:
             raise CycleError(elems[i])
-    return frozenset(
-        (elems[i], elems[j]) for i in range(n) for j in range(n) if adj[i][j]
-    )
+    return tuple(rel)
 
 
 @dataclass(frozen=True)
 class DoublePoset:
-    """Finite ground set with two strict partial orders, stored transitively closed."""
+    """Finite ground set with two strict partial orders, stored transitively
+    closed as bitmasks over the declaration index of the elements."""
 
     elements: Tuple[str, ...]
-    lt1: FrozenSet[Pair]
-    lt2: FrozenSet[Pair]
+    lt1: Rel
+    lt2: Rel
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def less1(self, a, b) -> bool:
-        return (a, b) in self.lt1
+        return bool(self.lt1[self.elements.index(a)] >> self.elements.index(b) & 1)
 
     def less2(self, a, b) -> bool:
-        return (a, b) in self.lt2
+        return bool(self.lt2[self.elements.index(a)] >> self.elements.index(b) & 1)
 
-    def covers(self, rel: FrozenSet[Pair]) -> List[Pair]:
-        """Cover pairs of a (transitively closed) strict order."""
-        out = []
-        for a, b in rel:
-            if not any((a, c) in rel and (c, b) in rel for c in self.elements):
-                out.append((a, b))
-        order = {e: i for i, e in enumerate(self.elements)}
-        return sorted(out, key=lambda p: (order[p[0]], order[p[1]]))
+    def pairs(self, rel: Rel) -> List[Pair]:
+        """The label pairs (a, b) with a < b in rel, in declaration order."""
+        return [(self.elements[i], self.elements[j]) for i, j in index_pairs(rel)]
+
+    def covers(self, rel: Rel) -> Rel:
+        """The cover relation of a (transitively closed) strict order."""
+        out = [0] * len(rel)
+        for i, j in index_pairs(rel):
+            out[i] |= rel[j]
+        return tuple(up & ~above for up, above in zip(rel, out))
 
 
 def build(
@@ -88,42 +100,37 @@ def build(
     )
 
 
-def _comparable(rel: FrozenSet[Pair], a, b) -> bool:
-    return a == b or (a, b) in rel or (b, a) in rel
+def _incomparable2(d: DoublePoset) -> Rel:
+    """The <2-incomparable pairs, as a symmetric relation."""
+    full = (1 << d.size) - 1
+    return tuple(
+        full & ~(up | down | 1 << i)
+        for i, (up, down) in enumerate(zip(d.lt2, transpose(d.lt2)))
+    )
 
 
 def is_special(d: DoublePoset) -> bool:
     """True iff <2 is a total order."""
-    return all(
-        _comparable(d.lt2, a, b) for a, b in itertools.combinations(d.elements, 2)
-    )
+    return not any(_incomparable2(d))
 
 
 def is_semispecial(d: DoublePoset) -> bool:
     """True iff every <1-comparable pair is <2-comparable."""
-    return all(_comparable(d.lt2, a, b) for a, b in d.lt1)
+    return not any(a & b for a, b in zip(d.lt1, _incomparable2(d)))
 
 
 def is_tertispecial(d: DoublePoset) -> bool:
     """True iff every <1-cover pair is <2-comparable."""
-    return all(_comparable(d.lt2, a, b) for a, b in d.covers(d.lt1))
+    return not any(a & b for a, b in zip(d.covers(d.lt1), _incomparable2(d)))
 
 
 def opposite1(d: DoublePoset) -> DoublePoset:
     """Replace <1 by its opposite relation, keeping <2."""
-    return DoublePoset(
-        elements=d.elements,
-        lt1=frozenset((b, a) for a, b in d.lt1),
-        lt2=d.lt2,
-    )
+    return DoublePoset(elements=d.elements, lt1=transpose(d.lt1), lt2=d.lt2)
 
 
 def opposite2(d: DoublePoset) -> DoublePoset:
-    return DoublePoset(
-        elements=d.elements,
-        lt1=d.lt1,
-        lt2=frozenset((b, a) for a, b in d.lt2),
-    )
+    return DoublePoset(elements=d.elements, lt1=d.lt1, lt2=transpose(d.lt2))
 
 
 def restrict(d: DoublePoset, subset: Iterable[str]) -> DoublePoset:
@@ -131,31 +138,23 @@ def restrict(d: DoublePoset, subset: Iterable[str]) -> DoublePoset:
     unknown = subset - set(d.elements)
     if unknown:
         raise ValueError(f"unknown labels {sorted(unknown)}")
-    kept = tuple(e for e in d.elements if e in subset)
+    kept = [i for i, e in enumerate(d.elements) if e in subset]
+
+    def squeeze(rel: Rel) -> Rel:
+        return tuple(sum(1 << k for k, j in enumerate(kept) if rel[i] >> j & 1) for i in kept)
+
     return DoublePoset(
-        elements=kept,
-        lt1=frozenset(p for p in d.lt1 if p[0] in subset and p[1] in subset),
-        lt2=frozenset(p for p in d.lt2 if p[0] in subset and p[1] in subset),
+        elements=tuple(d.elements[i] for i in kept), lt1=squeeze(d.lt1), lt2=squeeze(d.lt2)
     )
 
 
 def disjoint_union(d1: DoublePoset, d2: DoublePoset) -> DoublePoset:
     """Tagged disjoint union; labels become '0.x' and '1.y'."""
-
-    def tag(prefix, e):
-        return f"{prefix}.{e}"
-
-    elements = tuple(tag(0, e) for e in d1.elements) + tuple(
-        tag(1, e) for e in d2.elements
-    )
-
-    def tagged(rel, prefix):
-        return [(tag(prefix, a), tag(prefix, b)) for a, b in rel]
-
+    n = d1.size
     return DoublePoset(
-        elements=elements,
-        lt1=frozenset(tagged(d1.lt1, 0) + tagged(d2.lt1, 1)),
-        lt2=frozenset(tagged(d1.lt2, 0) + tagged(d2.lt2, 1)),
+        elements=tuple(f"0.{e}" for e in d1.elements) + tuple(f"1.{e}" for e in d2.elements),
+        lt1=d1.lt1 + tuple(up << n for up in d2.lt1),
+        lt2=d1.lt2 + tuple(up << n for up in d2.lt2),
     )
 
 
@@ -167,47 +166,45 @@ class AdmissiblePair:
     q: Tuple[str, ...]
 
 
-def down_sets(d: DoublePoset) -> Iterator[FrozenSet[str]]:
-    """All down-sets of (E, <1), lexicographic in the characteristic vector.
+def down_sets(d: DoublePoset) -> List[int]:
+    """All down-sets of (E, <1) as bitmasks, lexicographic in the
+    characteristic vector (element 0 first).
 
     Built in declaration order: e may be left out unless a chosen f has e <1 f,
-    and put in if its earlier <1-predecessors are chosen; as <1 is transitive,
-    no branch dead-ends.
+    and put in unless a left-out f has f <1 e; as <1 is transitive, no branch
+    dead-ends.  Each state carries the elements above a left-out one.
     """
-    elems = d.elements
-
-    def extend(i: int, chosen: FrozenSet[str]):
-        if i == len(elems):
-            yield chosen
-            return
-        e = elems[i]
-        if not any((e, f) in d.lt1 for f in chosen):
-            yield from extend(i + 1, chosen)
-        if all(f in chosen for f in elems[:i] if (f, e) in d.lt1):
-            yield from extend(i + 1, chosen | {e})
-
-    return extend(0, frozenset())
+    states = [(0, 0)]  # (chosen, blocked)
+    for i, up in enumerate(d.lt1):
+        bit = 1 << i
+        nxt = []
+        for chosen, blocked in states:
+            if not up & chosen:
+                nxt.append((chosen, blocked | up))
+            if not blocked & bit:
+                nxt.append((chosen | bit, blocked))
+        states = nxt
+    return [chosen for chosen, _ in states]
 
 
 def admissible_pairs(d: DoublePoset) -> List[AdmissiblePair]:
     """All admissible partitions (P, Q): no p in P, q in Q with q <1 p."""
-    out = []
-    for p in down_sets(d):
-        out.append(
-            AdmissiblePair(
-                p=tuple(e for e in d.elements if e in p),
-                q=tuple(e for e in d.elements if e not in p),
-            )
+    e = d.elements
+    return [
+        AdmissiblePair(
+            p=tuple(x for i, x in enumerate(e) if p >> i & 1),
+            q=tuple(x for i, x in enumerate(e) if not p >> i & 1),
         )
-    return out
+        for p in down_sets(d)
+    ]
 
 
 def to_json(d: DoublePoset) -> str:
     return json.dumps(
         {
             "elements": list(d.elements),
-            "lt1": sorted([a, b] for a, b in d.lt1),
-            "lt2": sorted([a, b] for a, b in d.lt2),
+            "lt1": sorted([a, b] for a, b in d.pairs(d.lt1)),
+            "lt2": sorted([a, b] for a, b in d.pairs(d.lt2)),
         }
     )
 
@@ -238,23 +235,19 @@ def from_json(text: str) -> DoublePoset:
     return from_dict(json.loads(text))
 
 
-def all_strict_orders(elements: Sequence[str]) -> List[FrozenSet[Pair]]:
-    """All strict partial orders on the given labels (exhaustive; desk scale)."""
-    elems = list(elements)
-    all_pairs = [(a, b) for a in elems for b in elems if a != b]
+def all_strict_orders(elements: Sequence[str]) -> List[Rel]:
+    """All strict partial orders on the given labels (exhaustive; desk scale):
+    the transitive ones among all 0/1 vectors over the pairs i != j, in order."""
+    n = len(elements)
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     orders = []
-    for mask in itertools.product((0, 1), repeat=len(all_pairs)):
-        rel = frozenset(p for p, c in zip(all_pairs, mask) if c)
-        if any((b, a) in rel for a, b in rel):
-            continue
-        if any(
-            (a, c) in rel and (c, b) in rel and (a, b) not in rel
-            for a in elems
-            for b in elems
-            for c in elems
-        ):
-            continue
-        orders.append(rel)
+    for chosen in itertools.product((0, 1), repeat=len(slots)):
+        rel = [0] * n
+        for (i, j), c in zip(slots, chosen):
+            if c:
+                rel[i] |= 1 << j
+        if all(rel[j] & ~rel[i] == 0 for i, j in index_pairs(rel)):
+            orders.append(tuple(rel))
     return orders
 
 

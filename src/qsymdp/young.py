@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .gamma import WeightedDoublePoset, gamma
-from .poset import build
+from .poset import DoublePoset, Rel
 from .qsym import QSymElem, antipode_closed
 
 Cell = Tuple[int, int]
@@ -77,17 +77,16 @@ def _cell_label(cell: Cell) -> str:
 
 def _cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
     """The cells ordered by <1, (i,j) <1 (i',j') iff both coordinates weakly
-    increase, and by <2, a <2 b iff below2(a, b)."""
+    increase, and by <2, a <2 b iff below2(a, b); both are transitive as
+    given, so no closure is taken."""
     cells = shape.cells
 
-    def pairs(rel):
-        return [
-            (_cell_label(a), _cell_label(b)) for a in cells for b in cells if rel(a, b)
-        ]
+    def rel(less) -> Rel:
+        return tuple(sum(1 << j for j, b in enumerate(cells) if less(a, b)) for a in cells)
 
-    lt1 = pairs(lambda a, b: a != b and a[0] <= b[0] and a[1] <= b[1])
-    labels = [_cell_label(c) for c in cells]
-    return WeightedDoublePoset(poset=build(labels, lt1, pairs(below2)), w={})
+    lt1 = rel(lambda a, b: a != b and a[0] <= b[0] and a[1] <= b[1])
+    labels = tuple(_cell_label(c) for c in cells)
+    return WeightedDoublePoset(poset=DoublePoset(labels, lt1, rel(below2)), w={})
 
 
 def build_Y(shape: SkewShape) -> WeightedDoublePoset:

@@ -261,6 +261,38 @@ def test_zero_cap_accepted(capsys):
     assert err == "error: shape has 1 cells, above cap 0\n"
 
 
+def test_group_cap_zero_rejects_trivial_group(capsys, antichain2, trivial_group):
+    code, out, err = invoke(capsys, "--group-cap", "0", "equivariant", antichain2, trivial_group)
+    assert (code, out) == (2, "")
+    assert err == f"error: {trivial_group}: group closure exceeds cap 0\n"
+
+
+def test_group_cap_one_admits_trivial_group(capsys, antichain2, trivial_group):
+    code, out, err = invoke(capsys, "--group-cap", "1", "equivariant", antichain2, trivial_group)
+    assert (code, err) == (0, "")
+    assert out == invoke(capsys, "gamma", antichain2)[1]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("equivariant", []), ("equivariant", ["--plus"]), ("verify-equivariant", []), ("order-poly", [])],
+)
+def test_orbit_names_do_not_collide_with_labels(capsys, tmp_path, command, extra):
+    # swapping a and b leaves the orbits {a, b} and {"a,b"}, which once were
+    # both named "{a,b}"; the output must not depend on the labels
+    clash = write_poset(tmp_path, "clash.json", {"elements": ["a", "b", "a,b"]})
+    clash_group = write_poset(
+        tmp_path, "clash-g.json", {"generators": [{"a": "b", "b": "a", "a,b": "a,b"}]}
+    )
+    plain = write_poset(tmp_path, "plain.json", {"elements": ["x", "y", "z"]})
+    plain_group = write_poset(
+        tmp_path, "plain-g.json", {"generators": [{"x": "y", "y": "x", "z": "z"}]}
+    )
+    got = invoke(capsys, command, clash, clash_group, *extra)
+    assert got[0] == 0 and got[2] == ""
+    assert got == invoke(capsys, command, plain, plain_group, *extra)
+
+
 def test_selftest_negative_max_size(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["selftest", "--max-size", "-1"])

@@ -197,3 +197,12 @@ def test_weighted_from_json():
     assert gamma(d) == monomial(Composition([2, 1]))
     doc.pop("w")
     assert weighted_from_json(json.dumps(doc)).w == {"a": 1, "b": 1}
+
+
+@pytest.mark.slow
+def test_gamma_truncation_exhaustive_size4():
+    # every double poset with |E| = 4 (219^2 of them), two weightings
+    for d in all_double_posets(4):
+        for w in ({}, {e: 1 + i % 2 for i, e in enumerate(d.elements)}):
+            wd = WeightedDoublePoset(poset=d, w=w)
+            assert gamma_truncation_matches(wd, gamma(wd), 4)
