@@ -3,26 +3,21 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from typing import List
 
 from . import compositions as comps
 from . import equivariant as equi
-from . import oracles
 from . import orderpoly as opoly
-from . import poset as pos
 from . import qsym
+from . import verify
 from . import young
 from .compositions import Composition
 from .gamma import (
     NotTertispecialError,
     WeightedDoublePoset,
-    antipode_theorem_check,
     antipode_theorem_sides,
-    gamma_coproduct_check,
-    gamma_product_check,
     weighted_from_dict,
 )
 from .gamma import gamma as gamma_of
@@ -36,7 +31,7 @@ def _load_weighted(path: str) -> WeightedDoublePoset:
     try:
         with open(path) as fh:
             return weighted_from_dict(json.load(fh))
-    except (OSError, ValueError, pos.CycleError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -46,7 +41,7 @@ def _load_action(args) -> equi.GroupAction:
     try:
         with open(args.group) as fh:
             return equi.action_from_dict(base, json.load(fh), cap=args.group_cap)
-    except (OSError, ValueError, equi.ClosureTooLargeError) as exc:
+    except (OSError, ValueError, RecursionError, equi.ClosureTooLargeError) as exc:
         raise InputError(f"{args.group}: {exc}") from exc
 
 
@@ -191,96 +186,12 @@ def cmd_verify_schur(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    max_size = args.max_size
-    posets = [p for n in range(max_size + 1) for p in pos.all_double_posets(n)]
     failures = 0
-
-    def report(name: str, ok: bool, count: int):
-        nonlocal failures
-        print(f"{'ok' if ok else 'FAIL'} {name} ({count} checks)")
-        if not ok:
-            failures += 1
-
-    # composition calculus round trips
-    count, ok = 0, True
-    for n in range(max_size + 3):
-        for alpha in comps.compositions_of(n):
-            ok = ok and comps.comp_of_subset(comps.descent_set(alpha)) == alpha
-            count += 1
-        for k in range(n):
-            for sub in itertools.combinations(range(1, n), k):
-                d = comps.DescentSet(n=n, members=frozenset(sub))
-                ok = ok and comps.descent_set(comps.comp_of_subset(d)) == d
-                count += 1
-    report("composition-calculus", ok, count)
-
-    # antipode consistency on M_alpha
-    count, ok = 0, True
-    for n in range(max_size + 1):
-        for alpha in comps.compositions_of(n):
-            m = qsym.monomial(alpha)
-            s = qsym.antipode_closed(m)
-            ok = ok and s == oracles.antipode_recursive(m)
-            ok = ok and qsym.antipode_closed(s) == m
-            ok = ok and qsym.antipode_fundamental_identity_check(alpha)
-            count += 1
-    report("antipode-consistency", ok, count)
-
-    # gamma against the truncated power-series oracle
-    count, ok = 0, True
-    for poset in posets:
-        weights = [{}, {e: 1 + i % 2 for i, e in enumerate(poset.elements)}]
-        for w in weights:
-            d = WeightedDoublePoset(poset=poset, w=w)
-            f = gamma_of(d)
-            ok = ok and oracles.gamma_truncation_matches(d, f, poset.size + 1)
-            count += 1
-    report("gamma-truncation", ok, count)
-
-    # antipode theorem on tertispecial posets; known failure otherwise
-    count, ok = 0, True
-    for poset in posets:
-        d = WeightedDoublePoset(poset=poset, w={})
-        result = antipode_theorem_check(d)
-        if pos.is_tertispecial(poset):
-            ok = ok and result
-        count += 1
-    bad = pos.build(["a", "b"], [("a", "b")], [])
-    ok = ok and not antipode_theorem_check(WeightedDoublePoset(poset=bad, w={}))
-    report("antipode-theorem", ok, count + 1)
-
-    # coproduct rule; product rule on a deterministic sample
-    count, ok = 0, True
-    sample = []
-    for i, poset in enumerate(posets):
-        d = WeightedDoublePoset(poset=poset, w={})
-        ok = ok and gamma_coproduct_check(d)
-        count += 1
-        if i % 37 == 0 and poset.size <= 2:
-            sample.append(d)
-    for d1 in sample[:4]:
-        for d2 in sample[:4]:
-            ok = ok and gamma_product_check(d1, d2)
-            count += 1
-    report("coproduct-product-rules", ok, count)
-
-    # equivariant antipode on small antichains with cyclic actions
-    count, ok = 0, True
-    for n in range(1, max_size + 1):
-        labels = [chr(ord("a") + i) for i in range(n)]
-        base = WeightedDoublePoset(poset=pos.build(labels, [], []), w={})
-        cyc = {labels[i]: labels[(i + 1) % n] for i in range(n)}
-        a = equi.build_action(base, [cyc])
-        ok = ok and equi.equivariant_theorem_check(a)
-        count += 1
-        for q in range(4):
-            ok = ok and opoly.order_polynomial(a)(q) == opoly.count_orbits_bruteforce(a, q)
-            count += 1
-        for q in range(1, 4):
-            ok = ok and opoly.reciprocity_check(a, q)
-            count += 1
-    report("equivariant-reciprocity", ok, count)
-
+    for name, suite in verify.SUITES.items():
+        results = list(suite(args.max_size))
+        ok = all(results)
+        print(f"{'ok' if ok else 'FAIL'} {name} ({len(results)} checks)")
+        failures += not ok
     print("selftest: " + ("PASS" if failures == 0 else f"FAIL ({failures} suites)"))
     return 0 if failures == 0 else 1
 

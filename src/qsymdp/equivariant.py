@@ -40,10 +40,6 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def apply(self, perm: Permutation, label: str) -> str:
-        labels = self.base.poset.elements
-        return labels[perm[labels.index(label)]]
-
 
 def _compose(p: Permutation, q: Permutation) -> Permutation:
     """(p o q)(i) = p(q(i))."""

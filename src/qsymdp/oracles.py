@@ -4,7 +4,9 @@ tests, and the orbit counts on the right-hand side of reciprocity.
 The truncation references go through the raw definitions (all maps E -> [m],
 polynomials in m variables), never through the down-set chain sum or the
 quasi-shuffle, so that agreement is a genuine two-route check.  The recursive
-antipode solves m(S x id)Delta = u eps, independently of the closed form.
+antipode solves m(S x id)Delta = u eps, independently of the closed form.  The
+fundamental expansion of Gamma over linear extensions is a third route, for
+special double posets, that shares no code with the other two.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Dict, List, Tuple
 
 from .compositions import Composition
 from .gamma import WeightedDoublePoset, epartition_test
+from .poset import is_special
 from .qsym import ONE, ZERO, QSymElem, _apply_linear, monomial, product
 
 Poly = Dict[Tuple[int, ...], Fraction]
@@ -90,3 +93,39 @@ def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
 def gamma_truncation_matches(d: WeightedDoublePoset, f: QSymElem, m: int) -> bool:
     """True iff f, expanded in m variables, equals the brute-force truncation."""
     return _expand(f, m) == gamma_truncated_bruteforce(d, m)
+
+
+def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
+    """Gamma(E, w) of a special double poset (<2 total) by the fundamental
+    expansion (Stanley's P-partition lemma; Gessel 1984): the E-partitions are
+    the maps that weakly increase along a linear extension L of <1, strictly at
+    its descents i, where L_i+1 <2 L_i.  Each L gives one M_alpha per cut set
+    containing its descents, alpha the weights of L's blocks between the cuts
+    (with unit weights, F_Des(L)).  L grows by removing <1-minimal elements.
+    """
+    p = d.poset
+    if not is_special(p):
+        raise ValueError("the linear-extension expansion needs <2 to be total")
+    n, w = p.size, [d.w[e] for e in p.elements]
+    below = [sum(1 << i for i in range(n) if p.lt1[i] >> j & 1) for j in range(n)]
+    runs: Dict[tuple, int] = {}  # (weights along L, descents of L) -> number of such L
+    stack = [((), (), -1, (1 << n) - 1)]  # (weights, descents, last element, elements left)
+    while stack:
+        weights, descents, last, left = stack.pop()
+        if not left:
+            runs[weights, descents] = runs.get((weights, descents), 0) + 1
+        for j in range(n):
+            if left >> j & 1 and not below[j] & left:
+                at = len(weights)
+                des = descents + (at,) if at and p.lt2[j] >> last & 1 else descents
+                stack.append((weights + (w[j],), des, j, left & ~(1 << j)))
+    terms: Dict[Tuple[int, ...], int] = {}
+    for (weights, descents), count in runs.items():
+        sums = list(itertools.accumulate(weights, initial=0))
+        free = [i for i in range(1, n) if i not in descents]
+        for k in range(len(free) + 1):
+            for extra in itertools.combinations(free, k):  # the cut sets containing the descents
+                cuts = [0, *sorted(descents + extra), n]
+                alpha = tuple(sums[b] - sums[a] for a, b in zip(cuts, cuts[1:]) if a < b)  # E = {}: ()
+                terms[alpha] = terms.get(alpha, 0) + count
+    return QSymElem(terms)

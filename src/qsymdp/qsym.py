@@ -11,7 +11,6 @@ from typing import Dict, Iterable, List, Tuple
 from .compositions import (
     Composition,
     compositions_between,
-    conjugate,
     descent_set,
     format_composition,
     reverse,
@@ -171,14 +170,6 @@ def fundamental(alpha: Composition) -> QSymElem:
     n = sum(alpha)
     d = descent_set(Composition(alpha)).members
     return QSymElem(dict.fromkeys(compositions_between(n, d, range(1, n)), 1))
-
-
-def antipode_fundamental_identity_check(alpha: Composition) -> bool:
-    """True iff S(F_alpha) = (-1)^|alpha| F_{conjugate(alpha)}."""
-    alpha = Composition(alpha)
-    lhs = antipode_closed(fundamental(alpha))
-    rhs = fundamental(conjugate(alpha)).scale(Fraction(-1) ** sum(alpha))
-    return lhs == rhs
 
 
 def binomial(q, k: int) -> Fraction:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qsymdp import verify
 from qsymdp.cli import run
 
 
@@ -223,13 +224,14 @@ def test_verify_schur(capsys):
     assert out.strip() == "PASS"
 
 
-def test_selftest_deterministic():
-    cmd = [sys.executable, "-m", "qsymdp.cli", "selftest", "--max-size", "2"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stdout.strip().splitlines()[-1] == "selftest: PASS"
+def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "gamma-truncation", lambda size: iter([True, False, True]))
+    code, out, err = invoke(capsys, "selftest", "--max-size", "0")
+    *suites, last = out.splitlines()
+    failing = list(verify.SUITES).index("gamma-truncation")
+    assert (code, err, last) == (1, "", "selftest: FAIL (1 suites)")
+    assert suites.pop(failing) == "FAIL gamma-truncation (3 checks)"
+    assert len(suites) == 5 and all(line.startswith("ok ") for line in suites)
 
 
 def test_reciprocity_negative_q(capsys, chain2, trivial_group):
@@ -325,6 +327,17 @@ def test_malformed_poset_names_field(capsys, tmp_path, doc, field):
 def test_empty_weights_on_empty_poset(capsys, tmp_path):
     path = write_poset(tmp_path, "e.json", {"elements": [], "lt1": [], "lt2": [], "w": {}})
     assert invoke(capsys, "gamma", path) == (0, "M()\n", "")
+
+
+def test_deeply_nested_json_is_input_error(capsys, antichain2, tmp_path):
+    nested = "[" * 100000 + "]" * 100000
+    (tmp_path / "p.json").write_text(nested)
+    (tmp_path / "g.json").write_text('{"generators": ' + nested + "}")
+    for argv, name in ((["gamma"], "p.json"), (["equivariant", antichain2], "g.json")):
+        path = str(tmp_path / name)
+        code, out, err = invoke(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("generators", ["x", ["x"], [{"a": 1, "b": "a"}], None])

@@ -12,14 +12,13 @@ from qsymdp.gamma import (
     WeightedDoublePoset,
     antipode_theorem_check,
     gamma,
-    gamma_coproduct_check,
     gamma_product_check,
     is_epartition,
     is_epartition_covers,
     weighted_from_json,
 )
-from qsymdp.oracles import epartitions_into, gamma_truncation_matches
-from qsymdp.poset import build, is_tertispecial
+from qsymdp.oracles import epartitions_into, gamma_linear_extensions, gamma_truncation_matches
+from qsymdp.poset import build, is_special, is_tertispecial
 from qsymdp.qsym import fundamental, monomial
 
 from conftest import all_double_posets, random_double_poset, random_tertispecial_posets
@@ -147,9 +146,7 @@ def test_gamma_matches_bruteforce_truncation_drawn(n, rng, data):
 
 
 def test_antipode_theorem_true_on_tertispecial():
-    for d in all_double_posets(3):
-        if is_tertispecial(d):
-            assert antipode_theorem_check(WeightedDoublePoset(poset=d, w={}))
+    # every tertispecial poset with |E| <= 3: the antipode-theorem suite
     rng = random.Random(7)
     for d in random_tertispecial_posets(4, 25):
         w = {e: rng.randint(1, 2) for e in d.elements}
@@ -160,12 +157,6 @@ def test_antipode_theorem_fails_on_designated_example():
     # a <1 b with empty <2 is not tertispecial and the identity fails
     d = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
     assert not antipode_theorem_check(d)
-
-
-def test_gamma_coproduct_rule():
-    for n in range(4):
-        for d in all_double_posets(n):
-            assert gamma_coproduct_check(WeightedDoublePoset(poset=d, w={}))
 
 
 def test_gamma_product_rule_sampled():
@@ -197,6 +188,40 @@ def test_weighted_from_json():
     assert gamma(d) == monomial(Composition([2, 1]))
     doc.pop("w")
     assert weighted_from_json(json.dumps(doc)).w == {"a": 1, "b": 1}
+
+
+def assert_linear_extensions_match(n):
+    # every special double poset on n elements, weights all 1 and 1, 2, 3, 1, ...
+    for d in all_double_posets(n):
+        if is_special(d):
+            for w in ({}, {e: 1 + i % 3 for i, e in enumerate(d.elements)}):
+                wd = WeightedDoublePoset(poset=d, w=w)
+                assert gamma_linear_extensions(wd) == gamma(wd)
+
+
+def test_linear_extensions_match_gamma_exhaustive():
+    for n in range(4):
+        assert_linear_extensions_match(n)
+    with pytest.raises(ValueError):  # <2 not total
+        gamma_linear_extensions(WeightedDoublePoset(poset=build("ab", [], []), w={}))
+
+
+@pytest.mark.slow
+def test_linear_extensions_match_gamma_size4():
+    assert_linear_extensions_match(4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=5, max_value=7), st.randoms(use_true_random=False), st.data())
+def test_linear_extensions_match_gamma_drawn(n, rng, data):
+    # <1 generated by pairs that follow one random order, so it is acyclic; <2 another order
+    labs = [chr(ord("a") + i) for i in range(n)]
+    along1, along2, density = rng.sample(labs, n), rng.sample(labs, n), rng.random()
+    lt1 = [(a, b) for i, a in enumerate(along1) for b in along1[i + 1:] if rng.random() < density]
+    weights = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    d = build(labs, lt1, zip(along2, along2[1:]))
+    wd = WeightedDoublePoset(poset=d, w=dict(zip(labs, weights)))
+    assert gamma_linear_extensions(wd) == gamma(wd)
 
 
 @pytest.mark.slow

@@ -5,8 +5,9 @@ import pytest
 
 from qsymdp.compositions import Composition
 from qsymdp.gamma import gamma, is_epartition
+from qsymdp.oracles import gamma_linear_extensions
 from qsymdp.poset import is_special, is_tertispecial
-from qsymdp.qsym import QSymElem, monomial
+from qsymdp.qsym import monomial
 from qsymdp.young import (
     Partition,
     SkewShape,
@@ -122,6 +123,11 @@ def test_Y_and_Yh_give_same_schur():
     shapes = [shape([2, 1]), shape([3, 2]), shape([2, 2], [1]), shape([3, 1, 1])]
     for sh in shapes:
         assert gamma(build_Y(sh)) == gamma(build_Yh(sh))
+    # and the sum of F_Des(T) over standard tableaux T, by the linear-extension oracle
+    for n in range(9):
+        for lam in partitions_of(n):
+            sh = shape(lam)
+            assert gamma_linear_extensions(build_Yh(sh)) == skew_schur(sh)
 
 
 def test_schur_examples():
