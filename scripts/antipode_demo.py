@@ -6,8 +6,6 @@ antipode, and compares against the sign-twisted generating function of the
 order-reversed poset.
 """
 
-from fractions import Fraction
-
 from qsymdp.gamma import WeightedDoublePoset, gamma
 from qsymdp.poset import build, is_tertispecial, opposite1
 from qsymdp.qsym import antipode_closed, format_qsym
@@ -30,7 +28,7 @@ def main():
     print(f"S(Gamma(E, w))   = {format_qsym(lhs)}")
 
     flipped = WeightedDoublePoset(poset=opposite1(poset), w=dict(d.w))
-    rhs = gamma(flipped).scale(Fraction(-1) ** poset.size)
+    rhs = gamma(flipped).scale((-1) ** poset.size)
     print(f"(-1)^|E| Gamma'  = {format_qsym(rhs)}")
     print(f"identity holds: {lhs == rhs}")
 

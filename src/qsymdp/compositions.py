@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Tuple
 
 
 class Composition(tuple):
@@ -35,9 +35,9 @@ class DescentSet:
             raise ValueError(f"descent members {bad} outside {{1,...,{self.n - 1}}}")
 
 
-def sort_key(alpha: Composition) -> tuple:
+def sort_key(alpha: Tuple[int, ...]) -> tuple:
     """Deterministic order: by size, then length, then lexicographic on parts."""
-    return (sum(alpha), len(alpha), tuple(alpha))
+    return (sum(alpha), len(alpha), alpha)
 
 
 def descent_set(alpha: Composition) -> DescentSet:
@@ -46,17 +46,20 @@ def descent_set(alpha: Composition) -> DescentSet:
     return DescentSet(n=sum(alpha), members=frozenset(sums[:-1]))
 
 
+def _parts(n: int, cuts: frozenset) -> Tuple[int, ...]:
+    """The parts between the cut points 0 < c_1 < ... < n: successive
+    differences of sorted(cuts | {0, n})."""
+    pts = sorted(cuts | {0, n})
+    return tuple(b - a for a, b in zip(pts, pts[1:]))
+
+
 def comp_of_subset(d: DescentSet) -> Composition:
-    """The unique composition of d.n whose descent set is d.
-
-    Successive differences of sorted(members | {0, n}).
-    """
-    pts = sorted(d.members | {0, d.n})
-    return Composition(b - a for a, b in zip(pts, pts[1:]))
+    """The unique composition of d.n whose descent set is d."""
+    return Composition(_parts(d.n, d.members))
 
 
-def reverse(alpha: Composition) -> Composition:
-    return Composition(reversed(alpha))
+def reverse(alpha: Tuple[int, ...]) -> Tuple[int, ...]:
+    return alpha[::-1]
 
 
 def conjugate(alpha: Composition) -> Composition:
@@ -67,16 +70,17 @@ def conjugate(alpha: Composition) -> Composition:
     return comp_of_subset(DescentSet(n=n, members=complement))
 
 
-def compositions_between(n: int, low: Iterable[int], high: Iterable[int]) -> Iterator[Composition]:
-    """The compositions of n whose descent set D satisfies low <= D <= high."""
+def compositions_between(n: int, low: Iterable[int], high: Iterable[int]) -> Iterator[Tuple[int, ...]]:
+    """The compositions of n whose descent set D satisfies low <= D <= high,
+    as plain tuples: they are built from cut points, so there is nothing to check."""
     low = frozenset(low)
     extra = sorted(frozenset(high) - low)
     for k in range(len(extra) + 1):
         for sub in itertools.combinations(extra, k):
-            yield comp_of_subset(DescentSet(n=n, members=low | frozenset(sub)))
+            yield _parts(n, low.union(sub))
 
 
-def compositions_of(n: int) -> Iterator[Composition]:
+def compositions_of(n: int) -> Iterator[Tuple[int, ...]]:
     """All compositions of n, in the deterministic order of sort_key."""
     return iter(sorted(compositions_between(n, (), range(1, n)), key=sort_key))
 

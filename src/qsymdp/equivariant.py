@@ -187,7 +187,7 @@ def equivariant_theorem_check(a: GroupAction) -> bool:
     if not is_tertispecial(a.base.poset):
         raise NotTertispecialError("equivariant antipode theorem requires tertispecial base")
     lhs = antipode_closed(gamma_equivariant(a))
-    rhs = gamma_plus(opposite1_action(a)).scale(Fraction(-1) ** a.base.poset.size)
+    rhs = gamma_plus(opposite1_action(a)).scale((-1) ** a.base.poset.size)
     return lhs == rhs
 
 

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .compositions import Composition
 from .poset import (
     DoublePoset,
     Rel,
@@ -110,15 +108,13 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     return QSymElem(chains[downs[-1]])
 
 
-def _tensor_table(
-    pairs: List[Tuple[QSymElem, QSymElem]]
-) -> Dict[Tuple[Composition, Composition], Fraction]:
-    table: Dict[Tuple[Composition, Composition], Fraction] = {}
+def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, tuple], int]:
+    table: Dict[Tuple[tuple, tuple], int] = {}
     for left, right in pairs:
         for a, ca in left.terms.items():
             for b, cb in right.terms.items():
                 key = (a, b)
-                table[key] = table.get(key, Fraction(0)) + ca * cb
+                table[key] = table.get(key, 0) + ca * cb
     return {k: v for k, v in table.items() if v != 0}
 
 
@@ -136,8 +132,7 @@ def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
 def antipode_theorem_sides(d: WeightedDoublePoset) -> Tuple[QSymElem, QSymElem]:
     """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w)."""
     flipped = WeightedDoublePoset(poset=opposite1(d.poset), w=dict(d.w))
-    sign = Fraction(-1) ** d.poset.size
-    return antipode_closed(gamma(d)), gamma(flipped).scale(sign)
+    return antipode_closed(gamma(d)), gamma(flipped).scale((-1) ** d.poset.size)
 
 
 def antipode_theorem_check(d: WeightedDoublePoset) -> bool:

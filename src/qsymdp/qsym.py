@@ -1,12 +1,17 @@
-"""Quasisymmetric functions in monomial coordinates with exact rational coefficients,
-computed in the monomial basis alone (the product is the quasi-shuffle product)."""
+"""Quasisymmetric functions in monomial coordinates with exact coefficients,
+computed in the monomial basis alone (the product is the quasi-shuffle product).
+
+Compositions are checked where they enter (monomial, fundamental, parse_qsym);
+inside, keys are plain tuples of positive parts.  Coefficients are ints until a
+division makes a Fraction: product, coproduct and antipode keep them integral.
+"""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .compositions import (
     Composition,
@@ -17,43 +22,38 @@ from .compositions import (
     sort_key,
 )
 
+Comp = Tuple[int, ...]
+Coeff = Union[int, Fraction]
+
 
 class QSymElem:
     """A finite linear combination of monomial basis elements M_alpha.
 
-    Coefficients are exact rationals; zero coefficients are never stored.
+    Keys are compositions as tuples, checked where they enter; coefficients are
+    ints, or Fractions once something divides.  Zero coefficients are never stored.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Composition, Fraction] | None = None):
-        cleaned: Dict[Composition, Fraction] = {}
-        for alpha, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                cleaned[Composition(alpha)] = c
-        self.terms = cleaned
+    def __init__(self, terms: Dict[Comp, Coeff] | None = None):
+        self.terms = {alpha: c for alpha, c in (terms or {}).items() if c}
 
-    def coeff(self, alpha: Composition) -> Fraction:
-        return self.terms.get(Composition(alpha), Fraction(0))
+    def coeff(self, alpha: Comp) -> Coeff:
+        return self.terms.get(tuple(alpha), 0)
 
-    def sorted_terms(self) -> List[Tuple[Composition, Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Comp, Coeff]]:
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
 
     def __add__(self, other: "QSymElem") -> "QSymElem":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return QSymElem(out)
+        return linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other: "QSymElem") -> "QSymElem":
-        return self + (-other)
+        return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self) -> "QSymElem":
-        return QSymElem({a: -c for a, c in self.terms.items()})
+        return self.scale(-1)
 
-    def scale(self, c) -> "QSymElem":
-        c = Fraction(c)
+    def scale(self, c: Coeff) -> "QSymElem":
         return QSymElem({a: c * v for a, v in self.terms.items()})
 
     def __rmul__(self, c) -> "QSymElem":
@@ -81,17 +81,17 @@ class QSymElem:
         return f"QSymElem({format_qsym(self)})"
 
 
-def monomial(alpha: Composition) -> QSymElem:
-    return QSymElem({Composition(alpha): Fraction(1)})
+def monomial(alpha: Iterable[int]) -> QSymElem:
+    return QSymElem({Composition(alpha): 1})
 
 
 ZERO = QSymElem()
-ONE = monomial(Composition())
+ONE = monomial(())
 
 
-def linear_combination(pairs: Iterable[Tuple[Fraction, QSymElem]]) -> QSymElem:
+def linear_combination(pairs: Iterable[Tuple[Coeff, QSymElem]]) -> QSymElem:
     """The sum of c * f over the (c, f) pairs, accumulated in one dict."""
-    terms: Dict[Composition, Fraction] = {}
+    terms: Dict[Comp, Coeff] = {}
     for c, f in pairs:
         for alpha, v in f.terms.items():
             terms[alpha] = terms.get(alpha, 0) + c * v
@@ -104,12 +104,12 @@ def _apply_linear(basis_map, f: QSymElem) -> QSymElem:
 
 
 @lru_cache(maxsize=None)
-def _quasi_shuffle(a: Composition, b: Composition) -> Dict[tuple, int]:
+def _quasi_shuffle(a: Comp, b: Comp) -> Dict[Comp, int]:
     """M_a * M_b as {gamma: multiplicity} over the quasi-shuffles gamma of a and b:
     the first part of gamma is a[0], b[0] or a[0] + b[0] (Hoffman's recursion)."""
     if not a or not b:
         return {a + b: 1}
-    terms: Dict[tuple, int] = {}
+    terms: Dict[Comp, int] = {}
     for head, rest in (
         (a[0], _quasi_shuffle(a[1:], b)),
         (b[0], _quasi_shuffle(a, b[1:])),
@@ -135,29 +135,29 @@ def coproduct(f: QSymElem) -> List[Tuple[QSymElem, QSymElem]]:
 
     Normalized: left factors are distinct basis elements M_beta, sorted.
     """
-    by_left: Dict[Composition, Dict[Composition, Fraction]] = {}
+    by_left: Dict[Comp, Dict[Comp, Coeff]] = {}
     for alpha, c in f.terms.items():
         for k in range(len(alpha) + 1):
-            right = by_left.setdefault(Composition(alpha[:k]), {})
-            beta = Composition(alpha[k:])
+            right = by_left.setdefault(alpha[:k], {})
+            beta = alpha[k:]
             right[beta] = right.get(beta, 0) + c
     rights = {left: QSymElem(right) for left, right in by_left.items()}
     return [
-        (monomial(left), rights[left])
+        (QSymElem({left: 1}), rights[left])
         for left in sorted(rights, key=sort_key)
         if rights[left]
     ]
 
 
-def counit(f: QSymElem) -> Fraction:
-    return f.coeff(Composition())
+def counit(f: QSymElem) -> Coeff:
+    return f.coeff(())
 
 
 @lru_cache(maxsize=None)
-def _antipode_closed_basis(alpha: Composition) -> QSymElem:
+def _antipode_closed_basis(alpha: Comp) -> QSymElem:
     rev_d = descent_set(reverse(alpha)).members
     gammas = compositions_between(sum(alpha), (), rev_d)
-    return QSymElem(dict.fromkeys(gammas, Fraction(-1) ** len(alpha)))
+    return QSymElem(dict.fromkeys(gammas, (-1) ** len(alpha)))
 
 
 def antipode_closed(f: QSymElem) -> QSymElem:
@@ -165,10 +165,11 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     return _apply_linear(_antipode_closed_basis, f)
 
 
-def fundamental(alpha: Composition) -> QSymElem:
+def fundamental(alpha: Iterable[int]) -> QSymElem:
     """The fundamental function F_alpha = sum over beta with D(beta) >= D(alpha) of M_beta."""
+    alpha = Composition(alpha)
     n = sum(alpha)
-    d = descent_set(Composition(alpha)).members
+    d = descent_set(alpha).members
     return QSymElem(dict.fromkeys(compositions_between(n, d, range(1, n)), 1))
 
 
@@ -218,7 +219,7 @@ def parse_qsym(text: str) -> QSymElem:
         return ZERO
     chunks = re.split(r"\s+(?=[+-]\s)", " " + text)
     # normalize: leading sign may be glued to the first term
-    terms: Dict[Composition, Fraction] = {}
+    terms = []
     for chunk in chunks:
         chunk = chunk.strip()
         sign = Fraction(1)
@@ -232,8 +233,6 @@ def parse_qsym(text: str) -> QSymElem:
             raise ValueError(f"cannot parse QSym term {chunk!r}")
         coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
         parts = m.group(2).strip()
-        alpha = (
-            Composition(int(p) for p in parts.split(",")) if parts else Composition()
-        )
-        terms[alpha] = terms.get(alpha, Fraction(0)) + sign * coeff
-    return QSymElem(terms)
+        alpha = [int(p) for p in parts.split(",")] if parts else []
+        terms.append((sign * coeff, monomial(alpha)))
+    return linear_combination(terms)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import importlib
 import itertools
-from fractions import Fraction
 from typing import Callable, Dict, Iterator
 
 from . import compositions as comps
@@ -60,7 +59,7 @@ def antipode_consistency(size: int) -> Iterator[bool]:
             axiom = qsym.linear_combination(
                 (1, qsym.product(qsym.antipode_closed(left), right)) for left, right in qsym.coproduct(m)
             )
-            f_conjugate = qsym.fundamental(comps.conjugate(alpha)).scale(Fraction(-1) ** n)
+            f_conjugate = qsym.fundamental(comps.conjugate(alpha)).scale((-1) ** n)
             yield (
                 s == oracles.antipode_recursive(m)
                 and qsym.antipode_closed(s) == m
@@ -80,7 +79,7 @@ def gamma_truncation(size: int) -> Iterator[bool]:
 def antipode_theorem(size: int) -> Iterator[bool]:
     """Per poset: the antipode theorem, if tertispecial; then its failure on a <1 b."""
     for poset in _all_posets(size):
-        yield gm.antipode_theorem_check(gm.WeightedDoublePoset(poset)) or not pos.is_tertispecial(poset)
+        yield not pos.is_tertispecial(poset) or gm.antipode_theorem_check(gm.WeightedDoublePoset(poset))
     bad = pos.build(["a", "b"], [("a", "b")], [])
     yield not gm.antipode_theorem_check(gm.WeightedDoublePoset(bad))
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .gamma import WeightedDoublePoset, gamma
@@ -122,7 +121,7 @@ def skew_schur(shape: SkewShape) -> QSymElem:
 def schur_antipode_check(shape: SkewShape) -> bool:
     """True iff S(s_{lambda/mu}) = (-1)^(number of cells) s_{lambda^t/mu^t}."""
     lhs = antipode_closed(skew_schur(shape))
-    rhs = skew_schur(conjugate_shape(shape)).scale(Fraction(-1) ** shape.size)
+    rhs = skew_schur(conjugate_shape(shape)).scale((-1) ** shape.size)
     return lhs == rhs
 
 

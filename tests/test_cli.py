@@ -7,6 +7,7 @@ import pytest
 
 from qsymdp import verify
 from qsymdp.cli import run
+from qsymdp.qsym import fundamental, monomial, parse_qsym
 
 
 def invoke(capsys, *argv):
@@ -67,6 +68,26 @@ def test_antipode_m_bad_input(capsys):
     code, out, err = invoke(capsys, "antipode-m", "(1,0)")
     assert code == 2
     assert "error:" in err
+
+
+# compositions are checked where they enter, and nowhere inside
+@pytest.mark.parametrize(
+    "enter",
+    [
+        pytest.param(lambda: monomial((1, 0)), id="monomial"),
+        pytest.param(lambda: fundamental((0,)), id="fundamental"),
+        pytest.param(lambda: parse_qsym("M(2,0)"), id="parse_qsym"),
+        pytest.param(None, id="cli-antipode-f"),
+    ],
+)
+def test_entry_points_reject_a_zero_part(capsys, enter):
+    if enter is None:
+        code, out, err = invoke(capsys, "antipode-f", "(0,1)")
+        assert (code, out) == (2, "")
+        assert err == "error: composition parts must be >= 1, got (0, 1)\n"
+    else:
+        with pytest.raises(ValueError):
+            enter()
 
 
 def test_antipode_f(capsys):

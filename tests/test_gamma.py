@@ -19,7 +19,7 @@ from qsymdp.gamma import (
 )
 from qsymdp.oracles import epartitions_into, gamma_linear_extensions, gamma_truncation_matches
 from qsymdp.poset import build, is_special, is_tertispecial
-from qsymdp.qsym import fundamental, monomial
+from qsymdp.qsym import antipode_closed, coproduct, fundamental, monomial, product
 
 from conftest import all_double_posets, random_double_poset, random_tertispecial_posets
 
@@ -174,6 +174,16 @@ def test_gamma_product_rule_sampled():
         )
     anti3 = WeightedDoublePoset(poset=build("abc", [], []), w={"a": 3, "b": 2, "c": 3})
     assert gamma_product_check(anti3, anti3)
+
+
+def test_coefficients_stay_integers():
+    # Gamma counts E-partitions, and product, coproduct and antipode do not divide
+    readme = build("abc", [("a", "b"), ("a", "c")], [("a", "b"), ("c", "a")])
+    g = gamma(WeightedDoublePoset(poset=readme, w={"a": 1, "b": 2, "c": 1}))
+    elems = [g, product(g, g), antipode_closed(g), fundamental((2, 1, 3))]
+    elems += [f for pair in coproduct(g) for f in pair]
+    assert all(f.terms for f in elems)
+    assert all(type(c) is int for f in elems for c in f.terms.values())
 
 
 def test_weighted_from_json():
