@@ -14,7 +14,7 @@ from .compositions import (
     reverse,
 )
 from .equivariant import (
-    ClosureTooLargeError,
+    BoundExceededError,
     GroupAction,
     NotPreservingError,
     build_action,
@@ -28,7 +28,6 @@ from .gamma import (
     NotTertispecialError,
     WeightedDoublePoset,
     antipode_theorem_check,
-    gamma,
     gamma_coproduct_check,
     gamma_product_check,
     is_epartition,
@@ -36,7 +35,6 @@ from .gamma import (
 )
 from .oracles import antipode_recursive
 from .orderpoly import (
-    BoundExceededError,
     OrderPolynomial,
     count_orbits_bruteforce,
     order_polynomial,

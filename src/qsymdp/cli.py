@@ -41,7 +41,7 @@ def _load_action(args) -> equi.GroupAction:
     try:
         with open(args.group) as fh:
             return equi.action_from_dict(base, json.load(fh), cap=args.group_cap)
-    except (OSError, ValueError, RecursionError, equi.ClosureTooLargeError) as exc:
+    except (OSError, ValueError, RecursionError, equi.BoundExceededError) as exc:
         raise InputError(f"{args.group}: {exc}") from exc
 
 
@@ -286,7 +286,7 @@ def run(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, NotTertispecialError, opoly.BoundExceededError) as exc:
+    except (InputError, NotTertispecialError, equi.BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,9 @@ class Composition(tuple):
     """A finite sequence of positive integers.  The empty composition is ``()``."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        parts = tuple(map(int, parts))
+        parts = tuple(parts)
+        if not all(type(p) is int for p in parts):  # no bool, float or str
+            raise ValueError(f"composition parts must be integers, got {parts}")
         if min(parts, default=1) < 1:
             raise ValueError(f"composition parts must be >= 1, got {parts}")
         return super().__new__(cls, parts)

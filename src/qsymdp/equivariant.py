@@ -25,8 +25,8 @@ class NotPreservingError(ValueError):
         super().__init__(f"permutation {self.perm} does not preserve {witness}")
 
 
-class ClosureTooLargeError(RuntimeError):
-    """Group closure exceeded the configured cap."""
+class BoundExceededError(RuntimeError):
+    """A group closure above its cap, or an enumeration above its limit."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def build_action(
     frontier = [identity]
     while frontier:
         if len(group) > cap:
-            raise ClosureTooLargeError(f"group closure exceeds cap {cap}")
+            raise BoundExceededError(f"group closure exceeds cap {cap}")
         current = frontier.pop()
         for g in gens:
             nxt = _compose(g, current)
@@ -117,19 +117,11 @@ def orbits_of(perm: Permutation) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
-    """The double poset on g-orbits, with orbit weights summed."""
-
-    orbits: Tuple[Tuple[str, ...], ...]
-    quotient: DoublePoset
-    wq: Mapping[str, int]
-
-
-def quotient_by(g: Permutation, base: WeightedDoublePoset) -> QuotientPoset:
-    """Quotient double poset E^g: u <i v iff some a in u, b in v have a <i b,
-    for g preserving <1 and <2 (then these are orders as they stand); each
-    orbit is named by the label of its first member in declaration order."""
+def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePoset:
+    """Quotient E^g: u <i v iff some a in u, b in v have a <i b, for g
+    preserving <1 and <2 (then these are orders as they stand); each orbit is
+    named by the label of its first member in declaration order and weighs the
+    sum of its members' weights."""
     labels = base.poset.elements
     cycles = orbits_of(g)
     of = {i: k for k, cycle in enumerate(cycles) for i in cycle}  # element -> orbit
@@ -141,14 +133,10 @@ def quotient_by(g: Permutation, base: WeightedDoublePoset) -> QuotientPoset:
                 out[of[i]] |= 1 << of[j]
         return tuple(out)
 
-    orbits = tuple(tuple(labels[i] for i in cycle) for cycle in cycles)
-    quotient = DoublePoset(
-        elements=tuple(orbit[0] for orbit in orbits),
-        lt1=project(base.poset.lt1),
-        lt2=project(base.poset.lt2),
-    )
-    wq = {orbit[0]: sum(base.w[e] for e in orbit) for orbit in orbits}
-    return QuotientPoset(orbits=orbits, quotient=quotient, wq=wq)
+    names = tuple(labels[cycle[0]] for cycle in cycles)
+    quotient = DoublePoset(elements=names, lt1=project(base.poset.lt1), lt2=project(base.poset.lt2))
+    w = {name: sum(base.w[labels[i]] for i in cycle) for name, cycle in zip(names, cycles)}
+    return WeightedDoublePoset(poset=quotient, w=w)
 
 
 def sign_of(g: Permutation) -> int:
@@ -158,11 +146,7 @@ def sign_of(g: Permutation) -> int:
 
 def _orbit_sum(a: GroupAction, weight) -> QSymElem:
     """(1/|G|) sum over g of weight(g) Gamma(E^g, w^g)."""
-    terms = []
-    for g in a.elements:
-        q = quotient_by(g, a.base)
-        quotient = WeightedDoublePoset(poset=q.quotient, w=dict(q.wq))
-        terms.append((weight(g), gamma(quotient)))
+    terms = [(weight(g), gamma(quotient_by(g, a.base))) for g in a.elements]
     return linear_combination(terms).scale(Fraction(1, a.order))
 
 
@@ -202,5 +186,5 @@ def action_from_dict(base: WeightedDoublePoset, doc: Dict, cap: int = DEFAULT_GR
     return build_action(base, gens, cap=cap)
 
 
-def action_from_json(base: WeightedDoublePoset, text: str, cap: int = DEFAULT_GROUP_CAP) -> GroupAction:
-    return action_from_dict(base, json.loads(text), cap=cap)
+def action_from_json(base: WeightedDoublePoset, text: str) -> GroupAction:
+    return action_from_dict(base, json.loads(text))

@@ -34,7 +34,7 @@ class WeightedDoublePoset:
         w = dict(self.w) if self.w else {e: 1 for e in self.poset.elements}
         if set(w) != set(self.poset.elements):
             raise ValueError("weight function must be total on the ground set")
-        if any(v < 1 for v in w.values()):
+        if any(type(v) is not int or v < 1 for v in w.values()):  # no bool, no float
             raise ValueError("weights must be positive integers")
         object.__setattr__(self, "w", w)
 
@@ -147,9 +147,8 @@ def antipode_theorem_check(d: WeightedDoublePoset) -> bool:
 def gamma_product_check(d1: WeightedDoublePoset, d2: WeightedDoublePoset) -> bool:
     """True iff Gamma(E | F, w) = Gamma(E, w1) * Gamma(F, w2) on the tagged union."""
     union_poset = disjoint_union(d1.poset, d2.poset)
-    w = {f"0.{e}": v for e, v in d1.w.items()}
-    w.update({f"1.{e}": v for e, v in d2.w.items()})
-    union = WeightedDoublePoset(poset=union_poset, w=w)
+    weights = [d1.w[e] for e in d1.poset.elements] + [d2.w[e] for e in d2.poset.elements]
+    union = WeightedDoublePoset(poset=union_poset, w=dict(zip(union_poset.elements, weights)))
     return gamma(union) == product(gamma(d1), gamma(d2))
 
 

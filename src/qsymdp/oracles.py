@@ -12,16 +12,15 @@ special double posets, that shares no code with the other two.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .compositions import Composition
 from .gamma import WeightedDoublePoset, epartition_test
 from .poset import is_special
-from .qsym import ONE, ZERO, QSymElem, _apply_linear, monomial, product
+from .qsym import ONE, ZERO, Coeff, QSymElem, _apply_linear, monomial, product
 
-Poly = Dict[Tuple[int, ...], Fraction]
+Poly = Dict[Tuple[int, ...], Coeff]
 
 
 def _expand(f: QSymElem, m: int) -> Poly:
@@ -33,7 +32,7 @@ def _expand(f: QSymElem, m: int) -> Poly:
             for pos, part in zip(positions, alpha):
                 exps[pos] = part
             key = tuple(exps)
-            poly[key] = poly.get(key, Fraction(0)) + c
+            poly[key] = poly.get(key, 0) + c
     return poly
 
 
@@ -45,7 +44,7 @@ def product_truncation_matches(f: QSymElem, g: QSymElem, m: int) -> bool:
     for ea, ca in _expand(f, m).items():
         for eb, cb in pg.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            poly[key] = poly.get(key, Fraction(0)) + ca * cb
+            poly[key] = poly.get(key, 0) + ca * cb
     return _expand(product(f, g), m) == {k: c for k, c in poly.items() if c}
 
 
@@ -86,7 +85,7 @@ def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
         for e, i in pi.items():
             exps[i - 1] += d.w[e]
         key = tuple(exps)
-        poly[key] = poly.get(key, Fraction(0)) + 1
+        poly[key] = poly.get(key, 0) + 1
     return poly
 
 

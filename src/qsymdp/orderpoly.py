@@ -6,17 +6,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .equivariant import GroupAction, opposite1_action, sign_of
+from .equivariant import BoundExceededError, GroupAction, gamma_equivariant, opposite1_action, sign_of
 from .gamma import NotTertispecialError, WeightedDoublePoset
 from .oracles import epartitions_into
 from .poset import is_tertispecial
 from .qsym import binomial
 
-DEFAULT_ENUM_LIMIT = 2_000_000
-
-
-class BoundExceededError(RuntimeError):
-    """Brute-force enumeration above the configured limit."""
+ENUM_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -24,11 +20,6 @@ class OrderPolynomial:
     """A polynomial stored in the binomial basis: sum of c_k * C(q, k)."""
 
     binom_coeffs: Tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        nz = [k for k, c in enumerate(self.binom_coeffs) if c != 0]
-        return max(nz, default=0)
 
     def __call__(self, q) -> Fraction:
         return sum(
@@ -39,20 +30,12 @@ class OrderPolynomial:
     def power_coeffs(self) -> Tuple[Fraction, ...]:
         """Coefficients in the power basis, constant term first."""
         out = [Fraction(0)] * (len(self.binom_coeffs) or 1)
+        basis = [Fraction(1)]  # C(q, k) in the power basis
         for k, c in enumerate(self.binom_coeffs):
-            if c == 0:
-                continue
-            # expand C(q, k) = q(q-1)...(q-k+1) / k!
-            poly = [Fraction(1)]
-            for i in range(k):
-                poly = [Fraction(0)] + poly  # multiply by q
-                for j in range(len(poly) - 1):
-                    poly[j] -= i * poly[j + 1]
-            fact = 1
-            for i in range(1, k + 1):
-                fact *= i
-            for j, p in enumerate(poly):
-                out[j] += c * p / fact
+            if k:  # C(q, k) = C(q, k-1) (q - k + 1) / k
+                basis = [(lo - (k - 1) * hi) / k for lo, hi in zip([0, *basis], [*basis, 0])]
+            for j, p in enumerate(basis):
+                out[j] += c * p
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return tuple(out)
@@ -66,8 +49,6 @@ def _all_ones_action(a: GroupAction) -> GroupAction:
 def order_polynomial(a: GroupAction) -> OrderPolynomial:
     """Omega(q) = number of G-orbits of E-partitions into [q], via ps1 of the
     equivariant generating function with w identically 1."""
-    from .equivariant import gamma_equivariant
-
     g = gamma_equivariant(_all_ones_action(a))
     n = a.base.poset.size
     coeffs = [Fraction(0)] * (n + 1)
@@ -103,20 +84,20 @@ def _orbit_decomposition(a: GroupAction, partitions: List[Dict[str, int]]):
     return orbits
 
 
-def enumerate_partitions(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> List[Dict[str, int]]:
+def enumerate_partitions(a: GroupAction, q: int) -> List[Dict[str, int]]:
     """All E-partitions of the base poset with values in {1,...,q}, from the
     brute-force oracle after a check of the number of maps it would try."""
     n = a.base.poset.size
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if q ** n > limit:
-        raise BoundExceededError(f"{q}^{n} assignments exceed limit {limit}")
+    if q ** n > ENUM_LIMIT:
+        raise BoundExceededError(f"{q}^{n} assignments exceed limit {ENUM_LIMIT}")
     return epartitions_into(a.base, q)
 
 
-def count_orbits_bruteforce(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
+def count_orbits_bruteforce(a: GroupAction, q: int) -> int:
     """Number of G-orbits of E-partitions into [q], by direct enumeration."""
-    return len(_orbit_decomposition(a, enumerate_partitions(a, q, limit)))
+    return len(_orbit_decomposition(a, enumerate_partitions(a, q)))
 
 
 def _is_coeven(a: GroupAction, pi: Dict[str, int]) -> bool:
@@ -124,18 +105,18 @@ def _is_coeven(a: GroupAction, pi: Dict[str, int]) -> bool:
     return not any(sign_of(g) < 0 and _act(g, v) == v for g in a.elements)
 
 
-def count_coeven_orbits_bruteforce(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> int:
+def count_coeven_orbits_bruteforce(a: GroupAction, q: int) -> int:
     """Number of E-coeven G-orbits of E-partitions into [q]."""
-    orbits = _orbit_decomposition(a, enumerate_partitions(a, q, limit))
+    orbits = _orbit_decomposition(a, enumerate_partitions(a, q))
     return sum(1 for orbit in orbits if _is_coeven(a, orbit[0]))
 
 
-def reciprocity_check(a: GroupAction, q: int, limit: int = DEFAULT_ENUM_LIMIT) -> bool:
+def reciprocity_check(a: GroupAction, q: int) -> bool:
     """True iff Omega(-q) = (-1)^|E| * (number of E-coeven G-orbits of
     E-partitions of (E, >1, <2) into [q])."""
     if not is_tertispecial(a.base.poset):
         raise NotTertispecialError("reciprocity requires a tertispecial base poset")
     omega = order_polynomial(a)
     flipped = opposite1_action(a)
-    rhs = (-1) ** a.base.poset.size * count_coeven_orbits_bruteforce(flipped, q, limit)
+    rhs = (-1) ** a.base.poset.size * count_coeven_orbits_bruteforce(flipped, q)
     return omega(-q) == rhs

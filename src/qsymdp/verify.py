@@ -3,24 +3,21 @@
 suite(size), a generator of one bool per counted check.
 
 Calls go through module attributes, so that wrappers installed on the modules'
-names (perfbench's layer tracer) see them; ``qsymdp.gamma`` is the function,
-hence the import of that module by its full name.
+names (perfbench's layer tracer) see them.
 """
 
 from __future__ import annotations
 
-import importlib
 import itertools
 from typing import Callable, Dict, Iterator
 
 from . import compositions as comps
 from . import equivariant as equi
+from . import gamma as gm
 from . import oracles
 from . import orderpoly as opoly
 from . import poset as pos
 from . import qsym
-
-gm = importlib.import_module(".gamma", __package__)
 
 
 def _all_posets(size: int):

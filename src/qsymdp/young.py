@@ -17,7 +17,9 @@ class Partition(tuple):
     """A weakly decreasing sequence of positive integers."""
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if not all(type(p) is int for p in parts):  # no bool, float or str
+            raise ValueError(f"partition parts must be integers, got {parts}")
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be >= 1, got {parts}")
         if any(a < b for a, b in zip(parts, parts[1:])):

@@ -20,6 +20,14 @@ comps = st.lists(st.integers(min_value=1, max_value=6), max_size=6).map(Composit
 def test_composition_rejects_nonpositive_parts():
     with pytest.raises(ValueError):
         Composition([2, 0, 1])
+    with pytest.raises(ValueError, match=r"^composition parts must be >= 1, got \(0, 1\)$"):
+        Composition([0, 1])
+
+
+@pytest.mark.parametrize("parts", [[1.5, 2], [2.0], ["2"], [True, 1], "12"])
+def test_composition_rejects_non_integer_parts(parts):
+    with pytest.raises(ValueError, match="composition parts must be integers"):
+        Composition(parts)
 
 
 def test_descent_set_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qsymdp.equivariant import (
-    ClosureTooLargeError,
+    BoundExceededError,
     NotPreservingError,
     action_from_json,
     build_action,
@@ -71,7 +71,7 @@ def test_build_action_rejects_weight_breaking():
 
 
 def test_build_action_cap():
-    with pytest.raises(ClosureTooLargeError):
+    with pytest.raises(BoundExceededError):
         full_symmetric_action_with_cap()
 
 
@@ -91,8 +91,8 @@ def test_orbits_and_sign():
 def test_quotient_of_swap():
     base = antichain(2)
     q = quotient_by((1, 0), base)
-    assert q.quotient.elements == ("a",)
-    assert q.wq == {"a": 2}
+    assert q.poset.elements == ("a",)
+    assert q.w == {"a": 2}
 
 
 def test_quotient_relations_any_representative():
@@ -105,9 +105,9 @@ def test_quotient_relations_any_representative():
     assert a.order == 2
     g = next(p for p in a.elements if p != tuple(range(4)))
     q = quotient_by(g, base)
-    assert q.quotient.size == 2
-    (u, v) = q.quotient.elements
-    assert q.quotient.less1(u, v) or q.quotient.less1(v, u)
+    assert q.poset.size == 2
+    (u, v) = q.poset.elements
+    assert q.poset.less1(u, v) or q.poset.less1(v, u)
 
 
 def test_gamma_equivariant_trivial_group():

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -43,6 +44,15 @@ def test_weight_validation():
         WeightedDoublePoset(poset=p, w={"a": 1})
     with pytest.raises(ValueError):
         WeightedDoublePoset(poset=p, w={"a": 1, "b": 0})
+    for w in ({"a": 1.5, "b": True}, {"a": 1, "b": True}, {"a": 2.0, "b": 1}, {"a": 1, "b": "2"}):
+        with pytest.raises(ValueError, match="^weights must be positive integers$"):
+            WeightedDoublePoset(poset=p, w=w)
+
+
+def test_gamma_module_not_shadowed_by_function():
+    import qsymdp.gamma as m
+
+    assert inspect.ismodule(m) and callable(m.gamma)
 
 
 def test_is_epartition_chain():

@@ -73,7 +73,7 @@ def test_order_polynomial_matches_bruteforce():
 
 def test_enumerate_partitions_limit():
     with pytest.raises(BoundExceededError):
-        enumerate_partitions(trivial_action(antichain(3)), 100, limit=10)
+        enumerate_partitions(trivial_action(antichain(3)), 200)  # 200^3 > ENUM_LIMIT
     assert enumerate_partitions(trivial_action(antichain(2)), 0) == []
 
 

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsymdp.compositions import Composition, compositions_of, conjugate
@@ -22,6 +23,11 @@ from qsymdp.qsym import (
 )
 
 M = lambda *parts: monomial(Composition(parts))
+
+
+def test_monomial_rejects_non_integer_parts():
+    with pytest.raises(ValueError, match="composition parts must be integers"):
+        monomial([1.5, "2"])
 
 
 def all_basis_upto(n):

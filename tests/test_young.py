@@ -67,6 +67,9 @@ def test_partition_validation():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, 0])
+    for parts in ([2.7, 1], [2.0], ["2"], [True]):
+        with pytest.raises(ValueError, match="partition parts must be integers"):
+            Partition(parts)
     assert Partition([3, 1]).size == 4
 
 
