@@ -219,73 +219,65 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antipode-m", help="closed-form antipode of M_alpha")
     p.add_argument("composition")
-    p.set_defaults(func=cmd_antipode_m)
 
     p = sub.add_parser("antipode-f", help="antipode of F_alpha, with the conjugate")
     p.add_argument("composition")
-    p.set_defaults(func=cmd_antipode_f)
 
     p = sub.add_parser("gamma", help="generating function of a weighted poset")
     p.add_argument("poset")
-    p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("coproduct", help="coproduct of the generating function")
     p.add_argument("poset")
-    p.set_defaults(func=cmd_coproduct)
 
     p = sub.add_parser("product", help="product of two generating functions")
     p.add_argument("poset1")
     p.add_argument("poset2")
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("verify-antipode", help="check the antipode identity")
     p.add_argument("poset")
-    p.set_defaults(func=cmd_verify_antipode)
 
     p = sub.add_parser("equivariant", help="orbit generating function")
     p.add_argument("poset")
     p.add_argument("group")
     p.add_argument("--plus", action="store_true", help="coeven-orbit variant")
-    p.set_defaults(func=cmd_equivariant)
 
     p = sub.add_parser("verify-equivariant", help="check the equivariant identity")
     p.add_argument("poset")
     p.add_argument("group")
-    p.set_defaults(func=cmd_verify_equivariant)
 
     p = sub.add_parser("order-poly", help="equivariant order polynomial")
     p.add_argument("poset")
     p.add_argument("group")
-    p.set_defaults(func=cmd_order_poly)
 
     p = sub.add_parser("reciprocity", help="check order-polynomial reciprocity")
     p.add_argument("poset")
     p.add_argument("group")
     p.add_argument("--q", type=non_negative_int, required=True)
-    p.set_defaults(func=cmd_reciprocity)
 
     p = sub.add_parser("schur", help="skew Schur function of a shape")
     p.add_argument("shape")
     p.add_argument("--max-cells", type=non_negative_int, default=8)
-    p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("verify-schur", help="check the skew Schur antipode identity")
     p.add_argument("shape")
     p.add_argument("--max-cells", type=non_negative_int, default=8)
-    p.set_defaults(func=cmd_verify_schur)
 
     p = sub.add_parser("selftest", help="run the exhaustive desk-scale suites")
     p.add_argument("--max-size", type=non_negative_int, default=3)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+# Built once per process; parse_args keeps no state between calls.
+PARSER = make_parser()
+
+
 def run(argv: List[str]) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # Looked up at call time, so a rebound cmd_* (a tracer's wrapper) is the one called.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (InputError, NotTertispecialError, equi.BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

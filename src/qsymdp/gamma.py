@@ -121,9 +121,14 @@ def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, t
 def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
     """True iff Delta(Gamma(E,w)) equals the sum over admissible pairs (P, Q)
     of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q)."""
+    # a subset can be the P of one pair and the Q of another
+    parts: Dict[Tuple[str, ...], QSymElem] = {}
+
     def part(labels):
-        w = {e: d.w[e] for e in labels}
-        return gamma(WeightedDoublePoset(poset=restrict(d.poset, labels), w=w))
+        if labels not in parts:
+            w = {e: d.w[e] for e in labels}
+            parts[labels] = gamma(WeightedDoublePoset(poset=restrict(d.poset, labels), w=w))
+        return parts[labels]
 
     rhs_pairs = [(part(pair.p), part(pair.q)) for pair in admissible_pairs(d.poset)]
     return _tensor_table(coproduct(gamma(d))) == _tensor_table(rhs_pairs)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from qsymdp import verify
+from qsymdp import cli, verify
 from qsymdp.cli import run
 from qsymdp.qsym import fundamental, monomial, parse_qsym
 
@@ -253,6 +254,46 @@ def test_selftest_reports_a_failing_suite(capsys, monkeypatch):
     assert (code, err, last) == (1, "", "selftest: FAIL (1 suites)")
     assert suites.pop(failing) == "FAIL gamma-truncation (3 checks)"
     assert len(suites) == 5 and all(line.startswith("ok ") for line in suites)
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("make_parser called after import")
+
+    monkeypatch.setattr(cli, "make_parser", rebuilt)
+    code, out, _ = invoke(capsys, "antipode-m", "(1,1)")
+    assert (code, out) == (0, "M(2) + M(1,1)\n")
+
+
+def test_back_to_back_calls_leak_no_option_state(capsys, chain2, antichain2, swap_group):
+    for first, first_code, second in [
+        (["--json", "gamma", chain2], 0, ["gamma", chain2]),
+        (["schur", "[2,2]", "--max-cells", "3"], 2, ["schur", "[2,1]"]),
+        (["--group-cap", "1", "equivariant", antichain2, swap_group], 2,
+         ["equivariant", antichain2, swap_group]),
+    ]:
+        alone = invoke(capsys, *second)
+        assert alone[0] == 0
+        assert invoke(capsys, *first)[0] == first_code
+        assert invoke(capsys, *second) == alone
+
+
+def test_dispatch_looks_up_the_handler_when_called(capsys, monkeypatch, chain2):
+    seen = []
+
+    def stub(args):
+        seen.append(args.poset)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_gamma", stub)
+    assert invoke(capsys, "gamma", chain2) == (0, "", "")
+    assert seen == [chain2]
+
+
+def test_every_subcommand_has_a_handler():
+    (sub,) = [a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    for name in sub.choices:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
 
 
 def test_reciprocity_negative_q(capsys, chain2, trivial_group):

@@ -13,6 +13,7 @@ from qsymdp.gamma import (
     WeightedDoublePoset,
     antipode_theorem_check,
     gamma,
+    gamma_coproduct_check,
     gamma_product_check,
     is_epartition,
     is_epartition_covers,
@@ -167,6 +168,21 @@ def test_antipode_theorem_fails_on_designated_example():
     # a <1 b with empty <2 is not tertispecial and the identity fails
     d = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
     assert not antipode_theorem_check(d)
+
+
+def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
+    import qsymdp.gamma as m
+
+    calls = []
+
+    def counted(d):
+        calls.append(d.poset.elements)
+        return gamma(d)
+
+    monkeypatch.setattr(m, "gamma", counted)
+    assert gamma_coproduct_check(WeightedDoublePoset(poset=build("abc", [], []), w={}))
+    # the 8 subsets of the 3-antichain, each once, and E itself for the left side
+    assert len(calls) == 9 and len(set(calls)) == 8
 
 
 def test_gamma_product_rule_sampled():
