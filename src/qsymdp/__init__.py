@@ -7,7 +7,6 @@ generating functions; and order-polynomial reciprocity.
 
 from .compositions import (
     Composition,
-    DescentSet,
     comp_of_subset,
     conjugate,
     descent_set,

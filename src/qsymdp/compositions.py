@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
 
@@ -22,42 +20,42 @@ class Composition(tuple):
         return f"Composition({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class DescentSet:
-    """A subset of {1, ..., n-1} together with its ambient size n."""
-
-    n: int
-    members: frozenset
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ambient size must be nonnegative")
-        bad = [u for u in self.members if not (1 <= u <= self.n - 1)]
-        if bad:
-            raise ValueError(f"descent members {bad} outside {{1,...,{self.n - 1}}}")
-
-
 def sort_key(alpha: Tuple[int, ...]) -> tuple:
     """Deterministic order: by size, then length, then lexicographic on parts."""
     return (sum(alpha), len(alpha), alpha)
 
 
-def descent_set(alpha: Composition) -> DescentSet:
-    """Proper prefix sums of ``alpha``, with ambient size n = |alpha|."""
-    sums = list(itertools.accumulate(alpha))
-    return DescentSet(n=sum(alpha), members=frozenset(sums[:-1]))
+def descent_set(alpha: Tuple[int, ...]) -> int:
+    """The proper prefix sums of ``alpha`` as a mask: bit d is set iff d is in D(alpha)."""
+    mask, total = 0, 0
+    for part in alpha[:-1]:
+        total += part
+        mask |= 1 << total
+    return mask
 
 
-def _parts(n: int, cuts: frozenset) -> Tuple[int, ...]:
-    """The parts between the cut points 0 < c_1 < ... < n: successive
-    differences of sorted(cuts | {0, n})."""
-    pts = sorted(cuts | {0, n})
-    return tuple(b - a for a, b in zip(pts, pts[1:]))
+def all_descents(n: int) -> int:
+    """The mask of {1, ..., n-1}, the descent set of (1, ..., 1)."""
+    return ((1 << n) - 1) & ~1
 
 
-def comp_of_subset(d: DescentSet) -> Composition:
-    """The unique composition of d.n whose descent set is d."""
-    return Composition(_parts(d.n, d.members))
+def _parts(n: int, mask: int) -> Tuple[int, ...]:
+    """The parts between the cut points 0 < c_1 < ... < n, the set bits of mask above bit 0."""
+    parts, last, mask = [], 0, (mask | 1 << n) & ~1
+    while mask:
+        cut = (mask & -mask).bit_length() - 1
+        parts.append(cut - last)
+        last, mask = cut, mask & (mask - 1)
+    return tuple(parts)
+
+
+def comp_of_subset(n: int, mask: int) -> Composition:
+    """The unique composition of n whose descent set is mask, a subset of {1, ..., n-1}."""
+    if n < 0:
+        raise ValueError("ambient size must be nonnegative")
+    if mask < 0 or mask & 1 or mask >> n:
+        raise ValueError(f"descent mask {mask:#b} outside {{1,...,{n - 1}}}")
+    return Composition(_parts(n, mask))
 
 
 def reverse(alpha: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -67,24 +65,23 @@ def reverse(alpha: Tuple[int, ...]) -> Tuple[int, ...]:
 def conjugate(alpha: Composition) -> Composition:
     """The conjugate composition: its descent set is the complement of D(rev alpha)."""
     n = sum(alpha)
-    rev_d = descent_set(reverse(alpha)).members
-    complement = frozenset(range(1, n)) - rev_d
-    return comp_of_subset(DescentSet(n=n, members=complement))
+    return Composition(_parts(n, all_descents(n) & ~descent_set(reverse(alpha))))
 
 
-def compositions_between(n: int, low: Iterable[int], high: Iterable[int]) -> Iterator[Tuple[int, ...]]:
-    """The compositions of n whose descent set D satisfies low <= D <= high,
+def compositions_between(n: int, low: int, high: int) -> Iterator[Tuple[int, ...]]:
+    """The compositions of n whose descent mask D satisfies low <= D <= high,
     as plain tuples: they are built from cut points, so there is nothing to check."""
-    low = frozenset(low)
-    extra = sorted(frozenset(high) - low)
-    for k in range(len(extra) + 1):
-        for sub in itertools.combinations(extra, k):
-            yield _parts(n, low.union(sub))
+    free = sub = high & ~low
+    while True:
+        yield _parts(n, low | sub)
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def compositions_of(n: int) -> Iterator[Tuple[int, ...]]:
     """All compositions of n, in the deterministic order of sort_key."""
-    return iter(sorted(compositions_between(n, (), range(1, n)), key=sort_key))
+    return iter(sorted(compositions_between(n, 0, all_descents(n)), key=sort_key))
 
 
 def format_composition(alpha: Composition) -> str:

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
+from .compositions import _parts
 from .poset import (
     DoublePoset,
     Rel,
@@ -83,16 +84,17 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     A packed E-partition phi onto {1,...,k} is the same thing as a chain of
     <1-down-sets {} = D_0 < D_1 < ... < D_k = E, with D_i = phi^{-1}{1,...,i},
     in which no block D_i - D_{i-1} holds a pair e <1 f with f <2 e; it
-    contributes M_alpha with alpha_i = w(D_i) - w(D_{i-1}).  chains[D] maps
-    each alpha to the number of such chains from {} up to D.
+    contributes M_alpha with alpha_i = w(D_i) - w(D_{i-1}).  chains[D] maps the
+    mask of the partial weights w(D_0) = 0, ..., w(D_{i-1}) to the number of
+    such chains up to D = D_i.
     """
     p = d.poset
     reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(p.lt1) if p.lt2[j] >> i & 1]
     downs = sorted(down_sets(p), key=int.bit_count)
     weight = {s: sum(d.w[e] for i, e in enumerate(p.elements) if s >> i & 1) for s in downs}
-    chains: Dict[int, Dict[Tuple[int, ...], int]] = {0: {(): 1}}
+    chains: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for top in downs[1:]:
-        into: Dict[Tuple[int, ...], int] = {}
+        into: Dict[int, int] = {}
         size = top.bit_count()
         for low in downs:
             if low.bit_count() >= size:
@@ -100,12 +102,13 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
             block = top ^ low
             if low & ~top or any(block & r == r for r in reversed_pairs):
                 continue
-            part = (weight[top] - weight[low],)
-            for alpha, c in chains[low].items():
-                key = alpha + part
+            cut = 1 << weight[low]
+            for mask, c in chains[low].items():
+                key = mask | cut
                 into[key] = into.get(key, 0) + c
         chains[top] = into
-    return QSymElem(chains[downs[-1]])
+    n = d.degree
+    return QSymElem({_parts(n, mask): c for mask, c in chains[downs[-1]].items()})
 
 
 def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, tuple], int]:

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Tuple, Union
 
 from .compositions import (
     Composition,
+    all_descents,
     compositions_between,
     descent_set,
     format_composition,
@@ -155,8 +156,7 @@ def counit(f: QSymElem) -> Coeff:
 
 @lru_cache(maxsize=None)
 def _antipode_closed_basis(alpha: Comp) -> QSymElem:
-    rev_d = descent_set(reverse(alpha)).members
-    gammas = compositions_between(sum(alpha), (), rev_d)
+    gammas = compositions_between(sum(alpha), 0, descent_set(reverse(alpha)))
     return QSymElem(dict.fromkeys(gammas, (-1) ** len(alpha)))
 
 
@@ -169,8 +169,7 @@ def fundamental(alpha: Iterable[int]) -> QSymElem:
     """The fundamental function F_alpha = sum over beta with D(beta) >= D(alpha) of M_beta."""
     alpha = Composition(alpha)
     n = sum(alpha)
-    d = descent_set(alpha).members
-    return QSymElem(dict.fromkeys(compositions_between(n, d, range(1, n)), 1))
+    return QSymElem(dict.fromkeys(compositions_between(n, descent_set(alpha), all_descents(n)), 1))
 
 
 def binomial(q, k: int) -> Fraction:

@@ -62,7 +62,8 @@ class SkewShape:
 
     @property
     def size(self) -> int:
-        return len(self.cells)
+        """The number of cells, without building them."""
+        return sum(self.outer) - sum(self.inner)
 
 
 def conjugate_shape(shape: SkewShape) -> SkewShape:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qsymdp import cli, verify
+from qsymdp import cli, verify, young
 from qsymdp.cli import run
 from qsymdp.qsym import fundamental, monomial, parse_qsym
 
@@ -323,6 +323,16 @@ def test_zero_cap_accepted(capsys):
     code, out, err = invoke(capsys, "schur", "[1]", "--max-cells", "0")
     assert code == 2 and out == ""
     assert err == "error: shape has 1 cells, above cap 0\n"
+
+
+def test_cell_cap_checked_before_cells_are_built(capsys, monkeypatch):
+    def no_cells(shape):
+        raise AssertionError("cells built before the cap check")
+
+    monkeypatch.setattr(young.SkewShape, "cells", property(no_cells))
+    code, out, err = invoke(capsys, "schur", "[100000000]")
+    assert (code, out) == (2, "")
+    assert err == "error: shape has 100000000 cells, above cap 8\n"
 
 
 def test_group_cap_zero_rejects_trivial_group(capsys, antichain2, trivial_group):

@@ -3,8 +3,9 @@ from hypothesis import given, strategies as st
 
 from qsymdp.compositions import (
     Composition,
-    DescentSet,
+    all_descents,
     comp_of_subset,
+    compositions_between,
     compositions_of,
     conjugate,
     descent_set,
@@ -31,29 +32,35 @@ def test_composition_rejects_non_integer_parts(parts):
 
 
 def test_descent_set_examples():
-    assert descent_set(Composition()) == DescentSet(n=0, members=frozenset())
-    assert descent_set(Composition([2, 1, 3])) == DescentSet(
-        n=6, members=frozenset({2, 3})
-    )
+    assert descent_set(Composition()) == 0
+    assert descent_set(Composition([2, 1, 3])) == 0b1100
     # prefix sums of (3,1,1,1,1,1,4)
-    assert descent_set(Composition([3, 1, 1, 1, 1, 1, 4])) == DescentSet(
-        n=12, members=frozenset({3, 4, 5, 6, 7, 8})
-    )
+    assert descent_set(Composition([3, 1, 1, 1, 1, 1, 4])) == 0b111111000
 
 
 def test_comp_of_subset_examples():
-    assert comp_of_subset(DescentSet(n=3, members=frozenset({1}))) == Composition(
-        [1, 2]
-    )
-    assert comp_of_subset(DescentSet(n=0, members=frozenset())) == Composition()
-    assert comp_of_subset(DescentSet(n=6, members=frozenset({2, 3}))) == Composition(
-        [2, 1, 3]
-    )
+    assert comp_of_subset(3, 0b10) == Composition([1, 2])
+    assert comp_of_subset(0, 0) == Composition()
+    assert comp_of_subset(6, 0b1100) == Composition([2, 1, 3])
 
 
 def test_descent_set_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        DescentSet(n=3, members=frozenset({3}))
+    # n < 0, a negative mask, bit 0, a bit >= n
+    for n, mask in [(-1, 0), (3, -2), (3, 0b1), (3, 0b11), (3, 0b1000), (2, 0b100), (0, 0b10), (1, 0b10)]:
+        with pytest.raises(ValueError):
+            comp_of_subset(n, mask)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_compositions_between_is_the_descent_interval(n):
+    every = list(compositions_of(n))
+    for high in range(0, all_descents(n) + 1, 2):
+        for low in range(0, high + 1, 2):
+            if low & ~high:
+                continue
+            inside = [a for a in every if low & ~descent_set(a) == 0 and descent_set(a) & ~high == 0]
+            between = list(compositions_between(n, low, high))
+            assert sorted(between) == sorted(inside) and len(set(between)) == len(between)
 
 
 def test_reverse_examples():

@@ -165,6 +165,20 @@ def test_antipode_fundamental_identity():
     assert antipode_closed(fundamental(alpha)) == fundamental(alpha).scale(-1)
 
 
+def test_antipode_closed_matches_recursive_upto_8():
+    for alpha in all_basis_upto(8):
+        m = monomial(alpha)
+        s = antipode_closed(m)
+        assert s == antipode_recursive(m)
+        assert antipode_closed(s) == m
+
+
+def test_antipode_of_fundamental_is_signed_conjugate_upto_10():
+    for alpha in all_basis_upto(10):
+        n = sum(alpha)
+        assert antipode_closed(fundamental(alpha)) == fundamental(conjugate(alpha)).scale((-1) ** n)
+
+
 def _ps1_by_substitution(f, q):
     # literal substitution x_1..x_q -> 1
     total = Fraction(0)

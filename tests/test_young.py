@@ -89,6 +89,13 @@ def test_skew_shape_cells():
         shape([1], [2])
 
 
+def test_skew_shape_size_counts_cells():
+    shapes = [shape(lam) for n in range(9) for lam in partitions_of(n)]
+    shapes += [shape([2, 2], [1]), shape([3, 2], [1]), shape([2, 1], [1]), shape([], [])]
+    for sh in shapes:
+        assert sh.size == len(sh.cells)
+
+
 def test_conjugate_shape():
     sh = conjugate_shape(shape([2, 2], [1]))
     assert sh.outer == Partition([2, 2]) and sh.inner == Partition([1])
@@ -127,10 +134,17 @@ def test_Y_and_Yh_give_same_schur():
     for sh in shapes:
         assert gamma(build_Y(sh)) == gamma(build_Yh(sh))
     # and the sum of F_Des(T) over standard tableaux T, by the linear-extension oracle
-    for n in range(9):
+    for n in range(11):
         for lam in partitions_of(n):
             sh = shape(lam)
             assert gamma_linear_extensions(build_Yh(sh)) == skew_schur(sh)
+
+
+@pytest.mark.slow
+def test_Yh_matches_linear_extensions_at_12_cells():
+    for lam in partitions_of(12):
+        sh = shape(lam)
+        assert gamma_linear_extensions(build_Yh(sh)) == skew_schur(sh), lam
 
 
 def test_schur_examples():
