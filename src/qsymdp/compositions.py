@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 
 class Composition(tuple):
@@ -68,15 +68,21 @@ def conjugate(alpha: Composition) -> Composition:
     return Composition(_parts(n, all_descents(n) & ~descent_set(reverse(alpha))))
 
 
+def submasks(top: int) -> List[int]:
+    """The 2^k sub-masks of a k-bit mask in index order: bit j of the index
+    selects the j-th lowest set bit of top, so index 0 is 0 and the last is top."""
+    subs = [0]
+    while top:
+        bit = top & -top
+        subs += [s | bit for s in subs]
+        top ^= bit
+    return subs
+
+
 def compositions_between(n: int, low: int, high: int) -> Iterator[Tuple[int, ...]]:
     """The compositions of n whose descent mask D satisfies low <= D <= high,
     as plain tuples: they are built from cut points, so there is nothing to check."""
-    free = sub = high & ~low
-    while True:
-        yield _parts(n, low | sub)
-        if not sub:
-            return
-        sub = (sub - 1) & free
+    return (_parts(n, low | sub) for sub in submasks(high & ~low))
 
 
 def compositions_of(n: int) -> Iterator[Tuple[int, ...]]:

@@ -9,7 +9,7 @@ from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
 from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1
-from .qsym import QSymElem, antipode_closed, linear_combination
+from .qsym import BoundExceededError, QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
 
@@ -23,10 +23,6 @@ class NotPreservingError(ValueError):
         self.perm = dict(perm)
         self.witness = witness
         super().__init__(f"permutation {self.perm} does not preserve {witness}")
-
-
-class BoundExceededError(RuntimeError):
-    """A group closure above its cap, or an enumeration above its limit."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 from .compositions import Composition
 from .gamma import WeightedDoublePoset, epartition_test
 from .poset import is_special
-from .qsym import ONE, ZERO, Coeff, QSymElem, _apply_linear, monomial, product
+from .qsym import ONE, ZERO, Coeff, QSymElem, linear_combination, monomial, product
 
 Poly = Dict[Tuple[int, ...], Coeff]
 
@@ -63,7 +63,7 @@ def _antipode_recursive_basis(alpha: Composition) -> QSymElem:
 
 def antipode_recursive(f: QSymElem) -> QSymElem:
     """Antipode computed degree-by-degree from m(S x id)Delta = u eps."""
-    return _apply_linear(_antipode_recursive_basis, f)
+    return linear_combination((c, _antipode_recursive_basis(alpha)) for alpha, c in f.terms.items())
 
 
 def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:

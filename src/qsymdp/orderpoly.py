@@ -6,13 +6,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .equivariant import BoundExceededError, GroupAction, gamma_equivariant, opposite1_action, sign_of
+from .equivariant import GroupAction, gamma_equivariant, opposite1_action, sign_of
 from .gamma import NotTertispecialError, WeightedDoublePoset
 from .oracles import epartitions_into
 from .poset import is_tertispecial
-from .qsym import binomial
-
-ENUM_LIMIT = 2_000_000
+from .qsym import ENUM_LIMIT, BoundExceededError, binomial
 
 
 @dataclass(frozen=True)

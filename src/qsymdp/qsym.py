@@ -1,5 +1,6 @@
 """Quasisymmetric functions in monomial coordinates with exact coefficients,
-computed in the monomial basis alone (the product is the quasi-shuffle product).
+computed in the monomial basis alone (the product is the quasi-shuffle product,
+the antipode a superset-sum transform over descent masks).
 
 Compositions are checked where they enter (monomial, fundamental, parse_qsym);
 inside, keys are plain tuples of positive parts.  Coefficients are ints until a
@@ -11,20 +12,29 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Dict, Iterable, List, Tuple, Union
 
 from .compositions import (
     Composition,
     all_descents,
+    _parts,
     compositions_between,
     descent_set,
     format_composition,
     reverse,
     sort_key,
+    submasks,
 )
 
 Comp = Tuple[int, ...]
 Coeff = Union[int, Fraction]
+
+ENUM_LIMIT = 2_000_000  # the most terms, cells or maps one enumeration may build
+
+
+class BoundExceededError(RuntimeError):
+    """A group closure above its cap, or an enumeration above its limit."""
 
 
 class QSymElem:
@@ -99,11 +109,6 @@ def linear_combination(pairs: Iterable[Tuple[Coeff, QSymElem]]) -> QSymElem:
     return QSymElem(terms)
 
 
-def _apply_linear(basis_map, f: QSymElem) -> QSymElem:
-    """Extend a map on basis elements, alpha -> basis_map(alpha), linearly to f."""
-    return linear_combination((c, basis_map(alpha)) for alpha, c in f.terms.items())
-
-
 @lru_cache(maxsize=None)
 def _quasi_shuffle(a: Comp, b: Comp) -> Dict[Comp, int]:
     """M_a * M_b as {gamma: multiplicity} over the quasi-shuffles gamma of a and b:
@@ -154,21 +159,46 @@ def counit(f: QSymElem) -> Coeff:
     return f.coeff(())
 
 
-@lru_cache(maxsize=None)
-def _antipode_closed_basis(alpha: Comp) -> QSymElem:
-    gammas = compositions_between(sum(alpha), 0, descent_set(reverse(alpha)))
-    return QSymElem(dict.fromkeys(gammas, (-1) ** len(alpha)))
-
-
 def antipode_closed(f: QSymElem) -> QSymElem:
-    """Antipode via the closed form: S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma."""
-    return _apply_linear(_antipode_closed_basis, f)
+    """S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma, extended linearly: in degree n,
+    S(f)[G] = sum over E >= G of c'[E] with c'[D(rev alpha)] = (-1)^l c_alpha, a superset-sum run by
+    Yates's passes on one sub-cube per maximal mask of the support: at most the 2^|D(rev alpha)| cells
+    per term the closed form visits.  The bound counts a cell once per 64-bit word of its cube's top."""
+    by_degree: Dict[int, Dict[int, Coeff]] = {}
+    for alpha, c in f.terms.items():
+        by_degree.setdefault(sum(alpha), {})[descent_set(reverse(alpha))] = -c if len(alpha) & 1 else c
+    terms: Dict[Comp, Coeff] = {}
+    cells = 0
+    for n, values in by_degree.items():
+        where: Dict[int, Dict[int, Coeff]] = {}  # mask -> the cube holding it
+        cubes = []  # each a dict from its sub-masks, in index order, to their values
+        for mask in sorted(values, key=int.bit_count, reverse=True):
+            if mask not in where:
+                cells += (1 << mask.bit_count()) * (mask.bit_length() // 64 + 1)
+                if cells > ENUM_LIMIT:
+                    raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
+                cube = dict.fromkeys(submasks(mask), 0)
+                where.update(dict.fromkeys(cube, cube))
+                cubes.append(cube)
+            where[mask][mask] = values[mask]
+        total: Dict[int, Coeff] = {}
+        for cube in cubes:
+            a = list(cube.values())
+            for _ in range(len(a).bit_length() - 1):
+                odd = a[1::2]
+                a = list(map(add, a[0::2], odd)) + odd
+            for s, v in zip(cube, a):
+                total[s] = total.get(s, 0) + v
+        terms.update((_parts(n, s), v) for s, v in total.items() if v)
+    return QSymElem(terms)
 
 
 def fundamental(alpha: Iterable[int]) -> QSymElem:
     """The fundamental function F_alpha = sum over beta with D(beta) >= D(alpha) of M_beta."""
     alpha = Composition(alpha)
     n = sum(alpha)
+    if n - len(alpha) > ENUM_LIMIT.bit_length() - 1:  # 2^(n - l) > ENUM_LIMIT, without the power
+        raise BoundExceededError(f"F{format_composition(alpha)} has 2^{n - len(alpha)} terms, above limit {ENUM_LIMIT}")
     return QSymElem(dict.fromkeys(compositions_between(n, descent_set(alpha), all_descents(n)), 1))
 
 

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from qsymdp import cli, verify, young
 from qsymdp.cli import run
+from qsymdp.compositions import conjugate
 from qsymdp.qsym import fundamental, monomial, parse_qsym
 
 
@@ -97,6 +99,28 @@ def test_antipode_f(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "conjugate: (1,1)"
     assert lines[1] == "M(1,1)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["antipode-f", "(30)"], ["antipode-m", "(" + "1," * 39 + "1)"], ["antipode-m", "(" + "1," * 15 + "1000000)"]],
+    ids=["antipode-f-2^29-terms", "antipode-m-2^39-cells", "antipode-m-2^15-cells-of-15626-words"],
+)
+def test_antipode_above_the_enumeration_limit_exits_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "2000000" in err
+
+
+def test_antipode_f_at_degree_18(capsys):
+    code, out, _ = invoke(capsys, "--json", "antipode-f", "(2,3,4,1,4,4)")
+    assert code == 0
+    doc = json.loads(out)
+    conj = conjugate((2, 3, 4, 1, 4, 4))
+    assert doc["conjugate"] == list(conj)
+    assert {tuple(a): int(c) for c, a in doc["terms"]} == fundamental(conj).scale((-1) ** 18).terms
 
 
 def test_gamma(capsys, chain2):

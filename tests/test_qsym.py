@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymdp.compositions import Composition, compositions_of, conjugate
+from qsymdp.compositions import Composition, all_descents, comp_of_subset, compositions_of, conjugate
+from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check
 from qsymdp.oracles import antipode_recursive, product_truncation_matches
+from qsymdp.poset import build
 from qsymdp.qsym import (
     ONE,
     QSymElem,
@@ -16,6 +18,7 @@ from qsymdp.qsym import (
     counit,
     format_qsym,
     fundamental,
+    linear_combination,
     monomial,
     parse_qsym,
     product,
@@ -232,3 +235,36 @@ def test_parse_format_round_trip_random(terms):
 )
 def test_product_commutes_random(a, b):
     assert product(monomial(a), monomial(b)) == product(monomial(b), monomial(a))
+
+
+@st.composite
+def sparse_mixed_degree(draw):
+    """0-6 terms of degree 0-8 with int or Fraction coefficients; a term may be
+    drawn twice with opposite coefficients, so that it cancels."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(0, 8))
+        alpha = comp_of_subset(n, draw(st.integers(0, all_descents(n))) & all_descents(n))
+        c = draw(st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4))
+        pairs.append((c, monomial(alpha)))
+        if draw(st.booleans()):
+            pairs.append((-c, monomial(alpha)))
+    return linear_combination(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_mixed_degree())
+def test_antipode_closed_matches_recursive_on_sparse_mixed_degree(f):
+    s = antipode_closed(f)
+    assert s == antipode_recursive(f)
+    assert antipode_closed(s) == f
+    assert all(s.terms.values())
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_antipode_theorem_on_antichain_with_spread_weights(n):
+    # weights 1, 2, 4, ...: the descent masks of Gamma spread over 2^n - 2
+    # positions, too many for one cube over their union
+    labels = "abcdef"[:n]
+    d = WeightedDoublePoset(poset=build(labels, [], []), w={e: 2**i for i, e in enumerate(labels)})
+    assert antipode_theorem_check(d)

@@ -173,6 +173,20 @@ def test_schur_antipode_identity():
     assert schur_antipode_check(shape([3, 2], [1]))
 
 
+def test_schur_antipode_identity_upto_10_cells_and_larger_shapes():
+    shapes = [shape(lam) for n in range(11) for lam in partitions_of(n)]
+    shapes += [shape([5, 4, 3]), shape([6, 5, 4, 2], [3, 1]), shape([6, 5, 4])]
+    for sh in shapes:
+        assert schur_antipode_check(sh), sh
+
+
+@pytest.mark.slow
+def test_schur_antipode_identity_at_11_and_12_cells():
+    for n in (11, 12):
+        for lam in partitions_of(n):
+            assert schur_antipode_check(shape(lam)), lam
+
+
 def test_parse_shape():
     sh = parse_shape("[2,1]/[1]")
     assert sh.outer == Partition([2, 1]) and sh.inner == Partition([1])
