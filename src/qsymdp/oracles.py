@@ -6,18 +6,23 @@ polynomials in m variables), never through the down-set chain sum or the
 quasi-shuffle, so that agreement is a genuine two-route check.  The recursive
 antipode solves m(S x id)Delta = u eps, independently of the closed form.  The
 fundamental expansion of Gamma over linear extensions is a third route, for
-special double posets, that shares no code with the other two.
+special double posets, that shares no code with the other two.  The orbit
+sums are also summed element by element, in Fractions, as the paper defines
+them, against the class sums of the equivariant module; the automorphisms of a
+weighted double poset are found among all n! permutations.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .compositions import Composition
-from .gamma import WeightedDoublePoset, epartition_test
-from .poset import is_special
+from .equivariant import GroupAction, Permutation, quotient_by, sign_of
+from .gamma import WeightedDoublePoset, epartition_test, gamma
+from .poset import index_pairs, is_special
 from .qsym import ONE, ZERO, Coeff, QSymElem, linear_combination, monomial, product
 
 Poly = Dict[Tuple[int, ...], Coeff]
@@ -128,3 +133,24 @@ def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
                 alpha = tuple(sums[b] - sums[a] for a, b in zip(cuts, cuts[1:]) if a < b)  # E = {}: ()
                 terms[alpha] = terms.get(alpha, 0) + count
     return QSymElem(terms)
+
+
+def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
+    """Gamma(E, w, G), or Gamma+(E, w, G) if ``plus``: (1/|G|) sum over every
+    g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``."""
+    terms = [(sign_of(g) if plus else 1, gamma(quotient_by(g, a.base))) for g in a.elements]
+    return linear_combination(terms).scale(Fraction(1, a.order))
+
+
+def automorphisms(d: WeightedDoublePoset) -> List[Permutation]:
+    """Every permutation of the declaration indices that preserves <1, <2 and w,
+    in lexicographic order: a bijection that maps each order into itself maps
+    it onto itself, as the order is finite."""
+    p = d.poset
+    w = [d.w[e] for e in p.elements]
+    pairs = [(rel, i, j) for rel in (p.lt1, p.lt2) for i, j in index_pairs(rel)]
+    return [
+        perm
+        for perm in itertools.permutations(range(p.size))
+        if all(w[perm[i]] == w[i] for i in range(p.size)) and all(rel[perm[i]] >> perm[j] & 1 for rel, i, j in pairs)
+    ]

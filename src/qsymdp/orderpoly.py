@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .equivariant import GroupAction, gamma_equivariant, opposite1_action, sign_of
+from .equivariant import GroupAction, Permutation, gamma_equivariant, opposite1_action, sign_of
 from .gamma import NotTertispecialError, WeightedDoublePoset
 from .oracles import epartitions_into
 from .poset import is_tertispecial
@@ -41,7 +41,7 @@ class OrderPolynomial:
 
 def _all_ones_action(a: GroupAction) -> GroupAction:
     base = WeightedDoublePoset(poset=a.base.poset, w={})
-    return GroupAction(base=base, elements=a.elements)
+    return GroupAction(base=base, elements=a.elements, classes=a.classes)
 
 
 def order_polynomial(a: GroupAction) -> OrderPolynomial:
@@ -98,15 +98,17 @@ def count_orbits_bruteforce(a: GroupAction, q: int) -> int:
     return len(_orbit_decomposition(a, enumerate_partitions(a, q)))
 
 
-def _is_coeven(a: GroupAction, pi: Dict[str, int]) -> bool:
+def _is_coeven(a: GroupAction, pi: Dict[str, int], odd: List[Permutation]) -> bool:
+    """True iff no odd permutation of G, from ``odd``, fixes pi."""
     v = tuple(pi[e] for e in a.base.poset.elements)
-    return not any(sign_of(g) < 0 and _act(g, v) == v for g in a.elements)
+    return not any(_act(g, v) == v for g in odd)
 
 
 def count_coeven_orbits_bruteforce(a: GroupAction, q: int) -> int:
     """Number of E-coeven G-orbits of E-partitions into [q]."""
     orbits = _orbit_decomposition(a, enumerate_partitions(a, q))
-    return sum(1 for orbit in orbits if _is_coeven(a, orbit[0]))
+    odd = [g for g in a.elements if sign_of(g) < 0]
+    return sum(1 for orbit in orbits if _is_coeven(a, orbit[0], odd))
 
 
 def reciprocity_check(a: GroupAction, q: int) -> bool:

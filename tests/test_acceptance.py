@@ -15,6 +15,7 @@ from qsymdp.equivariant import (
     equivariant_theorem_check,
     gamma_equivariant,
     gamma_plus,
+    sign_of,
 )
 from qsymdp.gamma import (
     WeightedDoublePoset,
@@ -144,6 +145,7 @@ def _orbit_tallies(a, m):
     """Exponent-vector tallies of G-orbits (and coeven orbits) of
     E-partitions into [m], directly from the definitions."""
     orbits = _orbit_decomposition(a, enumerate_partitions(a, m))
+    odd = [g for g in a.elements if sign_of(g) < 0]
     all_counts = {}
     coeven_counts = {}
     for orbit in orbits:
@@ -153,7 +155,7 @@ def _orbit_tallies(a, m):
             exps[v - 1] += a.base.w[e]
         key = tuple(exps)
         all_counts[key] = all_counts.get(key, Fraction(0)) + 1
-        if _is_coeven(a, pi):
+        if _is_coeven(a, pi, odd):
             coeven_counts[key] = coeven_counts.get(key, Fraction(0)) + 1
     return all_counts, coeven_counts
 
