@@ -9,12 +9,8 @@ arguments.
 
 from qsymdp.equivariant import build_action, opposite1_action
 from qsymdp.gamma import WeightedDoublePoset
-from qsymdp.orderpoly import (
-    count_coeven_orbits_bruteforce,
-    count_orbits_bruteforce,
-    order_polynomial,
-    reciprocity_check,
-)
+from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
+from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import build
 
 

@@ -29,13 +29,10 @@ from .gamma import (
     antipode_theorem_check,
     gamma_coproduct_check,
     gamma_product_check,
-    is_epartition,
-    is_epartition_covers,
 )
 from .oracles import antipode_recursive
 from .orderpoly import (
     OrderPolynomial,
-    count_orbits_bruteforce,
     order_polynomial,
     reciprocity_check,
 )
@@ -66,7 +63,6 @@ from .young import (
     SkewShape,
     build_Y,
     build_Yh,
-    is_ssyt,
     schur_antipode_check,
     skew_schur,
 )

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .compositions import _parts
 from .poset import (
     DoublePoset,
-    Rel,
     admissible_pairs,
     disjoint_union,
     down_sets,
     from_dict,
     index_pairs,
-    is_tertispecial,
     opposite1,
     restrict,
 )
@@ -42,40 +40,6 @@ class WeightedDoublePoset:
     @property
     def degree(self) -> int:
         return sum(self.w.values())
-
-
-def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]:
-    """The test of a vector of values over declaration index: it weakly
-    increases along each pair i < j of rel, strictly when j <2 i."""
-    checks = [(i, j, p.lt2[j] >> i & 1) for i, j in index_pairs(rel)]
-
-    def holds(values: Sequence[int]) -> bool:
-        for i, j, strict in checks:
-            if values[i] + strict > values[j]:
-                return False
-        return True
-
-    return holds
-
-
-def _is_epartition_on(d: WeightedDoublePoset, rel: Rel, pi: Mapping[str, int]) -> bool:
-    elements = d.poset.elements
-    if set(pi) != set(elements):
-        raise ValueError("partition map must be total on the ground set")
-    return epartition_test(d.poset, rel)([pi[e] for e in elements])
-
-
-def is_epartition(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
-    """Weakly increasing along <1, strictly when the <2-reversal triggers."""
-    return _is_epartition_on(d, d.poset.lt1, pi)
-
-
-def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
-    """Cover-based E-partition test; valid only for tertispecial posets."""
-    p = d.poset
-    if not is_tertispecial(p):
-        raise NotTertispecialError("cover-based test requires a tertispecial poset")
-    return _is_epartition_on(d, p.covers(p.lt1), pi)
 
 
 def gamma(d: WeightedDoublePoset) -> QSymElem:

@@ -1,15 +1,21 @@
 """Brute-force reference computations, used by the self-test harness, the
-tests, and the orbit counts on the right-hand side of reciprocity.
+tests, and the orbit counts on the right-hand side of reciprocity.  No other
+module enumerates all maps E -> [m] or counts orbits map by map.
 
 The truncation references go through the raw definitions (all maps E -> [m],
 polynomials in m variables), never through the down-set chain sum or the
-quasi-shuffle, so that agreement is a genuine two-route check.  The recursive
-antipode solves m(S x id)Delta = u eps, independently of the closed form.  The
-fundamental expansion of Gamma over linear extensions is a third route, for
-special double posets, that shares no code with the other two.  The orbit
-sums are also summed element by element, in Fractions, as the paper defines
-them, against the class sums of the equivariant module; the automorphisms of a
-weighted double poset are found among all n! permutations.
+quasi-shuffle, so that agreement is a genuine two-route check.  The
+E-partition test of a map and the semistandard-tableau test of a filling are
+the definitions the fast routes are gated against; `epartitions_into`, the one
+enumeration of all maps, refuses more than ENUM_LIMIT of them.  The G-orbits
+(and E-coeven G-orbits) of E-partitions into [q] are counted by splitting that
+enumeration into orbits, for the order polynomial and reciprocity.  The
+recursive antipode solves m(S x id)Delta = u eps, independently of the closed
+form.  The fundamental expansion of Gamma over linear extensions is a third
+route, for special double posets, that shares no code with the other two.
+The orbit sums are also summed element by element, in Fractions, as the paper
+defines them, against the class sums of the equivariant module; the
+automorphisms of a weighted double poset are found among all n! permutations.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .compositions import Composition
 from .equivariant import GroupAction, Permutation, quotient_by, sign_of
-from .gamma import WeightedDoublePoset, epartition_test, gamma
-from .poset import index_pairs, is_special
-from .qsym import ONE, ZERO, Coeff, QSymElem, linear_combination, monomial, product
+from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
+from .poset import DoublePoset, Rel, index_pairs, is_special, is_tertispecial
+from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, linear_combination, monomial, product
+from .young import Cell, SkewShape
 
 Poly = Dict[Tuple[int, ...], Coeff]
 
@@ -71,9 +78,61 @@ def antipode_recursive(f: QSymElem) -> QSymElem:
     return linear_combination((c, _antipode_recursive_basis(alpha)) for alpha, c in f.terms.items())
 
 
+def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]:
+    """The test of a vector of values over declaration index: it weakly
+    increases along each pair i < j of rel, strictly when j <2 i."""
+    checks = [(i, j, p.lt2[j] >> i & 1) for i, j in index_pairs(rel)]
+
+    def holds(values: Sequence[int]) -> bool:
+        for i, j, strict in checks:
+            if values[i] + strict > values[j]:
+                return False
+        return True
+
+    return holds
+
+
+def _is_epartition_on(d: WeightedDoublePoset, rel: Rel, pi: Mapping[str, int]) -> bool:
+    elements = d.poset.elements
+    if set(pi) != set(elements):
+        raise ValueError("partition map must be total on the ground set")
+    return epartition_test(d.poset, rel)([pi[e] for e in elements])
+
+
+def is_epartition(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
+    """Weakly increasing along <1, strictly when the <2-reversal triggers."""
+    return _is_epartition_on(d, d.poset.lt1, pi)
+
+
+def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
+    """Cover-based E-partition test; valid only for tertispecial posets."""
+    p = d.poset
+    if not is_tertispecial(p):
+        raise NotTertispecialError("cover-based test requires a tertispecial poset")
+    return _is_epartition_on(d, p.covers(p.lt1), pi)
+
+
+def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
+    """Rows weakly increase left to right; columns strictly increase downward."""
+    cells = set(shape.cells)
+    if set(filling) != cells:
+        raise ValueError("filling must be total on the cells")
+    for (i, j) in cells:
+        if (i, j + 1) in cells and not filling[(i, j)] <= filling[(i, j + 1)]:
+            return False
+        if (i + 1, j) in cells and not filling[(i, j)] < filling[(i + 1, j)]:
+            return False
+    return True
+
+
 def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
-    """All E-partitions with values in {1,...,m}, by filtering all maps."""
+    """All E-partitions with values in {1,...,m}, by filtering all maps, after
+    a check of the number of maps it would try."""
     elems = d.poset.elements
+    if m < 0:
+        raise ValueError("q must be nonnegative")
+    if m ** len(elems) > ENUM_LIMIT:
+        raise BoundExceededError(f"{m}^{len(elems)} assignments exceed limit {ENUM_LIMIT}")
     holds = epartition_test(d.poset, d.poset.lt1)
     return [
         dict(zip(elems, values))
@@ -140,6 +199,51 @@ def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``."""
     terms = [(sign_of(g) if plus else 1, gamma(quotient_by(g, a.base))) for g in a.elements]
     return linear_combination(terms).scale(Fraction(1, a.order))
+
+
+def _act(g, values: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Action on maps as value vectors over declaration index: (g pi)(e) = pi(g^{-1} e)."""
+    out = [0] * len(g)
+    for i, v in zip(g, values):
+        out[i] = v
+    return tuple(out)
+
+
+def _orbit_decomposition(a: GroupAction, partitions: List[Dict[str, int]]):
+    """Split E-partitions into G-orbits; each orbit is a list of maps."""
+    vectors = [tuple(pi[e] for e in a.base.poset.elements) for pi in partitions]
+    index = {v: i for i, v in enumerate(vectors)}
+    seen = [False] * len(partitions)
+    orbits = []
+    for i, v in enumerate(vectors):
+        if seen[i]:
+            continue
+        orbit = []
+        for g in a.elements:
+            j = index[_act(g, v)]
+            if not seen[j]:
+                seen[j] = True
+                orbit.append(partitions[j])
+        orbits.append(orbit)
+    return orbits
+
+
+def count_orbits_bruteforce(a: GroupAction, q: int) -> int:
+    """Number of G-orbits of E-partitions into [q], by direct enumeration."""
+    return len(_orbit_decomposition(a, epartitions_into(a.base, q)))
+
+
+def _is_coeven(a: GroupAction, pi: Dict[str, int], odd: List[Permutation]) -> bool:
+    """True iff no odd permutation of G, from ``odd``, fixes pi."""
+    v = tuple(pi[e] for e in a.base.poset.elements)
+    return not any(_act(g, v) == v for g in odd)
+
+
+def count_coeven_orbits_bruteforce(a: GroupAction, q: int) -> int:
+    """Number of E-coeven G-orbits of E-partitions into [q]."""
+    orbits = _orbit_decomposition(a, epartitions_into(a.base, q))
+    odd = [g for g in a.elements if sign_of(g) < 0]
+    return sum(1 for orbit in orbits if _is_coeven(a, orbit[0], odd))
 
 
 def automorphisms(d: WeightedDoublePoset) -> List[Permutation]:

@@ -66,12 +66,6 @@ class DoublePoset:
     def size(self) -> int:
         return len(self.elements)
 
-    def less1(self, a, b) -> bool:
-        return bool(self.lt1[self.elements.index(a)] >> self.elements.index(b) & 1)
-
-    def less2(self, a, b) -> bool:
-        return bool(self.lt2[self.elements.index(a)] >> self.elements.index(b) & 1)
-
     def pairs(self, rel: Rel) -> List[Pair]:
         """The label pairs (a, b) with a < b in rel, in declaration order."""
         return [(self.elements[i], self.elements[j]) for i, j in index_pairs(rel)]
@@ -114,11 +108,6 @@ def is_special(d: DoublePoset) -> bool:
     return not any(_incomparable2(d))
 
 
-def is_semispecial(d: DoublePoset) -> bool:
-    """True iff every <1-comparable pair is <2-comparable."""
-    return not any(a & b for a, b in zip(d.lt1, _incomparable2(d)))
-
-
 def is_tertispecial(d: DoublePoset) -> bool:
     """True iff every <1-cover pair is <2-comparable."""
     return not any(a & b for a, b in zip(d.covers(d.lt1), _incomparable2(d)))
@@ -127,10 +116,6 @@ def is_tertispecial(d: DoublePoset) -> bool:
 def opposite1(d: DoublePoset) -> DoublePoset:
     """Replace <1 by its opposite relation, keeping <2."""
     return DoublePoset(elements=d.elements, lt1=transpose(d.lt1), lt2=d.lt2)
-
-
-def opposite2(d: DoublePoset) -> DoublePoset:
-    return DoublePoset(elements=d.elements, lt1=d.lt1, lt2=transpose(d.lt2))
 
 
 def restrict(d: DoublePoset, subset: Iterable[str]) -> DoublePoset:
@@ -197,16 +182,6 @@ def admissible_pairs(d: DoublePoset) -> List[AdmissiblePair]:
         )
         for p in down_sets(d)
     ]
-
-
-def to_json(d: DoublePoset) -> str:
-    return json.dumps(
-        {
-            "elements": list(d.elements),
-            "lt1": sorted([a, b] for a, b in d.pairs(d.lt1)),
-            "lt2": sorted([a, b] for a, b in d.pairs(d.lt2)),
-        }
-    )
 
 
 def from_dict(doc: Dict) -> DoublePoset:

@@ -1,6 +1,8 @@
 """The exhaustive verification suites in one ordered registry, shared by
 ``qsymdp selftest`` and the acceptance tests: SUITES maps a name to
-suite(size), a generator of one bool per counted check.
+suite(size), a generator of one bool per counted check.  Every brute-force
+side of a check comes from ``oracles``: the all-maps truncation of Gamma, the
+recursive antipode and the orbit counts of E-partitions.
 
 Calls go through module attributes, so that wrappers installed on the modules'
 names (perfbench's layer tracer) see them.
@@ -100,7 +102,7 @@ def equivariant_reciprocity(size: int) -> Iterator[bool]:
         a = equi.build_action(gm.WeightedDoublePoset(pos.build(labels, [], [])), [cycle])
         yield equi.equivariant_theorem_check(a)
         for q in range(4):
-            yield opoly.order_polynomial(a)(q) == opoly.count_orbits_bruteforce(a, q)
+            yield opoly.order_polynomial(a)(q) == oracles.count_orbits_bruteforce(a, q)
         for q in range(1, 4):
             yield opoly.reciprocity_check(a, q)
 

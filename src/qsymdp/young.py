@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Iterable, Tuple
 
 from .gamma import WeightedDoublePoset, gamma
 from .poset import DoublePoset, Rel
@@ -101,19 +101,6 @@ def build_Yh(shape: SkewShape) -> WeightedDoublePoset:
     """The special variant: same <1, but <2 is the total reading order
     (i,j) <h (i',j') iff i > i', or i = i' and j < j'."""
     return _cell_poset(shape, lambda a, b: a[0] > b[0] or (a[0] == b[0] and a[1] < b[1]))
-
-
-def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
-    """Rows weakly increase left to right; columns strictly increase downward."""
-    cells = set(shape.cells)
-    if set(filling) != cells:
-        raise ValueError("filling must be total on the cells")
-    for (i, j) in cells:
-        if (i, j + 1) in cells and not filling[(i, j)] <= filling[(i, j + 1)]:
-            return False
-        if (i + 1, j) in cells and not filling[(i, j)] < filling[(i + 1, j)]:
-            return False
-    return True
 
 
 def skew_schur(shape: SkewShape) -> QSymElem:

@@ -15,28 +15,15 @@ from qsymdp.equivariant import (
     equivariant_theorem_check,
     gamma_equivariant,
     gamma_plus,
-    sign_of,
 )
-from qsymdp.gamma import (
-    WeightedDoublePoset,
-    antipode_theorem_check,
-    gamma_product_check,
-    is_epartition,
-)
-from qsymdp.oracles import _expand
-from qsymdp.orderpoly import (
-    _is_coeven,
-    _orbit_decomposition,
-    count_orbits_bruteforce,
-    enumerate_partitions,
-    order_polynomial,
-    reciprocity_check,
-)
+from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check, gamma_product_check
+from qsymdp.oracles import _expand, count_orbits_bruteforce, is_epartition, is_ssyt
+from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import build
 from qsymdp.verify import SUITES
-from qsymdp.young import Partition, SkewShape, build_Y, is_ssyt, schur_antipode_check, skew_schur
+from qsymdp.young import Partition, SkewShape, build_Y, schur_antipode_check, skew_schur
 
-from conftest import all_double_posets, random_tertispecial_posets
+from conftest import all_double_posets, orbit_tallies, random_tertispecial_posets
 
 
 def report(name, ok):
@@ -141,31 +128,12 @@ def _criterion7_actions():
             yield from _component_permuting_actions(base, k, length)
 
 
-def _orbit_tallies(a, m):
-    """Exponent-vector tallies of G-orbits (and coeven orbits) of
-    E-partitions into [m], directly from the definitions."""
-    orbits = _orbit_decomposition(a, enumerate_partitions(a, m))
-    odd = [g for g in a.elements if sign_of(g) < 0]
-    all_counts = {}
-    coeven_counts = {}
-    for orbit in orbits:
-        pi = orbit[0]
-        exps = [0] * m
-        for e, v in pi.items():
-            exps[v - 1] += a.base.w[e]
-        key = tuple(exps)
-        all_counts[key] = all_counts.get(key, Fraction(0)) + 1
-        if _is_coeven(a, pi, odd):
-            coeven_counts[key] = coeven_counts.get(key, Fraction(0)) + 1
-    return all_counts, coeven_counts
-
-
 def test_criterion_7_equivariant_theorem():
     ok = True
     for a in _criterion7_actions():
         ok = ok and equivariant_theorem_check(a)
         m = min(4, a.base.poset.size + 1)
-        all_counts, coeven_counts = _orbit_tallies(a, m)
+        all_counts, coeven_counts = orbit_tallies(a, m)
         ok = ok and _expand(gamma_equivariant(a), m) == all_counts
         ok = ok and _expand(gamma_plus(a), m) == coeven_counts
     report("criterion-7 equivariant-theorem", ok)

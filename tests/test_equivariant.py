@@ -22,9 +22,18 @@ from qsymdp.equivariant import (
 )
 from qsymdp.compositions import Composition
 from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset, gamma
-from qsymdp.oracles import automorphisms, orbit_sum_by_elements
+from qsymdp.oracles import _expand, automorphisms, count_orbits_bruteforce, orbit_sum_by_elements
+from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import DoublePoset, all_double_posets, build, disjoint_union, index_pairs, is_tertispecial
 from qsymdp.qsym import monomial
+
+from conftest import (
+    aut_orbit_weight,
+    isomorphism_class_representatives,
+    less1,
+    orbit_tallies,
+    subgroup_generators,
+)
 
 
 def antichain(n, w=None):
@@ -113,7 +122,7 @@ def test_quotient_relations_any_representative():
     q = quotient_by(g, base)
     assert q.poset.size == 2
     (u, v) = q.poset.elements
-    assert q.poset.less1(u, v) or q.poset.less1(v, u)
+    assert less1(q.poset, u, v) or less1(q.poset, v, u)
 
 
 def test_gamma_equivariant_trivial_group():
@@ -390,3 +399,52 @@ def test_class_sizes_of_one_fail_the_gate():
             except AssertionError:
                 continue  # the sum was not even divisible by |G|
             assert wrong != orbit_sum_by_elements(a, plus=plus)
+
+
+def equivariant_gate_failures(n):
+    """The exhaustive equivariant gate at |E| = n: on every tertispecial
+    double poset up to isomorphism, under every subgroup of its automorphism
+    group, with unit weights and with a weight constant on each Aut-orbit,
+    the equivariant antipode theorem, Gamma(E, w, G) and Gamma+(E, w, G) in n
+    variables against the orbit tallies, the order polynomial against the
+    orbit counts at q = 0..2 and reciprocity at q = 0..2.  Returns the number
+    of (class, subgroup) pairs and the failed checks."""
+    pairs, failures = 0, []
+    for p in isomorphism_class_representatives(n):
+        if not is_tertispecial(p):
+            continue
+        unit = WeightedDoublePoset(p)
+        for gens in subgroup_generators(unit):
+            pairs += 1
+            for base in (unit, WeightedDoublePoset(p, aut_orbit_weight(unit))):
+                a = build_action(base, gens)
+                all_counts, coeven_counts = orbit_tallies(a, n)
+                omega = order_polynomial(a)
+                checks = {
+                    "theorem": equivariant_theorem_check(a),
+                    "orbit tallies": _expand(gamma_equivariant(a), n) == all_counts,
+                    "coeven tallies": _expand(gamma_plus(a), n) == coeven_counts,
+                }
+                for q in range(3):
+                    checks[f"order polynomial at {q}"] = omega(q) == count_orbits_bruteforce(a, q)
+                    checks[f"reciprocity at {q}"] = reciprocity_check(a, q)
+                failures += [(p, gens, base.w, name) for name, ok in checks.items() if not ok]
+    return pairs, failures
+
+
+def test_isomorphism_class_counts():
+    # double posets up to isomorphism: 1, 1, 5, 65 (Burnside)
+    assert [len(isomorphism_class_representatives(n)) for n in range(4)] == [1, 1, 5, 65]
+
+
+def test_subgroups_of_the_antichain_automorphisms():
+    # S_3 has 6 subgroups; S_2 has 2
+    assert len(subgroup_generators(antichain(3))) == 6
+    assert len(subgroup_generators(antichain(2))) == 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_equivariant_gate_on_every_class_and_subgroup(n):
+    pairs, failures = equivariant_gate_failures(n)
+    assert pairs > 0
+    assert failures == []

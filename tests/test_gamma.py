@@ -15,11 +15,15 @@ from qsymdp.gamma import (
     gamma,
     gamma_coproduct_check,
     gamma_product_check,
-    is_epartition,
-    is_epartition_covers,
     weighted_from_json,
 )
-from qsymdp.oracles import epartitions_into, gamma_linear_extensions, gamma_truncation_matches
+from qsymdp.oracles import (
+    epartitions_into,
+    gamma_linear_extensions,
+    gamma_truncation_matches,
+    is_epartition,
+    is_epartition_covers,
+)
 from qsymdp.poset import build, is_special, is_tertispecial
 from qsymdp.qsym import antipode_closed, coproduct, fundamental, monomial, product
 

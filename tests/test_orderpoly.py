@@ -4,15 +4,8 @@ import pytest
 
 from qsymdp.equivariant import build_action
 from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset
-from qsymdp.orderpoly import (
-    BoundExceededError,
-    OrderPolynomial,
-    count_coeven_orbits_bruteforce,
-    count_orbits_bruteforce,
-    enumerate_partitions,
-    order_polynomial,
-    reciprocity_check,
-)
+from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
+from qsymdp.orderpoly import OrderPolynomial, order_polynomial, reciprocity_check
 from qsymdp.poset import build
 
 
@@ -69,12 +62,6 @@ def test_order_polynomial_matches_bruteforce():
         omega = order_polynomial(a)
         for q in range(5):
             assert omega(q) == count_orbits_bruteforce(a, q)
-
-
-def test_enumerate_partitions_limit():
-    with pytest.raises(BoundExceededError):
-        enumerate_partitions(trivial_action(antichain(3)), 200)  # 200^3 > ENUM_LIMIT
-    assert enumerate_partitions(trivial_action(antichain(2)), 0) == []
 
 
 def test_coeven_counts_swap():

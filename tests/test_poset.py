@@ -14,17 +14,23 @@ from qsymdp.poset import (
     disjoint_union,
     down_sets,
     from_json,
-    is_semispecial,
     is_special,
     is_tertispecial,
     opposite1,
-    opposite2,
     restrict,
-    to_json,
     transitive_closure,
 )
 
-from conftest import all_double_posets, labels_for, random_double_poset
+from conftest import (
+    all_double_posets,
+    is_semispecial,
+    labels_for,
+    less1,
+    less2,
+    opposite2,
+    random_double_poset,
+    to_json,
+)
 
 
 def test_transitive_closure_chain():
@@ -141,7 +147,7 @@ def test_admissible_pairs_against_raw_definition():
         for chi in itertools.product((0, 1), repeat=len(elems)):
             p = tuple(e for e, c in zip(elems, chi) if c)
             q = tuple(e for e in elems if e not in p)
-            if not any(d.less1(b, a) for a in p for b in q):
+            if not any(less1(d, b, a) for a in p for b in q):
                 expected.add((p, q))
         assert got == expected
 
@@ -156,7 +162,7 @@ def test_json_round_trip():
     assert from_json(to_json(d)) == d
     doc = {"elements": ["x", "y"], "lt1": [["x", "y"]], "lt2": []}
     d2 = from_json(json.dumps(doc))
-    assert d2.less1("x", "y") and not d2.less2("x", "y")
+    assert less1(d2, "x", "y") and not less2(d2, "x", "y")
 
 
 def test_from_json_rejects_malformed():
@@ -200,8 +206,8 @@ def test_mask_operations_match_label_pair_definitions(n, rng, data):
     lt1, lt2 = label_pairs(d, d.lt1), label_pairs(d, d.lt2)
     assert d.pairs(d.lt1) == sorted(lt1, key=lambda p: (elems.index(p[0]), elems.index(p[1])))
     for a, b in itertools.product(elems, repeat=2):
-        assert d.less1(a, b) == ((a, b) in lt1)
-        assert d.less2(a, b) == ((a, b) in lt2)
+        assert less1(d, a, b) == ((a, b) in lt1)
+        assert less2(d, a, b) == ((a, b) in lt2)
     covers = covers_by_definition(elems, lt1)
     assert set(d.pairs(d.covers(d.lt1))) == covers
     assert is_special(d) == all(

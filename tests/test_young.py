@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qsymdp.compositions import Composition
-from qsymdp.gamma import gamma, is_epartition
-from qsymdp.oracles import gamma_linear_extensions
+from qsymdp.gamma import gamma
+from qsymdp.oracles import gamma_linear_extensions, is_epartition, is_ssyt
 from qsymdp.poset import is_special, is_tertispecial
 from qsymdp.qsym import monomial
 from qsymdp.young import (
@@ -15,7 +15,6 @@ from qsymdp.young import (
     build_Yh,
     conjugate_partition,
     conjugate_shape,
-    is_ssyt,
     parse_partition,
     parse_shape,
     schur_antipode_check,
