@@ -37,10 +37,8 @@ from .orderpoly import (
     reciprocity_check,
 )
 from .poset import (
-    AdmissiblePair,
     CycleError,
     DoublePoset,
-    admissible_pairs,
     build,
     disjoint_union,
     is_special,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List
 
@@ -197,10 +198,9 @@ def cmd_selftest(args) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    if not re.fullmatch("[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be written in the digits 0-9, got {text!r}")
+    return int(text)
 
 
 def make_parser() -> argparse.ArgumentParser:

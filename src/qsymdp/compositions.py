@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, List, Tuple
 
 
@@ -94,11 +95,16 @@ def format_composition(alpha: Composition) -> str:
     return "(" + ",".join(str(p) for p in alpha) + ")"
 
 
-def parse_composition(text: str) -> Composition:
+def parse_parts(text: str, brackets: str, name: str) -> Tuple[int, ...]:
+    """The parts of text such as "(3, 1)" for brackets "()": ASCII [0-9]+, spaces around each allowed."""
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"composition must be parenthesized: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return Composition()
-    return Composition(int(p) for p in inner.split(","))
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise ValueError(f"{name} must be enclosed in {brackets}: {text!r}")
+    parts = [p.strip() for p in text[1:-1].split(",")] if text[1:-1].strip() else []
+    if not all(re.fullmatch("[0-9]+", p) for p in parts):
+        raise ValueError(f"{name} parts must be written in the digits 0-9: {text!r}")
+    return tuple(map(int, parts))
+
+
+def parse_composition(text: str) -> Composition:
+    return Composition(parse_parts(text, "()", "composition"))

@@ -9,7 +9,6 @@ from typing import Dict, List, Mapping, Tuple
 from .compositions import _parts
 from .poset import (
     DoublePoset,
-    admissible_pairs,
     disjoint_union,
     down_sets,
     from_dict,
@@ -17,7 +16,7 @@ from .poset import (
     opposite1,
     restrict,
 )
-from .qsym import QSymElem, antipode_closed, coproduct, product
+from .qsym import ENUM_LIMIT, BoundExceededError, QSymElem, antipode_closed, coproduct, product
 
 
 class NotTertispecialError(ValueError):
@@ -50,11 +49,14 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     in which no block D_i - D_{i-1} holds a pair e <1 f with f <2 e; it
     contributes M_alpha with alpha_i = w(D_i) - w(D_{i-1}).  chains[D] maps the
     mask of the partial weights w(D_0) = 0, ..., w(D_{i-1}) to the number of
-    such chains up to D = D_i.
+    such chains up to D = D_i.  The bound counts each down-set once per 64-bit
+    word of a degree-n mask, before any such mask is built.
     """
-    p = d.poset
+    p, n = d.poset, d.degree
     reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(p.lt1) if p.lt2[j] >> i & 1]
     downs = sorted(down_sets(p), key=int.bit_count)
+    if len(downs) * (n // 64 + 1) > ENUM_LIMIT:
+        raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} down-set words")
     weight = {s: sum(d.w[e] for i, e in enumerate(p.elements) if s >> i & 1) for s in downs}
     chains: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for top in downs[1:]:
@@ -71,7 +73,6 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
                 key = mask | cut
                 into[key] = into.get(key, 0) + c
         chains[top] = into
-    n = d.degree
     return QSymElem({_parts(n, mask): c for mask, c in chains[downs[-1]].items()})
 
 
@@ -87,17 +88,18 @@ def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, t
 
 def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
     """True iff Delta(Gamma(E,w)) equals the sum over admissible pairs (P, Q)
-    of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q)."""
+    of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q): P a <1-down-set, Q its complement."""
     # a subset can be the P of one pair and the Q of another
-    parts: Dict[Tuple[str, ...], QSymElem] = {}
+    parts: Dict[int, QSymElem] = {}
 
-    def part(labels):
-        if labels not in parts:
-            w = {e: d.w[e] for e in labels}
-            parts[labels] = gamma(WeightedDoublePoset(poset=restrict(d.poset, labels), w=w))
-        return parts[labels]
+    def part(mask):
+        if mask not in parts:
+            r = restrict(d.poset, mask)
+            parts[mask] = gamma(WeightedDoublePoset(poset=r, w={e: d.w[e] for e in r.elements}))
+        return parts[mask]
 
-    rhs_pairs = [(part(pair.p), part(pair.q)) for pair in admissible_pairs(d.poset)]
+    full = (1 << d.poset.size) - 1
+    rhs_pairs = [(part(p), part(full ^ p)) for p in down_sets(d.poset)]
     return _tensor_table(coproduct(gamma(d))) == _tensor_table(rhs_pairs)
 
 

@@ -118,12 +118,11 @@ def opposite1(d: DoublePoset) -> DoublePoset:
     return DoublePoset(elements=d.elements, lt1=transpose(d.lt1), lt2=d.lt2)
 
 
-def restrict(d: DoublePoset, subset: Iterable[str]) -> DoublePoset:
-    subset = set(subset)
-    unknown = subset - set(d.elements)
-    if unknown:
-        raise ValueError(f"unknown labels {sorted(unknown)}")
-    kept = [i for i, e in enumerate(d.elements) if e in subset]
+def restrict(d: DoublePoset, mask: int) -> DoublePoset:
+    """The double poset induced on the elements whose declaration index is set in mask."""
+    if mask < 0 or mask >> d.size:
+        raise ValueError(f"mask {mask:#b} has bits outside the {d.size} elements")
+    kept = [i for i in range(d.size) if mask >> i & 1]
 
     def squeeze(rel: Rel) -> Rel:
         return tuple(sum(1 << k for k, j in enumerate(kept) if rel[i] >> j & 1) for i in kept)
@@ -143,17 +142,10 @@ def disjoint_union(d1: DoublePoset, d2: DoublePoset) -> DoublePoset:
     )
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    """A partition (p, q) of the ground set with p a down-set of <1."""
-
-    p: Tuple[str, ...]
-    q: Tuple[str, ...]
-
-
 def down_sets(d: DoublePoset) -> List[int]:
     """All down-sets of (E, <1) as bitmasks, lexicographic in the
-    characteristic vector (element 0 first).
+    characteristic vector (element 0 first).  They are the P of the admissible
+    pairs (P, Q): no p in P, q in Q with q <1 p, so Q is the complement of P.
 
     Built in declaration order: e may be left out unless a chosen f has e <1 f,
     and put in unless a left-out f has f <1 e; as <1 is transitive, no branch
@@ -170,18 +162,6 @@ def down_sets(d: DoublePoset) -> List[int]:
                 nxt.append((chosen | bit, blocked))
         states = nxt
     return [chosen for chosen, _ in states]
-
-
-def admissible_pairs(d: DoublePoset) -> List[AdmissiblePair]:
-    """All admissible partitions (P, Q): no p in P, q in Q with q <1 p."""
-    e = d.elements
-    return [
-        AdmissiblePair(
-            p=tuple(x for i, x in enumerate(e) if p >> i & 1),
-            q=tuple(x for i, x in enumerate(e) if not p >> i & 1),
-        )
-        for p in down_sets(d)
-    ]
 
 
 def from_dict(doc: Dict) -> DoublePoset:

@@ -163,10 +163,13 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     """S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma, extended linearly: in degree n,
     S(f)[G] = sum over E >= G of c'[E] with c'[D(rev alpha)] = (-1)^l c_alpha, a superset-sum run by
     Yates's passes on one sub-cube per maximal mask of the support: at most the 2^|D(rev alpha)| cells
-    per term the closed form visits.  The bound counts a cell once per 64-bit word of its cube's top."""
+    per term the closed form visits.  The bound counts a cell once per 64-bit word of a degree-n mask."""
     by_degree: Dict[int, Dict[int, Coeff]] = {}
     for alpha, c in f.terms.items():
-        by_degree.setdefault(sum(alpha), {})[descent_set(reverse(alpha))] = -c if len(alpha) & 1 else c
+        n = sum(alpha)
+        if n // 64 >= ENUM_LIMIT:  # one cell is over, so refuse before building a degree-n mask
+            raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
+        by_degree.setdefault(n, {})[descent_set(reverse(alpha))] = -c if len(alpha) & 1 else c
     terms: Dict[Comp, Coeff] = {}
     cells = 0
     for n, values in by_degree.items():
@@ -174,7 +177,7 @@ def antipode_closed(f: QSymElem) -> QSymElem:
         cubes = []  # each a dict from its sub-masks, in index order, to their values
         for mask in sorted(values, key=int.bit_count, reverse=True):
             if mask not in where:
-                cells += (1 << mask.bit_count()) * (mask.bit_length() // 64 + 1)
+                cells += (1 << mask.bit_count()) * (n // 64 + 1)
                 if cells > ENUM_LIMIT:
                     raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
                 cube = dict.fromkeys(submasks(mask), 0)
@@ -238,7 +241,7 @@ def format_qsym(f: QSymElem) -> str:
     return "".join(pieces)
 
 
-_TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?M\(([\d,\s]*)\)$")
+_TERM_RE = re.compile(r"^(?:([0-9]+(?:/[0-9]+)?)\*)?M\(([0-9,\s]*)\)$")
 
 
 def parse_qsym(text: str) -> QSymElem:

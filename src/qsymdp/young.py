@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+from .compositions import parse_parts
 from .gamma import WeightedDoublePoset, gamma
 from .poset import DoublePoset, Rel
 from .qsym import QSymElem, antipode_closed
@@ -115,17 +116,11 @@ def schur_antipode_check(shape: SkewShape) -> bool:
     return lhs == rhs
 
 
-_SHAPE_RE = re.compile(r"^\s*(\[[\d,\s]*\])\s*(?:/\s*(\[[\d,\s]*\]))?\s*$")
+_SHAPE_RE = re.compile(r"^\s*(\[[0-9,\s]*\])\s*(?:/\s*(\[[0-9,\s]*\]))?\s*$")
 
 
 def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"partition must be bracketed: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return Partition()
-    return Partition(int(p) for p in inner.split(","))
+    return Partition(parse_parts(text, "[]", "partition"))
 
 
 def parse_shape(text: str) -> SkewShape:

@@ -114,6 +114,71 @@ def test_antipode_above_the_enumeration_limit_exits_2(capsys, argv):
     assert err.startswith("error: ") and "2000000" in err
 
 
+# Text inputs take ASCII [0-9]+ only (int() would also take "1_0", "+2" and
+# other scripts' digits), and a part or weight of 2^63 or more is refused by
+# the work bound before any mask of that many bits is built.
+HUGE = 10**21
+HOSTILE_ARGV = [
+    ["antipode-m", "(1_0)"],
+    ["antipode-m", "(+2, 1)"],
+    ["antipode-m", "(\u0661,\u0662)"],
+    ["antipode-f", "(2,\uff11)"],
+    ["schur", "[\u0662,1]"],
+    ["verify-schur", "[+2]"],
+    ["selftest", "--max-size", "0_0"],
+    ["selftest", "--max-size", " 1"],
+    ["schur", "[2,1]", "--max-cells", "1_0"],
+    ["--group-cap", "+2", "equivariant", "P", "G"],
+    ["reciprocity", "P", "G", "--q", "\u0663"],
+    ["antipode-m", f"({HUGE})"],
+    ["antipode-m", f"(1,{HUGE})"],
+    ["--json", "antipode-m", f"({HUGE},1,1)"],
+    ["antipode-f", f"({HUGE})"],
+]
+HOSTILE_DOCS = [  # (poset, group generators)
+    ({"elements": ["a"], "w": {"a": HUGE}}, []),
+    ({"elements": ["a", "b"], "lt1": [["a", "b"]], "lt2": [["a", "b"]], "w": {"a": 2**63, "b": 1}}, []),
+    ({"elements": ["a", "b"], "w": {"a": HUGE, "b": HUGE}}, [{"a": "b", "b": "a"}]),
+]
+HOSTILE_COMMANDS = [
+    ["gamma", "P"],
+    ["verify-antipode", "P"],
+    ["coproduct", "P"],
+    ["product", "P", "P"],
+    ["equivariant", "P", "G"],
+    ["equivariant", "--plus", "P", "G"],
+    ["verify-equivariant", "P", "G"],
+]
+
+
+def hostile_run(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse's own exit; any other exception fails the test
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") or err.startswith("usage: qsymdp"), err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", HOSTILE_ARGV, ids=ascii)
+def test_hostile_text_input_exits_2(capsys, antichain2, swap_group, argv):
+    hostile_run(capsys, [{"P": antichain2, "G": swap_group}.get(a, a) for a in argv])
+
+
+@pytest.mark.parametrize("command", HOSTILE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("doc, generators", HOSTILE_DOCS, ids=["one-huge", "chain-2^63", "two-huge"])
+def test_hostile_weight_exits_2(capsys, tmp_path, command, doc, generators):
+    files = {
+        "P": write_poset(tmp_path, "p.json", doc),
+        "G": write_poset(tmp_path, "g.json", {"generators": generators}),
+    }
+    err = hostile_run(capsys, [files.get(a, a) for a in command])
+    assert err.startswith("error: ") and "2000000" in err
+
+
 def test_antipode_f_at_degree_18(capsys):
     code, out, _ = invoke(capsys, "--json", "antipode-f", "(2,3,4,1,4,4)")
     assert code == 0

@@ -13,7 +13,9 @@ from qsymdp.compositions import (
     parse_composition,
     reverse,
 )
+from qsymdp.qsym import parse_qsym
 from qsymdp.verify import compositions_round_trip, descent_sets_round_trip
+from qsymdp.young import parse_partition
 
 comps = st.lists(st.integers(min_value=1, max_value=6), max_size=6).map(Composition)
 
@@ -113,3 +115,29 @@ def test_reverse_involution(alpha):
 def test_format_examples():
     assert format_composition(Composition()) == "()"
     assert format_composition(Composition([2, 1, 3])) == "(2,1,3)"
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (parse_composition, "(1_0)"),
+        (parse_composition, "(+2, 1)"),
+        (parse_composition, "(١,٢)"),
+        (parse_composition, "(2,)"),
+        (parse_partition, "[٢,1]"),
+        (parse_partition, "[-1]"),
+        (parse_qsym, "M(1_0)"),
+        (parse_qsym, "٢*M(1)"),
+        (parse_qsym, "M(١)"),
+        (parse_qsym, "1_0*M(1)"),
+    ],
+)
+def test_text_readers_take_ascii_digits_only(read, text):
+    with pytest.raises(ValueError):
+        read(text)
+
+
+def test_text_readers_allow_spaces_around_parts():
+    assert parse_composition(" ( 2 , 1 ) ") == (2, 1)
+    assert parse_partition("[ 2 ,1 ]") == (2, 1)
+    assert parse_composition("( )") == ()

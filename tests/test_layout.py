@@ -64,3 +64,13 @@ def test_epartitions_into_limit():
     assert epartitions_into(antichain(2), 0) == []
     with pytest.raises(ValueError):
         epartitions_into(antichain(2), -1)
+
+
+def test_no_admissible_pair_type():
+    # a subset of E is a mask over declaration index; the P of the admissible
+    # pairs (P, Q) are poset.down_sets and Q is the complement
+    gone = {"AdmissiblePair", "admissible_pairs"}
+    for info in pkgutil.iter_modules(qsymdp.__path__):
+        module = importlib.import_module(f"qsymdp.{info.name}")
+        assert gone & set(vars(module)) == set(), info.name
+    assert gone & set(vars(qsymdp)) == set()

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsymdp.poset import (
-    AdmissiblePair,
     CycleError,
     DoublePoset,
-    admissible_pairs,
     all_strict_orders,
     build,
     disjoint_union,
@@ -96,12 +94,14 @@ def test_opposite1_preserves_tertispecial():
 
 def test_restrict():
     d = build("abc", [("a", "b"), ("b", "c")], [("c", "a")])
-    r = restrict(d, ["a", "c"])
+    r = restrict(d, 0b101)  # bit i keeps element i: a and c
     assert r.elements == ("a", "c")
     assert r.pairs(r.lt1) == [("a", "c")]
     assert r.pairs(r.lt2) == [("c", "a")]
-    with pytest.raises(ValueError):
-        restrict(d, ["z"])
+    assert restrict(d, 0b111) == d and restrict(d, 0).elements == ()
+    for out_of_range in (0b1000, 0b1101, -1):
+        with pytest.raises(ValueError):
+            restrict(d, out_of_range)
 
 
 def test_disjoint_union_tags():
@@ -139,22 +139,19 @@ def test_down_sets_sequence_drawn(n, rng):
     assert list(down_sets(d)) == list(down_sets_by_filter(d))
 
 
-def test_admissible_pairs_against_raw_definition():
+def test_down_sets_are_the_p_of_admissible_pairs():
+    # (P, Q) is admissible iff no p in P, q in Q has q <1 p, i.e. iff the
+    # complement Q of P is an up-set: exactly when P is a down-set
     for d in all_double_posets(3):
-        got = set((p.p, p.q) for p in admissible_pairs(d))
-        expected = set()
         elems = d.elements
+        expected = []
         for chi in itertools.product((0, 1), repeat=len(elems)):
-            p = tuple(e for e, c in zip(elems, chi) if c)
-            q = tuple(e for e in elems if e not in p)
+            p = [e for e, c in zip(elems, chi) if c]
+            q = [e for e, c in zip(elems, chi) if not c]
             if not any(less1(d, b, a) for a in p for b in q):
-                expected.add((p, q))
-        assert got == expected
-
-
-def test_admissible_pairs_count_antichain():
-    d = build("abc", [], [])
-    assert len(admissible_pairs(d)) == 8
+                expected.append(sum(c << i for i, c in enumerate(chi)))
+        assert sorted(down_sets(d)) == sorted(expected)
+    assert len(down_sets(build("abc", [], []))) == 8
 
 
 def test_json_round_trip():
@@ -218,8 +215,9 @@ def test_mask_operations_match_label_pair_definitions(n, rng, data):
     op = opposite1(d)
     assert label_pairs(op, op.lt1) == {(b, a) for a, b in lt1}
     assert label_pairs(op, op.lt2) == lt2
-    subset = data.draw(st.sets(st.sampled_from(elems)))
-    r = restrict(d, subset)
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    subset = {e for i, e in enumerate(elems) if mask >> i & 1}
+    r = restrict(d, mask)
     assert r.elements == tuple(e for e in elems if e in subset)
     assert label_pairs(r, r.lt1) == {p for p in lt1 if set(p) <= subset}
     assert label_pairs(r, r.lt2) == {p for p in lt2 if set(p) <= subset}
