@@ -139,19 +139,33 @@ def test_down_sets_sequence_drawn(n, rng):
     assert list(down_sets(d)) == list(down_sets_by_filter(d))
 
 
-def test_down_sets_are_the_p_of_admissible_pairs():
+def admissible_pairs_from_down_sets(d):
+    """The admissible pairs (P, Q) of d as label tuples: P a down-set, Q its complement."""
+    elems = d.elements
+    for mask in down_sets(d):
+        p = tuple(e for i, e in enumerate(elems) if mask >> i & 1)
+        q = tuple(e for i, e in enumerate(elems) if not mask >> i & 1)
+        yield p, q
+
+
+def test_admissible_pairs_against_raw_definition():
     # (P, Q) is admissible iff no p in P, q in Q has q <1 p, i.e. iff the
     # complement Q of P is an up-set: exactly when P is a down-set
     for d in all_double_posets(3):
+        got = set(admissible_pairs_from_down_sets(d))
+        expected = set()
         elems = d.elements
-        expected = []
         for chi in itertools.product((0, 1), repeat=len(elems)):
-            p = [e for e, c in zip(elems, chi) if c]
-            q = [e for e, c in zip(elems, chi) if not c]
+            p = tuple(e for e, c in zip(elems, chi) if c)
+            q = tuple(e for e in elems if e not in p)
             if not any(less1(d, b, a) for a in p for b in q):
-                expected.append(sum(c << i for i, c in enumerate(chi)))
-        assert sorted(down_sets(d)) == sorted(expected)
-    assert len(down_sets(build("abc", [], []))) == 8
+                expected.add((p, q))
+        assert got == expected
+
+
+def test_admissible_pairs_count_antichain():
+    d = build("abc", [], [])
+    assert len(list(admissible_pairs_from_down_sets(d))) == 8
 
 
 def test_json_round_trip():
