@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
 
 from .compositions import _parts
 from .poset import (
     DoublePoset,
+    Rel,
     disjoint_union,
     down_sets,
     from_dict,
@@ -41,6 +43,15 @@ class WeightedDoublePoset:
         return sum(self.w.values())
 
 
+# Bound of gamma_of_orders.  The coproduct rule takes Gamma of restrictions that
+# recur across posets: `selftest --max-size 3` makes 4266 calls on 744 distinct
+# keys, all of whose repeats 1024 entries keep; at size 4, 77% of the calls hit
+# and peak RSS goes from 23.2 to 25.0 MB, where an unbounded cache reached 138 MB.
+# It is a module-level lru_cache, so clearing the package's caches starts it
+# cold, as a fresh process does.
+GAMMA_CACHE_SIZE = 1024
+
+
 def gamma(d: WeightedDoublePoset) -> QSymElem:
     """Gamma(E, w) in the monomial basis, summed over chains of <1-down-sets.
 
@@ -51,13 +62,25 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     mask of the partial weights w(D_0) = 0, ..., w(D_{i-1}) to the number of
     such chains up to D = D_i.  The bound counts each down-set once per 64-bit
     word of a degree-n mask, before any such mask is built.
+
+    Gamma does not depend on the labels, so it is memoised, in the bounded
+    `gamma_of_orders`, on (<1, <2, the weights in declaration order): relabelled
+    copies share one result.  The returned QSymElem is shared between callers;
+    no caller may mutate its terms.  A refused Gamma is not cached.
     """
-    p, n = d.poset, d.degree
+    p = d.poset
+    return gamma_of_orders(p.lt1, p.lt2, tuple(d.w[e] for e in p.elements))
+
+
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
+def gamma_of_orders(lt1: Rel, lt2: Rel, w: Tuple[int, ...]) -> QSymElem:
+    """Gamma of the double poset with orders lt1, lt2 and weights w over the declaration index."""
+    p, n = DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt2), sum(w)
     reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(p.lt1) if p.lt2[j] >> i & 1]
     downs = sorted(down_sets(p), key=int.bit_count)
     if len(downs) * (n // 64 + 1) > ENUM_LIMIT:
         raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} down-set words")
-    weight = {s: sum(d.w[e] for i, e in enumerate(p.elements) if s >> i & 1) for s in downs}
+    weight = {s: sum(w[i] for i in range(len(w)) if s >> i & 1) for s in downs}
     chains: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for top in downs[1:]:
         into: Dict[int, int] = {}

@@ -6,8 +6,9 @@ The truncation references go through the raw definitions (all maps E -> [m],
 polynomials in m variables), never through the down-set chain sum or the
 quasi-shuffle, so that agreement is a genuine two-route check.  The
 E-partition test of a map and the semistandard-tableau test of a filling are
-the definitions the fast routes are gated against; `epartitions_into`, the one
-enumeration of all maps, refuses more than ENUM_LIMIT of them.  The G-orbits
+the definitions the fast routes are gated against; `_epartition_vectors`, the
+one enumeration of all maps, refuses more than ENUM_LIMIT of them, and
+`epartitions_into` gives its E-partitions as maps from the labels.  The G-orbits
 (and E-coeven G-orbits) of E-partitions into [q] are counted by splitting that
 enumeration into orbits, for the order polynomial and reciprocity.  The
 recursive antipode solves m(S x id)Delta = u eps, independently of the closed
@@ -125,29 +126,32 @@ def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
     return True
 
 
-def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
-    """All E-partitions with values in {1,...,m}, by filtering all maps, after
-    a check of the number of maps it would try."""
-    elems = d.poset.elements
+def _epartition_vectors(d: WeightedDoublePoset, m: int) -> List[Tuple[int, ...]]:
+    """All E-partitions with values in {1,...,m}, as value vectors over the
+    declaration index, by filtering all maps, after a check of the number of
+    maps it would try."""
+    n = d.poset.size
     if m < 0:
         raise ValueError("q must be nonnegative")
-    if m ** len(elems) > ENUM_LIMIT:
-        raise BoundExceededError(f"{m}^{len(elems)} assignments exceed limit {ENUM_LIMIT}")
+    if m ** n > ENUM_LIMIT:
+        raise BoundExceededError(f"{m}^{n} assignments exceed limit {ENUM_LIMIT}")
     holds = epartition_test(d.poset, d.poset.lt1)
-    return [
-        dict(zip(elems, values))
-        for values in itertools.product(range(1, m + 1), repeat=len(elems))
-        if holds(values)
-    ]
+    return [values for values in itertools.product(range(1, m + 1), repeat=n) if holds(values)]
+
+
+def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
+    """All E-partitions with values in {1,...,m}, as maps from the labels."""
+    return [dict(zip(d.poset.elements, values)) for values in _epartition_vectors(d, m)]
 
 
 def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
     """The truncation of Gamma(E, w) to m variables, summed map by map."""
+    w = [d.w[e] for e in d.poset.elements]
     poly: Poly = {}
-    for pi in epartitions_into(d, m):
+    for values in _epartition_vectors(d, m):
         exps = [0] * m
-        for e, i in pi.items():
-            exps[i - 1] += d.w[e]
+        for weight, i in zip(w, values):
+            exps[i - 1] += weight
         key = tuple(exps)
         poly[key] = poly.get(key, 0) + 1
     return poly
@@ -209,11 +213,10 @@ def _act(g, values: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_decomposition(a: GroupAction, partitions: List[Dict[str, int]]):
-    """Split E-partitions into G-orbits; each orbit is a list of maps."""
-    vectors = [tuple(pi[e] for e in a.base.poset.elements) for pi in partitions]
+def _orbit_decomposition(a: GroupAction, vectors: List[Tuple[int, ...]]) -> List[List[Tuple[int, ...]]]:
+    """Split E-partitions, as value vectors, into G-orbits; each orbit is a list of vectors."""
     index = {v: i for i, v in enumerate(vectors)}
-    seen = [False] * len(partitions)
+    seen = [False] * len(vectors)
     orbits = []
     for i, v in enumerate(vectors):
         if seen[i]:
@@ -223,27 +226,26 @@ def _orbit_decomposition(a: GroupAction, partitions: List[Dict[str, int]]):
             j = index[_act(g, v)]
             if not seen[j]:
                 seen[j] = True
-                orbit.append(partitions[j])
+                orbit.append(vectors[j])
         orbits.append(orbit)
     return orbits
 
 
 def count_orbits_bruteforce(a: GroupAction, q: int) -> int:
     """Number of G-orbits of E-partitions into [q], by direct enumeration."""
-    return len(_orbit_decomposition(a, epartitions_into(a.base, q)))
+    return len(_orbit_decomposition(a, _epartition_vectors(a.base, q)))
 
 
-def _is_coeven(a: GroupAction, pi: Dict[str, int], odd: List[Permutation]) -> bool:
-    """True iff no odd permutation of G, from ``odd``, fixes pi."""
-    v = tuple(pi[e] for e in a.base.poset.elements)
+def _is_coeven(v: Tuple[int, ...], odd: List[Permutation]) -> bool:
+    """True iff no odd permutation of G, from ``odd``, fixes the value vector v."""
     return not any(_act(g, v) == v for g in odd)
 
 
 def count_coeven_orbits_bruteforce(a: GroupAction, q: int) -> int:
     """Number of E-coeven G-orbits of E-partitions into [q]."""
-    orbits = _orbit_decomposition(a, epartitions_into(a.base, q))
+    orbits = _orbit_decomposition(a, _epartition_vectors(a.base, q))
     odd = [g for g in a.elements if sign_of(g) < 0]
-    return sum(1 for orbit in orbits if _is_coeven(a, orbit[0], odd))
+    return sum(1 for orbit in orbits if _is_coeven(orbit[0], odd))
 
 
 def automorphisms(d: WeightedDoublePoset) -> List[Permutation]:

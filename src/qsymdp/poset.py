@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .qsym import ENUM_LIMIT, BoundExceededError
+
 Pair = Tuple[str, str]
 Rel = Tuple[int, ...]  # rel[i]: bitmask of the j with i < j, over declaration index
 
@@ -192,8 +194,11 @@ def from_json(text: str) -> DoublePoset:
 
 def all_strict_orders(elements: Sequence[str]) -> List[Rel]:
     """All strict partial orders on the given labels (exhaustive; desk scale):
-    the transitive ones among all 0/1 vectors over the pairs i != j, in order."""
+    the transitive ones among all 0/1 vectors over the pairs i != j, in order.
+    More than ENUM_LIMIT vectors are refused before the first is tried."""
     n = len(elements)
+    if n * (n - 1) >= ENUM_LIMIT.bit_length():  # 2^(n(n-1)) > ENUM_LIMIT, without the power
+        raise BoundExceededError(f"2^{n * (n - 1)} candidate orders on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     orders = []
     for chosen in itertools.product((0, 1), repeat=len(slots)):
@@ -207,9 +212,12 @@ def all_strict_orders(elements: Sequence[str]) -> List[Rel]:
 
 
 def all_double_posets(n: int) -> List[DoublePoset]:
-    """All double posets on the labels a, b, c, ... (n of them), in a fixed order."""
+    """All double posets on the labels a, b, c, ... (n of them), in a fixed order;
+    more than ENUM_LIMIT of them are refused before the first is built."""
     labels = tuple(chr(ord("a") + i) for i in range(n))
     orders = all_strict_orders(labels)
+    if len(orders) ** 2 > ENUM_LIMIT:
+        raise BoundExceededError(f"{len(orders)}^2 double posets on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
     return [
         DoublePoset(elements=labels, lt1=lt1, lt2=lt2) for lt1 in orders for lt2 in orders
     ]

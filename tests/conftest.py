@@ -7,7 +7,7 @@ import pytest
 
 from qsymdp.equivariant import build_action, sign_of
 from qsymdp.gamma import WeightedDoublePoset
-from qsymdp.oracles import _is_coeven, _orbit_decomposition, automorphisms, epartitions_into
+from qsymdp.oracles import _epartition_vectors, _is_coeven, _orbit_decomposition, automorphisms
 from qsymdp.poset import (
     DoublePoset,
     _incomparable2,
@@ -76,18 +76,18 @@ def to_json(d) -> str:
 def orbit_tallies(a, m):
     """Exponent-vector tallies of G-orbits (and coeven orbits) of
     E-partitions into [m], directly from the definitions."""
-    orbits = _orbit_decomposition(a, epartitions_into(a.base, m))
+    orbits = _orbit_decomposition(a, _epartition_vectors(a.base, m))
     odd = [g for g in a.elements if sign_of(g) < 0]
     all_counts = {}
     coeven_counts = {}
     for orbit in orbits:
-        pi = orbit[0]
+        values = orbit[0]
         exps = [0] * m
-        for e, v in pi.items():
+        for e, v in zip(a.base.poset.elements, values):
             exps[v - 1] += a.base.w[e]
         key = tuple(exps)
         all_counts[key] = all_counts.get(key, Fraction(0)) + 1
-        if _is_coeven(a, pi, odd):
+        if _is_coeven(values, odd):
             coeven_counts[key] = coeven_counts.get(key, Fraction(0)) + 1
     return all_counts, coeven_counts
 

@@ -464,6 +464,15 @@ def test_selftest_negative_max_size(capsys):
     assert out == "" and "--max-size" in err
 
 
+def test_selftest_above_the_enumeration_limit_exits_2(capsys):
+    # 2^30 candidate orders on 6 elements: refused before the first is tried
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "selftest", "--max-size", "6")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err.startswith("error: ") and "ENUM_LIMIT" in err
+    assert "Traceback" not in err and "gamma-truncation" not in out
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [

@@ -25,7 +25,7 @@ from qsymdp.oracles import (
     is_epartition_covers,
 )
 from qsymdp.poset import build, is_special, is_tertispecial
-from qsymdp.qsym import antipode_closed, coproduct, fundamental, monomial, product
+from qsymdp.qsym import BoundExceededError, antipode_closed, coproduct, fundamental, monomial, product
 
 from conftest import all_double_posets, random_double_poset, random_tertispecial_posets
 
@@ -187,6 +187,28 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
     assert gamma_coproduct_check(WeightedDoublePoset(poset=build("abc", [], []), w={}))
     # the 8 subsets of the 3-antichain, each once, and E itself for the left side
     assert len(calls) == 9 and len(set(calls)) == 8
+
+
+def test_gamma_is_memoised_on_orders_and_weights():
+    import qsymdp.gamma as m
+
+    cache = m.gamma_of_orders
+    assert callable(cache.cache_clear) and 0 < cache.cache_info().maxsize < math.inf
+    cache.cache_clear()
+    d = WeightedDoublePoset(poset=build("abc", [("a", "b")], [("b", "a")]), w={"a": 1, "b": 2, "c": 1})
+    relabelled = WeightedDoublePoset(poset=build("xyz", [("x", "y")], [("y", "x")]), w={"x": 1, "y": 2, "z": 1})
+    first = gamma(d)
+    assert cache.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert gamma(relabelled) == first and cache.cache_info()[:2] == (1, 1)
+    reweighted = WeightedDoublePoset(poset=d.poset, w={"a": 2, "b": 1, "c": 1})
+    assert gamma(reweighted) != first and cache.cache_info()[:2] == (1, 2)
+
+
+def test_refused_gamma_is_refused_again():
+    huge = WeightedDoublePoset(poset=build("a", [], []), w={"a": 10**21})
+    for _ in range(2):
+        with pytest.raises(BoundExceededError, match="2000000"):
+            gamma(huge)
 
 
 def test_gamma_product_rule_sampled():

@@ -19,6 +19,7 @@ MOVED = {
     "_is_coeven",
     "count_coeven_orbits_bruteforce",
     "enumerate_partitions",
+    "_epartition_vectors",
     "epartition_test",
     "_is_epartition_on",
     "is_epartition",

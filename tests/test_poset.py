@@ -18,6 +18,7 @@ from qsymdp.poset import (
     restrict,
     transitive_closure,
 )
+from qsymdp.qsym import BoundExceededError
 
 from conftest import (
     all_double_posets,
@@ -182,11 +183,24 @@ def test_from_json_rejects_malformed():
 
 
 def test_all_strict_orders_counts():
-    # numbers of strict partial orders on n labeled points: 1, 1, 3, 19
+    # numbers of strict partial orders on n labeled points: 1, 1, 3, 19, 219
     assert len(all_strict_orders([])) == 1
     assert len(all_strict_orders(["a"])) == 1
     assert len(all_strict_orders(labels_for(2))) == 3
     assert len(all_strict_orders(labels_for(3))) == 19
+    assert len(all_strict_orders(labels_for(4))) == 219
+
+
+def test_enumerations_refuse_above_the_enumeration_limit(monkeypatch):
+    import qsymdp.poset as m
+
+    with pytest.raises(BoundExceededError, match="2\\^30 candidate orders on 6 elements exceed ENUM_LIMIT"):
+        all_strict_orders(labels_for(6))  # 2^30 vectors; refused before the first
+    # 1415^2 > ENUM_LIMIT double posets: refused before the first is built
+    monkeypatch.setattr(m, "all_strict_orders", lambda labels: [(0,) * len(labels)] * 1415)
+    monkeypatch.setattr(m, "DoublePoset", None)
+    with pytest.raises(BoundExceededError, match="1415\\^2 double posets on 5 elements exceed ENUM_LIMIT"):
+        m.all_double_posets(5)
 
 
 def label_pairs(d, rel):
