@@ -22,6 +22,7 @@ from .gamma import (
     weighted_from_dict,
 )
 from .gamma import gamma as gamma_of
+from .poset import check_order_count
 
 
 class InputError(ValueError):
@@ -106,13 +107,11 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_coproduct(args) -> int:
-    d = _load_weighted(args.poset)
-    pairs = qsym.coproduct(gamma_of(d))
+    f = gamma_of(_load_weighted(args.poset))
     if args.json:
-        print(json.dumps([[_qsym_json(l), _qsym_json(r)] for l, r in pairs]))
-    else:
-        for left, right in pairs:
-            print(f"{qsym.format_qsym(left)} (x) {qsym.format_qsym(right)}")
+        print(json.dumps([[_qsym_json(l), _qsym_json(r)] for l, r in qsym.coproduct(f)]))
+    elif f:  # the text of zero is no line at all
+        print(qsym.format_coproduct(f))
     return 0
 
 
@@ -187,6 +186,7 @@ def cmd_verify_schur(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    check_order_count(args.max_size)  # the poset suites' bound, before any suite runs
     failures = 0
     for name, suite in verify.SUITES.items():
         results = list(suite(args.max_size))

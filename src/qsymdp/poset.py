@@ -192,13 +192,20 @@ def from_json(text: str) -> DoublePoset:
     return from_dict(json.loads(text))
 
 
+def check_order_count(n: int) -> None:
+    """Refuse n elements if their 2^(n(n-1)) candidate orders exceed ENUM_LIMIT."""
+    if n * (n - 1) >= ENUM_LIMIT.bit_length():  # 2^(n(n-1)) > ENUM_LIMIT, without the power
+        # an exponent of over 4300 digits has no decimal str(), so one that long stays a product
+        exponent = n * (n - 1) if n < 10**2000 else f"({n}*{n - 1})"
+        raise BoundExceededError(f"2^{exponent} candidate orders on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
+
+
 def all_strict_orders(elements: Sequence[str]) -> List[Rel]:
     """All strict partial orders on the given labels (exhaustive; desk scale):
     the transitive ones among all 0/1 vectors over the pairs i != j, in order.
     More than ENUM_LIMIT vectors are refused before the first is tried."""
     n = len(elements)
-    if n * (n - 1) >= ENUM_LIMIT.bit_length():  # 2^(n(n-1)) > ENUM_LIMIT, without the power
-        raise BoundExceededError(f"2^{n * (n - 1)} candidate orders on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
+    check_order_count(n)
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     orders = []
     for chosen in itertools.product((0, 1), repeat=len(slots)):

@@ -53,7 +53,8 @@ class QSymElem:
         return self.terms.get(tuple(alpha), 0)
 
     def sorted_terms(self) -> List[Tuple[Comp, Coeff]]:
-        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
+        terms = self.terms
+        return [(alpha, terms[alpha]) for alpha in sorted(terms, key=sort_key)]
 
     def __add__(self, other: "QSymElem") -> "QSymElem":
         return linear_combination(((1, self), (1, other)))
@@ -137,22 +138,18 @@ def product(f: QSymElem, g: QSymElem) -> QSymElem:
 
 
 def coproduct(f: QSymElem) -> List[Tuple[QSymElem, QSymElem]]:
-    """Deconcatenation coproduct, as a list of tensor terms.
+    """Deconcatenation coproduct, as the tensor terms (M_beta, right) of the alpha = beta.gamma.
 
-    Normalized: left factors are distinct basis elements M_beta, sorted.
+    Left factors are distinct basis elements M_beta, in sort_key order.  Each right
+    lists its terms in sort_key order, with no zero: f's terms are walked once in
+    that order, beta is a common prefix of the alpha that reach it, and each gamma
+    comes from exactly one alpha, so nothing is summed.
     """
-    by_left: Dict[Comp, Dict[Comp, Coeff]] = {}
-    for alpha, c in f.terms.items():
+    rights: Dict[Comp, Dict[Comp, Coeff]] = {}
+    for alpha, c in f.sorted_terms():
         for k in range(len(alpha) + 1):
-            right = by_left.setdefault(alpha[:k], {})
-            beta = alpha[k:]
-            right[beta] = right.get(beta, 0) + c
-    rights = {left: QSymElem(right) for left, right in by_left.items()}
-    return [
-        (QSymElem({left: 1}), rights[left])
-        for left in sorted(rights, key=sort_key)
-        if rights[left]
-    ]
+            rights.setdefault(alpha[:k], {})[alpha[k:]] = c
+    return [(QSymElem({left: 1}), QSymElem(rights[left])) for left in sorted(rights, key=sort_key)]
 
 
 def counit(f: QSymElem) -> Coeff:
@@ -224,21 +221,45 @@ def ps1(f: QSymElem, q: int) -> Fraction:
     )
 
 
+def _term_head(c: Coeff) -> str:
+    """The text of a term up to its parts, sign first: " + M(", " - 2*M(", " + 1/2*M("."""
+    mag = abs(c)
+    return (" - " if c < 0 else " + ") + ("M(" if mag == 1 else f"{mag}*M(")
+
+
+def _join_terms(pieces: List[str]) -> str:
+    """The signed term texts as one sum, its leading " + " dropped and " - " made "-"."""
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def format_qsym(f: QSymElem) -> str:
     """Render as e.g. ``M(2) + 2*M(1,1) - 1/2*M(3)``; zero prints as ``0``."""
     items = f.sorted_terms()
     if not items:
         return "0"
-    pieces = []
-    for i, (alpha, c) in enumerate(items):
-        mag = abs(c)
-        body = format_composition(alpha)
-        text = f"M{body}" if mag == 1 else f"{mag}*M{body}"
-        if i == 0:
-            pieces.append(("-" if c < 0 else "") + text)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + text)
-    return "".join(pieces)
+    return _join_terms([_term_head(c) + ",".join(map(str, alpha)) + ")" for alpha, c in items])
+
+
+def format_coproduct(f: QSymElem) -> str:
+    """The lines ``M(beta) (x) right`` of coproduct(f), each pair as format_qsym
+    prints it, in the same order; empty for zero.  One pass over f's terms in
+    sort_key order fills each right in order, as in coproduct, and the text of
+    each gamma in alpha = beta.gamma is a slice of alpha's text "a1,...,al)",
+    cut after its k-th comma for |beta| = k parts.
+    """
+    rights: Dict[Comp, List[str]] = {}
+    for alpha, c in f.sorted_terms():
+        head = _term_head(c)
+        text = ",".join(map(str, alpha)) + ")"
+        cut = 0
+        for k in range(len(alpha)):
+            rights.setdefault(alpha[:k], []).append(head + text[cut:])
+            cut = text.find(",", cut) + 1
+        rights.setdefault(alpha, []).append(head + ")")
+    return "\n".join(
+        f"M({','.join(map(str, left))}) (x) {_join_terms(rights[left])}" for left in sorted(rights, key=sort_key)
+    )
 
 
 _TERM_RE = re.compile(r"^(?:([0-9]+(?:/[0-9]+)?)\*)?M\(([0-9,\s]*)\)$")

@@ -465,12 +465,23 @@ def test_selftest_negative_max_size(capsys):
 
 
 def test_selftest_above_the_enumeration_limit_exits_2(capsys):
-    # 2^30 candidate orders on 6 elements: refused before the first is tried
+    # 2^30 candidate orders on 6 elements: refused before any suite runs
     start = time.perf_counter()
     code, out, err = invoke(capsys, "selftest", "--max-size", "6")
     assert time.perf_counter() - start < 1
     assert code == 2 and err.startswith("error: ") and "ENUM_LIMIT" in err
-    assert "Traceback" not in err and "gamma-truncation" not in out
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("size", ["1000000", "9" * 4300])
+def test_selftest_size_refused_before_any_suite(capsys, size):
+    # the poset suites' bound, checked before composition-calculus enumerates
+    # the compositions of every n up to size + 2
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "selftest", "--max-size", size)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2^") and err.count("\n") == 1 and "ENUM_LIMIT" in err
 
 
 @pytest.mark.parametrize(
@@ -544,6 +555,9 @@ GOLDEN_FILES = {
     },
     "trivial-group.json": {
         "generators": [],
+    },
+    "empty.json": {
+        "elements": [],
     },
 }
 
@@ -619,6 +633,29 @@ GOLDEN = [
         ),
         "",
         id="coproduct",
+    ),
+    pytest.param(
+        ["coproduct", "fork.json"],
+        0,
+        (
+            "M() (x) M(4) + M(2,2) + 2*M(3,1) + 2*M(2,1,1)\n"
+            "M(2) (x) M(2) + 2*M(1,1)\n"
+            "M(3) (x) 2*M(1)\n"
+            "M(2,1) (x) 2*M(1)\n"
+            "M(4) (x) M()\n"
+            "M(2,2) (x) M()\n"
+            "M(3,1) (x) 2*M()\n"
+            "M(2,1,1) (x) 2*M()\n"
+        ),
+        "",
+        id="coproduct-coefficients",
+    ),
+    pytest.param(
+        ["coproduct", "empty.json"],
+        0,
+        "M() (x) M()\n",
+        "",
+        id="coproduct-empty",
     ),
     pytest.param(
         ["--json", "coproduct", "fork.json"],

@@ -7,11 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymdp.compositions import Composition, compositions_of
+from qsymdp.compositions import Composition, compositions_of, conjugate, descent_set
 from qsymdp.gamma import (
     NotTertispecialError,
     WeightedDoublePoset,
     antipode_theorem_check,
+    antipode_theorem_sides,
     gamma,
     gamma_coproduct_check,
     gamma_product_check,
@@ -122,7 +123,7 @@ def test_gamma_natural_chain12_is_fundamental():
 def test_gamma_chain_is_single_monomial():
     # Example: a <1-chain with strict <2-reversal carrying weights (a1,...,ak)
     # has exactly one packed partition, so Gamma = M_alpha.
-    for alpha in [a for n in range(6) for a in compositions_of(n)] + [(1, 2) * 6]:
+    for alpha in [a for n in range(9) for a in compositions_of(n)] + [(1, 2) * 6]:
         labs = [f"e{i}" for i in range(len(alpha))]
         gens = list(zip(labs, labs[1:]))
         lt2 = [(b, a) for a, b in gens]
@@ -130,6 +131,34 @@ def test_gamma_chain_is_single_monomial():
             poset=build(labs, gens, lt2), w=dict(zip(labs, alpha))
         )
         assert gamma(d) == monomial(Composition(alpha))
+
+
+def zigzag_chain(alpha):
+    """The chain e0 <1 e1 <1 ... on |alpha| elements whose <2 runs against <1
+    exactly at the descents: e_i <2 e_(i-1) if i is in D(alpha), else e_(i-1) <2 e_i."""
+    labs = [f"e{i}" for i in range(sum(alpha))]
+    gens = list(zip(labs, labs[1:]))
+    d = descent_set(alpha)
+    lt2 = [(b, a) if d >> i & 1 else (a, b) for i, (a, b) in enumerate(gens, 1)]
+    return WeightedDoublePoset(poset=build(labs, gens, lt2), w={})
+
+
+def test_zigzag_chain_is_fundamental():
+    # a route to F_alpha that does not go through compositions_between
+    for n in range(10):
+        for alpha in compositions_of(n):
+            assert gamma(zigzag_chain(alpha)) == fundamental(alpha)
+
+
+def test_antipode_theorem_on_zigzag_chain_is_conjugate_rule():
+    # every <1-cover of the chain is <2-comparable, so the antipode theorem
+    # holds, and on it both sides read S(F_alpha) = (-1)^n F_conj(alpha)
+    for n in range(9):
+        for alpha in compositions_of(n):
+            d = zigzag_chain(alpha)
+            assert is_tertispecial(d.poset)
+            expected = fundamental(conjugate(alpha)).scale((-1) ** n)
+            assert antipode_theorem_sides(d) == (expected, expected)
 
 
 def test_gamma_matches_bruteforce_truncation():

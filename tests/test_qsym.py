@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymdp.compositions import Composition, all_descents, comp_of_subset, compositions_of, conjugate
-from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check
+from qsymdp.compositions import Composition, all_descents, comp_of_subset, compositions_of, conjugate, sort_key
+from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check, gamma
 from qsymdp.oracles import antipode_recursive, product_truncation_matches
-from qsymdp.poset import build
+from qsymdp.poset import all_double_posets, build
 from qsymdp.qsym import (
     ONE,
     QSymElem,
@@ -16,6 +16,7 @@ from qsymdp.qsym import (
     binomial,
     coproduct,
     counit,
+    format_coproduct,
     format_qsym,
     fundamental,
     linear_combination,
@@ -88,6 +89,42 @@ def test_coproduct_splits():
 
 def test_coproduct_grouplike_unit():
     assert coproduct(ONE) == [(ONE, ONE)]
+
+
+def coproduct_text_by_pairs(f):
+    """The text of the coproduct formatted pair by pair, each factor through format_qsym."""
+    return "\n".join(f"{format_qsym(l)} (x) {format_qsym(r)}" for l, r in coproduct(f))
+
+
+def assert_coproduct_in_sort_key_order(f):
+    pairs = coproduct(f)
+    lefts = [l.sorted_terms() for l, _ in pairs]
+    assert all(len(t) == 1 and t[0][1] == 1 for t in lefts)
+    assert [t[0][0] for t in lefts] == sorted((t[0][0] for t in lefts), key=sort_key)
+    for _, right in pairs:
+        assert list(right.terms) == sorted(right.terms, key=sort_key)
+        assert right and all(right.terms.values())
+
+
+def test_format_coproduct_on_gamma_of_every_small_double_poset():
+    for n in range(4):
+        for poset in all_double_posets(n):
+            for w in ({}, {e: 1 + i % 2 for i, e in enumerate(poset.elements)}):
+                f = gamma(WeightedDoublePoset(poset, w))
+                assert format_coproduct(f) == coproduct_text_by_pairs(f)
+                assert_coproduct_in_sort_key_order(f)
+
+
+def test_format_coproduct_examples():
+    assert format_coproduct(ZERO) == ""
+    assert format_coproduct(ONE) == "M() (x) M()"
+    f = M(2, 1).scale(-2) + M(2).scale(Fraction(1, 3)) - M(1) + ONE.scale(5)
+    assert format_coproduct(f) == (
+        "M() (x) 5*M() - M(1) + 1/3*M(2) - 2*M(2,1)\n"
+        "M(1) (x) -M()\n"
+        "M(2) (x) 1/3*M() - 2*M(1)\n"
+        "M(2,1) (x) -2*M()"
+    )
 
 
 def test_counit_axiom():
@@ -259,6 +296,13 @@ def test_antipode_closed_matches_recursive_on_sparse_mixed_degree(f):
     assert s == antipode_recursive(f)
     assert antipode_closed(s) == f
     assert all(s.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_mixed_degree())
+def test_format_coproduct_matches_pair_by_pair_text(f):
+    assert format_coproduct(f) == coproduct_text_by_pairs(f)
+    assert_coproduct_in_sort_key_order(f)
 
 
 @pytest.mark.parametrize("n", [5, 6])
