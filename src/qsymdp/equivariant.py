@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
@@ -153,23 +152,26 @@ def orbits_of(perm: Permutation) -> List[Tuple[int, ...]]:
 
 
 def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePoset:
-    """Quotient E^g: u <i v iff some a in u, b in v have a <i b, for g
-    preserving <1 and <2 (then these are orders as they stand); each orbit is
-    named by the label of its first member in declaration order and weighs the
-    sum of its members' weights."""
-    labels = base.poset.elements
+    """Quotient E^g, for g preserving <1 and <2: u <1 v iff some a in u, b in v
+    have a <1 b, and u <2 v iff some have a <2 b and b <1 a, as Gamma reads <2
+    only where it reverses <1.  So the E^g-partitions are the g-fixed
+    E-partitions, and both relations are orders (<1 and <2 & >1 are transitive
+    and g-invariant).  Each orbit is named by the label of its first member in
+    declaration order and weighs the sum of its members' weights."""
+    labels, lt1 = base.poset.elements, base.poset.lt1
     cycles = orbits_of(g)
     of = {i: k for k, cycle in enumerate(cycles) for i in cycle}  # element -> orbit
 
-    def project(rel):
+    def project(pairs):
         out = [0] * len(cycles)
-        for i, j in index_pairs(rel):
+        for i, j in pairs:
             if of[i] != of[j]:
                 out[of[i]] |= 1 << of[j]
         return tuple(out)
 
+    reversing = [(i, j) for i, j in index_pairs(base.poset.lt2) if lt1[j] >> i & 1]
     names = tuple(labels[cycle[0]] for cycle in cycles)
-    quotient = DoublePoset(elements=names, lt1=project(base.poset.lt1), lt2=project(base.poset.lt2))
+    quotient = DoublePoset(elements=names, lt1=project(index_pairs(lt1)), lt2=project(reversing))
     w = {name: sum(base.w[labels[i]] for i in cycle) for name, cycle in zip(names, cycles)}
     return WeightedDoublePoset(poset=quotient, w=w)
 
@@ -183,24 +185,19 @@ def _orbit_sum(a: GroupAction, weight) -> QSymElem:
     """(1/|G|) sum over the classes C, with representative g, of |C| weight(g)
     Gamma(E^g, w^g), for a class function weight, summed in ints.
 
-    On a tertispecial base the g-fixed E-partitions are the E^g-partitions, so
-    the sum counts orbits and |G| divides it exactly.  Elsewhere E^g can order
-    two orbits strictly where no pair of their members is, and the quotient by
-    |G| can leave Fractions.
+    Gamma(E^g, w^g) sums over the g-fixed E-partitions, so by Burnside the sum
+    counts orbits and |G| divides it exactly, on every base.
     """
     # a list, so that each Gamma is called from here (perfbench's layer tracer counts them)
     total = linear_combination([(size * weight(g), gamma(quotient_by(g, a.base))) for g, size in a.classes])
-    if not is_tertispecial(a.base.poset):
-        return total.scale(Fraction(1, a.order))
     if any(c % a.order for c in total.terms.values()):
         raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {a.order}")
     return QSymElem({alpha: c // a.order for alpha, c in total.terms.items()})
 
 
 def gamma_equivariant(a: GroupAction) -> QSymElem:
-    """Gamma(E, w, G) = (1/|G|) sum over g of Gamma(E^g, w^g); on a
-    tertispecial base, the sum over the G-orbits of E-partitions pi of
-    x^(w pi) (Burnside), so in integers.
+    """Gamma(E, w, G) = (1/|G|) sum over g of Gamma(E^g, w^g): the sum over
+    the G-orbits of E-partitions pi of x^(w pi) (Burnside), so in integers.
 
     Computed as (1/|G|) sum over the conjugacy classes C of |C| Gamma(E^g, w^g),
     g in C: conjugate elements give isomorphic quotients, so equal Gammas.
@@ -209,9 +206,9 @@ def gamma_equivariant(a: GroupAction) -> QSymElem:
 
 
 def gamma_plus(a: GroupAction) -> QSymElem:
-    """Gamma+(E, w, G) = (1/|G|) sum over g of sign(g) Gamma(E^g, w^g); on a
-    tertispecial base, the sum over the E-coeven G-orbits (no odd g fixes
-    their members) of x^(w pi), so in integers.
+    """Gamma+(E, w, G) = (1/|G|) sum over g of sign(g) Gamma(E^g, w^g): the
+    sum over the E-coeven G-orbits (no odd g fixes their members) of
+    x^(w pi), so in integers.
 
     Computed as (1/|G|) sum over the conjugacy classes C of |C| sign(g)
     Gamma(E^g, w^g), g in C: sign is a class function and conjugate elements

@@ -48,12 +48,7 @@ def _all_ones_action(a: GroupAction) -> GroupAction:
 
 def order_polynomial(a: GroupAction) -> OrderPolynomial:
     """Omega(q) = number of G-orbits of E-partitions into [q], via ps1 of the
-    equivariant generating function with w identically 1.
-
-    The count holds on a tertispecial base only.  Elsewhere a quotient E^g can
-    order two orbits strictly where no pair of members is ordered: on
-    E = {a, b, c, d} with b <1 c, d <1 a, a <2 b, c <2 d under (a c)(b d),
-    Omega(1) = 1/2 against 1 orbit, and Omega(2) = 5 against 6 orbits."""
+    equivariant generating function with w identically 1."""
     g = gamma_equivariant(_all_ones_action(a))
     n = a.base.poset.size
     coeffs = [Fraction(0)] * (n + 1)

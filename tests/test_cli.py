@@ -531,7 +531,9 @@ def test_malformed_group_names_field(capsys, antichain2, tmp_path, generators):
 
 # Fixed inputs for test_golden: the README's poset and group (the group
 # moves a <1 c to b <1 c, so it does not act on that poset), a poset the
-# README group does act on, a non-tertispecial poset and the trivial group.
+# README group does act on, a non-tertispecial poset and the trivial group,
+# and the README's non-tertispecial poset with a group whose quotient must
+# drop a <2 pair that reverses no <1 pair.
 GOLDEN_FILES = {
     "readme.json": {
         "elements": ["a", "b", "c"],
@@ -555,6 +557,14 @@ GOLDEN_FILES = {
     },
     "trivial-group.json": {
         "generators": [],
+    },
+    "swapped-chains.json": {
+        "elements": ["a", "b", "c", "d"],
+        "lt1": [["b", "c"], ["d", "a"]],
+        "lt2": [["a", "b"], ["c", "d"]],
+    },
+    "swap-chains-group.json": {
+        "generators": [{"a": "c", "b": "d", "c": "a", "d": "b"}],
     },
     "empty.json": {
         "elements": [],
@@ -783,6 +793,36 @@ GOLDEN = [
         ),
         "",
         id="order-poly-json",
+    ),
+    pytest.param(
+        ["equivariant", "swapped-chains.json", "swap-chains-group.json"],
+        0,
+        (
+            "M(4) + M(1,3) + 2*M(2,2) + M(3,1) + 2*M(1,1,2) + 2*M(1,2,1) +"
+            " 2*M(2,1,1) + 3*M(1,1,1,1)\n"
+        ),
+        "",
+        id="equivariant-nontert",
+    ),
+    pytest.param(
+        ["equivariant", "swapped-chains.json", "swap-chains-group.json", "--plus"],
+        0,
+        (
+            "M(4) + M(1,3) + 2*M(2,2) + M(3,1) + 2*M(1,1,2) + 2*M(1,2,1) +"
+            " 2*M(2,1,1) + 3*M(1,1,1,1)\n"
+        ),
+        "",
+        id="equivariant-plus-nontert",
+    ),
+    pytest.param(
+        ["order-poly", "swapped-chains.json", "swap-chains-group.json"],
+        0,
+        (
+            "binomial basis: 1*C(q,1) + 4*C(q,2) + 6*C(q,3) + 3*C(q,4)\n"
+            "power basis: 1/4*q^1 + 3/8*q^2 + 1/4*q^3 + 1/8*q^4\n"
+        ),
+        "",
+        id="order-poly-nontert",
     ),
     pytest.param(
         ["reciprocity", "fork.json", "readme-group.json", "--q", "2"],

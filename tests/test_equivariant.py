@@ -247,8 +247,7 @@ def assert_class_sums_match_oracle(a):
     f, f_plus = gamma_equivariant(a), gamma_plus(a)
     assert f == orbit_sum_by_elements(a)
     assert f_plus == orbit_sum_by_elements(a, plus=True)
-    if is_tertispecial(a.base.poset):
-        assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
+    assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -322,15 +321,50 @@ def test_class_sums_match_oracle_on_drawn_actions(data):
     assert_class_sums_match_oracle(a)
 
 
-def test_orbit_sums_of_a_non_tertispecial_base_keep_fractions():
-    # b <1 c and d <1 a, weakly; but the quotient by (a c)(b d) orders the
-    # orbit {b, d} strictly below {a, c}, because a <2 b
+def found_base_action():
+    """b <1 c and d <1 a, weakly, with a <2 b and c <2 d, under (a c)(b d): a
+    quotient that projected all of <2 would order the orbit {b, d} strictly
+    below {a, c}, though no member pair is strict."""
     base = WeightedDoublePoset(poset=build("abcd", [("b", "c"), ("d", "a")], [("a", "b"), ("c", "d")]), w={})
-    a = build_action(base, [{"a": "c", "b": "d", "c": "a", "d": "b"}])
-    f = gamma_equivariant(a)
+    return build_action(base, [{"a": "c", "b": "d", "c": "a", "d": "b"}])
+
+
+def test_orbit_sums_of_a_non_tertispecial_base_count_orbits():
+    a = found_base_action()
+    assert not is_tertispecial(a.base.poset)
+    f, f_plus = gamma_equivariant(a), gamma_plus(a)
+    assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
     assert f == orbit_sum_by_elements(a)
-    assert Fraction(1, 2) in f.terms.values()
-    assert gamma_plus(a) == orbit_sum_by_elements(a, plus=True)
+    assert f_plus == orbit_sum_by_elements(a, plus=True)
+    all_counts, coeven_counts = orbit_tallies(a, 4)
+    assert _expand(f, 4) == all_counts
+    assert _expand(f_plus, 4) == coeven_counts
+    omega = order_polynomial(a)
+    assert [omega(q) for q in range(4)] == [0, 1, 6, 21] == [count_orbits_bruteforce(a, q) for q in range(4)]
+
+
+def test_quotient_keeps_only_the_lt2_pairs_that_reverse_lt1():
+    a = found_base_action()
+    q = quotient_by((2, 3, 0, 1), a.base).poset
+    assert q.elements == ("a", "b")
+    assert (q.lt1, q.lt2) == ((0, 1), (0, 0))
+
+
+def is_strict_order(rel):
+    return all(not up >> i & 1 for i, up in enumerate(rel)) and all(rel[j] & ~rel[i] == 0 for i, j in index_pairs(rel))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_quotient_lt2_is_a_strict_order_inside_the_projection(n):
+    for p in isomorphism_class_representatives(n):
+        unit = WeightedDoublePoset(p)
+        for gens in subgroup_generators(unit):
+            for g, _ in build_action(unit, gens).classes:
+                q = quotient_by(g, unit).poset
+                of = {i: k for k, cycle in enumerate(orbits_of(g)) for i in cycle}
+                projected = {(of[i], of[j]) for i, j in index_pairs(p.lt2)}
+                assert is_strict_order(q.lt2)
+                assert set(index_pairs(q.lt2)) <= projected
 
 
 def test_automorphisms_by_brute_force():
@@ -401,18 +435,25 @@ def test_class_sizes_of_one_fail_the_gate():
             assert wrong != orbit_sum_by_elements(a, plus=plus)
 
 
+def refuses_non_tertispecial(check, *args):
+    try:
+        check(*args)
+    except NotTertispecialError:
+        return True
+    return False
+
+
 def equivariant_gate_failures(n):
-    """The exhaustive equivariant gate at |E| = n: on every tertispecial
-    double poset up to isomorphism, under every subgroup of its automorphism
-    group, with unit weights and with a weight constant on each Aut-orbit,
-    the equivariant antipode theorem, Gamma(E, w, G) and Gamma+(E, w, G) in n
-    variables against the orbit tallies, the order polynomial against the
-    orbit counts at q = 0..2 and reciprocity at q = 0..2.  Returns the number
-    of (class, subgroup) pairs and the failed checks."""
+    """The exhaustive equivariant gate at |E| = n: on every double poset up to
+    isomorphism, under every subgroup of its automorphism group, with unit
+    weights and with a weight constant on each Aut-orbit, Gamma(E, w, G) and
+    Gamma+(E, w, G) in n variables against the orbit tallies and the order
+    polynomial against the orbit counts at q = 0..2.  On a tertispecial base
+    also the equivariant antipode theorem and reciprocity at q = 0..2; on any
+    other base both must refuse.  Returns the number of (class, subgroup)
+    pairs and the failed checks."""
     pairs, failures = 0, []
     for p in isomorphism_class_representatives(n):
-        if not is_tertispecial(p):
-            continue
         unit = WeightedDoublePoset(p)
         for gens in subgroup_generators(unit):
             pairs += 1
@@ -421,13 +462,17 @@ def equivariant_gate_failures(n):
                 all_counts, coeven_counts = orbit_tallies(a, n)
                 omega = order_polynomial(a)
                 checks = {
-                    "theorem": equivariant_theorem_check(a),
                     "orbit tallies": _expand(gamma_equivariant(a), n) == all_counts,
                     "coeven tallies": _expand(gamma_plus(a), n) == coeven_counts,
                 }
                 for q in range(3):
                     checks[f"order polynomial at {q}"] = omega(q) == count_orbits_bruteforce(a, q)
-                    checks[f"reciprocity at {q}"] = reciprocity_check(a, q)
+                if is_tertispecial(p):
+                    checks["theorem"] = equivariant_theorem_check(a)
+                    checks.update({f"reciprocity at {q}": reciprocity_check(a, q) for q in range(3)})
+                else:
+                    checks["theorem refused"] = refuses_non_tertispecial(equivariant_theorem_check, a)
+                    checks["reciprocity refused"] = refuses_non_tertispecial(reciprocity_check, a, 0)
                 failures += [(p, gens, base.w, name) for name, ok in checks.items() if not ok]
     return pairs, failures
 
@@ -443,8 +488,12 @@ def test_subgroups_of_the_antichain_automorphisms():
     assert len(subgroup_generators(antichain(2))) == 2
 
 
+# (iso class, subgroup of Aut) pairs per |E|: 1, 1, 5, 46 and 815 have a tertispecial base
+CLASS_SUBGROUP_PAIRS = {0: 1, 1: 1, 2: 6, 3: 78, 4: 2361}
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_equivariant_gate_on_every_class_and_subgroup(n):
     pairs, failures = equivariant_gate_failures(n)
-    assert pairs > 0
+    assert pairs == CLASS_SUBGROUP_PAIRS[n]
     assert failures == []
