@@ -43,7 +43,7 @@ def _load_action(args) -> equi.GroupAction:
     try:
         with open(args.group) as fh:
             return equi.action_from_dict(base, json.load(fh), cap=args.group_cap)
-    except (OSError, ValueError, RecursionError, equi.BoundExceededError) as exc:
+    except (OSError, ValueError, RecursionError, qsym.BoundExceededError) as exc:
         raise InputError(f"{args.group}: {exc}") from exc
 
 
@@ -278,7 +278,7 @@ def run(argv: List[str]) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (InputError, NotTertispecialError, equi.BoundExceededError) as exc:
+    except (InputError, NotTertispecialError, qsym.BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

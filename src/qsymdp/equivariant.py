@@ -8,7 +8,6 @@ Gamma per class, weighted by the class size, give the sum over all of G.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -241,7 +240,3 @@ def action_from_dict(base: WeightedDoublePoset, doc: Dict, cap: int = DEFAULT_GR
     ):
         raise ValueError("'generators' must be a list of objects mapping labels to labels")
     return build_action(base, gens, cap=cap)
-
-
-def action_from_json(base: WeightedDoublePoset, text: str) -> GroupAction:
-    return action_from_dict(base, json.loads(text))

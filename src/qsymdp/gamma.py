@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
@@ -160,7 +159,3 @@ def weighted_from_dict(doc: Dict) -> WeightedDoublePoset:
     ):
         raise ValueError("'w' must map every label to an integer weight")
     return WeightedDoublePoset(poset=poset, w=w or {})
-
-
-def weighted_from_json(text: str) -> WeightedDoublePoset:
-    return weighted_from_dict(json.loads(text))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -186,10 +185,6 @@ def from_dict(doc: Dict) -> DoublePoset:
             raise ValueError(f"'{name}' must list pairs [a, b] of labels from 'elements'")
         orders.append([tuple(p) for p in pairs])
     return build(elements, *orders)
-
-
-def from_json(text: str) -> DoublePoset:
-    return from_dict(json.loads(text))
 
 
 def check_order_count(n: int) -> None:

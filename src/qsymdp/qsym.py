@@ -2,14 +2,14 @@
 computed in the monomial basis alone (the product is the quasi-shuffle product,
 the antipode a superset-sum transform over descent masks).
 
-Compositions are checked where they enter (monomial, fundamental, parse_qsym);
-inside, keys are plain tuples of positive parts.  Coefficients are ints until a
-division makes a Fraction: product, coproduct and antipode keep them integral.
+Compositions are checked where they enter (monomial, fundamental); inside, keys
+are plain tuples of positive parts.  The package's routes give int coefficients:
+product, coproduct and antipode keep them integral.  A Fraction coefficient comes
+only from a caller that scales by one; ps1 and binomial return Fractions.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -73,18 +73,8 @@ class QSymElem:
             return self.scale(c)
         return NotImplemented
 
-    def __mul__(self, other):
-        if isinstance(other, QSymElem):
-            return product(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QSymElem) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -260,32 +250,3 @@ def format_coproduct(f: QSymElem) -> str:
     return "\n".join(
         f"M({','.join(map(str, left))}) (x) {_join_terms(rights[left])}" for left in sorted(rights, key=sort_key)
     )
-
-
-_TERM_RE = re.compile(r"^(?:([0-9]+(?:/[0-9]+)?)\*)?M\(([0-9,\s]*)\)$")
-
-
-def parse_qsym(text: str) -> QSymElem:
-    """Parse the output grammar of :func:`format_qsym`."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    chunks = re.split(r"\s+(?=[+-]\s)", " " + text)
-    # normalize: leading sign may be glued to the first term
-    terms = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        sign = Fraction(1)
-        if chunk.startswith("+"):
-            chunk = chunk[1:].strip()
-        elif chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:].strip()
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse QSym term {chunk!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        parts = m.group(2).strip()
-        alpha = [int(p) for p in parts.split(",")] if parts else []
-        terms.append((sign * coeff, monomial(alpha)))
-    return linear_combination(terms)

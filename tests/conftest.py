@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -21,6 +20,20 @@ from qsymdp.poset import (
 
 def labels_for(n):
     return [chr(ord("a") + i) for i in range(n)]
+
+
+def antichain(n, w=None) -> WeightedDoublePoset:
+    """The antichain on the first n labels; w defaults to all ones."""
+    return WeightedDoublePoset(poset=build(labels_for(n), [], []), w=w or {})
+
+
+def chain(n, strict=False) -> WeightedDoublePoset:
+    """The chain a <1 b <1 ... on the first n labels, with <2 = <1, or with <2
+    the reverse of <1 if strict (then an E-partition increases strictly)."""
+    labs = labels_for(n)
+    gens = list(zip(labs, labs[1:]))
+    lt2 = [(b, a) for a, b in gens] if strict else gens
+    return WeightedDoublePoset(poset=build(labs, gens, lt2), w={})
 
 
 def random_double_poset(n, rng: random.Random) -> DoublePoset:
@@ -63,14 +76,13 @@ def opposite2(d) -> DoublePoset:
     return DoublePoset(elements=d.elements, lt1=d.lt1, lt2=transpose(d.lt2))
 
 
-def to_json(d) -> str:
-    return json.dumps(
-        {
-            "elements": list(d.elements),
-            "lt1": sorted([a, b] for a, b in d.pairs(d.lt1)),
-            "lt2": sorted([a, b] for a, b in d.pairs(d.lt2)),
-        }
-    )
+def to_dict(d) -> dict:
+    """d as a poset JSON document."""
+    return {
+        "elements": list(d.elements),
+        "lt1": sorted([a, b] for a, b in d.pairs(d.lt1)),
+        "lt2": sorted([a, b] for a, b in d.pairs(d.lt2)),
+    }
 
 
 def orbit_tallies(a, m):

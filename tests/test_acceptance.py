@@ -23,7 +23,7 @@ from qsymdp.poset import build
 from qsymdp.verify import SUITES
 from qsymdp.young import Partition, SkewShape, build_Y, schur_antipode_check, skew_schur
 
-from conftest import all_double_posets, orbit_tallies, random_tertispecial_posets
+from conftest import all_double_posets, antichain, orbit_tallies, random_tertispecial_posets
 
 
 def report(name, ok):
@@ -81,11 +81,6 @@ def test_equivariant_reciprocity_suite():
     report("equivariant-reciprocity", passes("equivariant-reciprocity", 3))
 
 
-def _antichain(n):
-    labs = [chr(ord("a") + i) for i in range(n)]
-    return WeightedDoublePoset(poset=build(labs, [], []), w={})
-
-
 def _chain_copies(k, length):
     """k identical <1-chains with ``length`` elements each, <2 = <1."""
     labs = [f"{i}.{j}" for i in range(k) for j in range(length)]
@@ -115,7 +110,7 @@ def _component_permuting_actions(base, k, length):
 
 def _criterion7_actions():
     for n in (2, 3, 4):
-        base = _antichain(n)
+        base = antichain(n)
         labs = list(base.poset.elements)
         swap = {e: e for e in labs}
         swap[labs[0]], swap[labs[1]] = labs[1], labs[0]

@@ -10,7 +10,7 @@ import pytest
 from qsymdp import cli, verify, young
 from qsymdp.cli import run
 from qsymdp.compositions import conjugate
-from qsymdp.qsym import fundamental, monomial, parse_qsym
+from qsymdp.qsym import fundamental, monomial
 
 
 def invoke(capsys, *argv):
@@ -79,7 +79,6 @@ def test_antipode_m_bad_input(capsys):
     [
         pytest.param(lambda: monomial((1, 0)), id="monomial"),
         pytest.param(lambda: fundamental((0,)), id="fundamental"),
-        pytest.param(lambda: parse_qsym("M(2,0)"), id="parse_qsym"),
         pytest.param(None, id="cli-antipode-f"),
     ],
 )

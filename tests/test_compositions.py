@@ -13,7 +13,6 @@ from qsymdp.compositions import (
     parse_composition,
     reverse,
 )
-from qsymdp.qsym import parse_qsym
 from qsymdp.verify import compositions_round_trip, descent_sets_round_trip
 from qsymdp.young import parse_partition
 
@@ -126,10 +125,6 @@ def test_format_examples():
         (parse_composition, "(2,)"),
         (parse_partition, "[٢,1]"),
         (parse_partition, "[-1]"),
-        (parse_qsym, "M(1_0)"),
-        (parse_qsym, "٢*M(1)"),
-        (parse_qsym, "M(١)"),
-        (parse_qsym, "1_0*M(1)"),
     ],
 )
 def test_text_readers_take_ascii_digits_only(read, text):

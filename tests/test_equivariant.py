@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from qsymdp.equivariant import (
     BoundExceededError,
     NotPreservingError,
-    action_from_json,
+    action_from_dict,
     build_action,
     equivariant_theorem_check,
     gamma_equivariant,
@@ -28,17 +27,13 @@ from qsymdp.poset import DoublePoset, all_double_posets, build, disjoint_union, 
 from qsymdp.qsym import monomial
 
 from conftest import (
+    antichain,
     aut_orbit_weight,
     isomorphism_class_representatives,
     less1,
     orbit_tallies,
     subgroup_generators,
 )
-
-
-def antichain(n, w=None):
-    labs = [chr(ord("a") + i) for i in range(n)]
-    return WeightedDoublePoset(poset=build(labs, [], []), w=w or {})
 
 
 def swap_gen(a, b, rest=()):
@@ -176,10 +171,10 @@ def test_orbit_stabilizer_sizes():
 
 def test_action_from_json():
     base = antichain(2)
-    a = action_from_json(base, json.dumps({"generators": [{"a": "b", "b": "a"}]}))
+    a = action_from_dict(base, {"generators": [{"a": "b", "b": "a"}]})
     assert a.order == 2
     with pytest.raises(ValueError):
-        action_from_json(base, json.dumps({}))
+        action_from_dict(base, {})
 
 
 # --- the class sums against the element-by-element oracle -------------------
@@ -248,6 +243,7 @@ def assert_class_sums_match_oracle(a):
     assert f == orbit_sum_by_elements(a)
     assert f_plus == orbit_sum_by_elements(a, plus=True)
     assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
+    return f, f_plus
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -318,7 +314,13 @@ def test_class_sums_match_oracle_on_drawn_actions(data):
     gens = [sigma] + data.draw(st.lists(st.sampled_from(auts), max_size=1))
     a = build_action(base, [{e: labels[i] for e, i in zip(labels, g)} for g in gens])
     assert set(a.elements) <= set(auts)
-    assert_class_sums_match_oracle(a)
+    f, f_plus = assert_class_sums_match_oracle(a)
+    # orbit_sum_by_elements goes through quotient_by too; the tallies do not.
+    # No term of Gamma is longer than |E|, so |E| variables determine it.
+    m = base.poset.size
+    all_counts, coeven_counts = orbit_tallies(a, m)
+    assert _expand(f, m) == all_counts
+    assert _expand(f_plus, m) == coeven_counts
 
 
 def found_base_action():

@@ -1,6 +1,5 @@
 import inspect
 import itertools
-import json
 import math
 import random
 
@@ -16,7 +15,7 @@ from qsymdp.gamma import (
     gamma,
     gamma_coproduct_check,
     gamma_product_check,
-    weighted_from_json,
+    weighted_from_dict,
 )
 from qsymdp.oracles import (
     epartitions_into,
@@ -28,14 +27,7 @@ from qsymdp.oracles import (
 from qsymdp.poset import build, is_special, is_tertispecial
 from qsymdp.qsym import BoundExceededError, antipode_closed, coproduct, fundamental, monomial, product
 
-from conftest import all_double_posets, random_double_poset, random_tertispecial_posets
-
-
-def chain(n, strict=False):
-    labs = [chr(ord("a") + i) for i in range(n)]
-    gens = list(zip(labs, labs[1:]))
-    lt2 = [(b, a) for a, b in gens] if strict else gens
-    return WeightedDoublePoset(poset=build(labs, gens, lt2), w={})
+from conftest import all_double_posets, chain, random_double_poset, random_tertispecial_posets
 
 
 def test_weight_defaults_to_all_ones():
@@ -274,11 +266,11 @@ def test_weighted_from_json():
         "lt2": [["b", "a"]],
         "w": {"a": 2, "b": 1},
     }
-    d = weighted_from_json(json.dumps(doc))
+    d = weighted_from_dict(doc)
     assert d.w == {"a": 2, "b": 1}
     assert gamma(d) == monomial(Composition([2, 1]))
     doc.pop("w")
-    assert weighted_from_json(json.dumps(doc)).w == {"a": 1, "b": 1}
+    assert weighted_from_dict(doc).w == {"a": 1, "b": 1}
 
 
 def assert_linear_extensions_match(n):

@@ -7,10 +7,10 @@ import pkgutil
 import pytest
 
 import qsymdp
-from qsymdp.gamma import WeightedDoublePoset
 from qsymdp.oracles import epartitions_into
-from qsymdp.poset import build
 from qsymdp.qsym import BoundExceededError
+
+from conftest import antichain
 
 MOVED = {
     "_act",
@@ -28,11 +28,6 @@ MOVED = {
 }
 
 
-def antichain(n):
-    labs = [chr(ord("a") + i) for i in range(n)]
-    return WeightedDoublePoset(poset=build(labs, [], []), w={})
-
-
 def test_brute_force_is_defined_only_in_oracles():
     for info in pkgutil.iter_modules(qsymdp.__path__):
         if info.name == "oracles":
@@ -48,6 +43,32 @@ def test_brute_force_is_defined_only_in_oracles():
 
 def test_package_does_not_export_brute_force():
     assert MOVED & set(vars(qsymdp)) == set()
+
+
+def test_package_namespace_is_its_modules():
+    # callers import from qsymdp.<module>; the package binds no function or class
+    for info in pkgutil.iter_modules(qsymdp.__path__):
+        importlib.import_module(f"qsymdp.{info.name}")
+    for name, obj in vars(qsymdp).items():
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        assert inspect.ismodule(obj) and obj.__name__ == f"qsymdp.{name}", name
+
+
+def test_oracles_are_bound_only_in_oracles():
+    # orderpoly's two re-imports are documented there
+    reimports = {
+        ("qsymdp.orderpoly", "count_orbits_bruteforce"),
+        ("qsymdp.orderpoly", "count_coeven_orbits_bruteforce"),
+    }
+    others = [importlib.import_module(f"qsymdp.{info.name}") for info in pkgutil.iter_modules(qsymdp.__path__)]
+    for module in [qsymdp] + [m for m in others if m.__name__ != "qsymdp.oracles"]:
+        bound = {
+            (module.__name__, name)
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == "qsymdp.oracles"
+        }
+        assert bound <= reimports, module.__name__
 
 
 def test_orderpoly_still_binds_the_orbit_counts():

@@ -8,16 +8,7 @@ from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_brutefor
 from qsymdp.orderpoly import OrderPolynomial, order_polynomial, reciprocity_check
 from qsymdp.poset import build
 
-
-def antichain(n):
-    labs = [chr(ord("a") + i) for i in range(n)]
-    return WeightedDoublePoset(poset=build(labs, [], []), w={})
-
-
-def chain(n):
-    labs = [chr(ord("a") + i) for i in range(n)]
-    gens = list(zip(labs, labs[1:]))
-    return WeightedDoublePoset(poset=build(labs, gens, gens), w={})
+from conftest import antichain, chain
 
 
 def trivial_action(base):

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +10,7 @@ from qsymdp.poset import (
     build,
     disjoint_union,
     down_sets,
-    from_json,
+    from_dict,
     is_special,
     is_tertispecial,
     opposite1,
@@ -28,7 +27,7 @@ from conftest import (
     less2,
     opposite2,
     random_double_poset,
-    to_json,
+    to_dict,
 )
 
 
@@ -171,15 +170,15 @@ def test_admissible_pairs_count_antichain():
 
 def test_json_round_trip():
     d = build("abc", [("a", "b")], [("c", "b")])
-    assert from_json(to_json(d)) == d
+    assert from_dict(to_dict(d)) == d
     doc = {"elements": ["x", "y"], "lt1": [["x", "y"]], "lt2": []}
-    d2 = from_json(json.dumps(doc))
+    d2 = from_dict(doc)
     assert less1(d2, "x", "y") and not less2(d2, "x", "y")
 
 
 def test_from_json_rejects_malformed():
     with pytest.raises(ValueError):
-        from_json(json.dumps({"lt1": []}))
+        from_dict({"lt1": []})
 
 
 def test_all_strict_orders_counts():
