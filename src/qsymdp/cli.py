@@ -22,7 +22,7 @@ from .gamma import (
     weighted_from_dict,
 )
 from .gamma import gamma as gamma_of
-from .poset import check_order_count
+from .poset import check_double_poset_count
 
 
 class InputError(ValueError):
@@ -186,7 +186,7 @@ def cmd_verify_schur(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    check_order_count(args.max_size)  # the poset suites' bound, before any suite runs
+    check_double_poset_count(args.max_size)  # the poset suites' bound, before any suite runs
     failures = 0
     for name, suite in verify.SUITES.items():
         results = list(suite(args.max_size))

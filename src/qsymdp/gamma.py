@@ -43,12 +43,28 @@ class WeightedDoublePoset:
 
 
 # Bound of gamma_of_orders.  The coproduct rule takes Gamma of restrictions that
-# recur across posets: `selftest --max-size 3` makes 4266 calls on 744 distinct
-# keys, all of whose repeats 1024 entries keep; at size 4, 77% of the calls hit
-# and peak RSS goes from 23.2 to 25.0 MB, where an unbounded cache reached 138 MB.
+# recur across posets: `selftest --max-size 4` makes 771023 calls on 6616
+# distinct (<1, strict pairs, weights) keys, all of which 8192 entries keep; its
+# peak RSS goes from 25.1 MB (1024 entries keyed on <2) to 30.3 MB.
 # It is a module-level lru_cache, so clearing the package's caches starts it
 # cold, as a fresh process does.
-GAMMA_CACHE_SIZE = 1024
+GAMMA_CACHE_SIZE = 8192
+
+
+def strict_pairs(p: DoublePoset) -> Rel:
+    """strict[i]: the mask of the j with i <1 j and j <2 i, the pairs on which an
+    E-partition must increase strictly.  Gamma reads <2 only through them."""
+    lt2 = p.lt2
+    strict = []
+    for i, up in enumerate(p.lt1):
+        mask = 0
+        while up:
+            bit = up & -up
+            if lt2[bit.bit_length() - 1] >> i & 1:
+                mask |= bit
+            up ^= bit
+        strict.append(mask)
+    return tuple(strict)
 
 
 def gamma(d: WeightedDoublePoset) -> QSymElem:
@@ -62,21 +78,25 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     such chains up to D = D_i.  The bound counts each down-set once per 64-bit
     word of a degree-n mask, before any such mask is built.
 
-    Gamma does not depend on the labels, so it is memoised, in the bounded
-    `gamma_of_orders`, on (<1, <2, the weights in declaration order): relabelled
-    copies share one result.  The returned QSymElem is shared between callers;
-    no caller may mutate its terms.  A refused Gamma is not cached.
+    Gamma depends on neither the labels nor the <2 relations outside <1, so it
+    is memoised, in the bounded `gamma_of_orders`, on (<1, the strict pairs of
+    `strict_pairs`, the weights in declaration order): relabelled copies, and
+    posets that differ in <2 only on <1-incomparable pairs, share one result.
+    The returned QSymElem is shared between callers; no caller may mutate its
+    terms.  A refused Gamma is not cached.
     """
     p = d.poset
-    return gamma_of_orders(p.lt1, p.lt2, tuple(d.w[e] for e in p.elements))
+    return gamma_of_orders(p.lt1, strict_pairs(p), tuple(d.w[e] for e in p.elements))
 
 
 @lru_cache(maxsize=GAMMA_CACHE_SIZE)
-def gamma_of_orders(lt1: Rel, lt2: Rel, w: Tuple[int, ...]) -> QSymElem:
-    """Gamma of the double poset with orders lt1, lt2 and weights w over the declaration index."""
-    p, n = DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt2), sum(w)
-    reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(p.lt1) if p.lt2[j] >> i & 1]
-    downs = sorted(down_sets(p), key=int.bit_count)
+def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
+    """Gamma of the double poset with order lt1, strict pairs strict (as from
+    `strict_pairs`) and weights w over the declaration index."""
+    n = sum(w)
+    reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(strict)]
+    order = DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt1)  # down_sets reads only <1
+    downs = sorted(down_sets(order), key=int.bit_count)
     if len(downs) * (n // 64 + 1) > ENUM_LIMIT:
         raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} down-set words")
     weight = {s: sum(w[i] for i in range(len(w)) if s >> i & 1) for s in downs}
@@ -87,13 +107,17 @@ def gamma_of_orders(lt1: Rel, lt2: Rel, w: Tuple[int, ...]) -> QSymElem:
         for low in downs:
             if low.bit_count() >= size:
                 break
-            block = top ^ low
-            if low & ~top or any(block & r == r for r in reversed_pairs):
+            if low & ~top:
                 continue
-            cut = 1 << weight[low]
-            for mask, c in chains[low].items():
-                key = mask | cut
-                into[key] = into.get(key, 0) + c
+            block = top ^ low
+            for r in reversed_pairs:
+                if block & r == r:
+                    break
+            else:
+                cut = 1 << weight[low]
+                for mask, c in chains[low].items():
+                    key = mask | cut
+                    into[key] = into.get(key, 0) + c
         chains[top] = into
     return QSymElem({_parts(n, mask): c for mask, c in chains[downs[-1]].items()})
 

@@ -5,26 +5,36 @@ module enumerates all maps E -> [m] or counts orbits map by map.
 The truncation references go through the raw definitions (all maps E -> [m],
 polynomials in m variables), never through the down-set chain sum or the
 quasi-shuffle, so that agreement is a genuine two-route check.  The
-E-partition test of a map and the semistandard-tableau test of a filling are
-the definitions the fast routes are gated against; `_epartition_vectors`, the
-one enumeration of all maps, refuses more than ENUM_LIMIT of them, and
-`epartitions_into` gives its E-partitions as maps from the labels.  The G-orbits
-(and E-coeven G-orbits) of E-partitions into [q] are counted by splitting that
-enumeration into orbits, for the order polynomial and reciprocity.  The
-recursive antipode solves m(S x id)Delta = u eps, independently of the closed
-form.  The fundamental expansion of Gamma over linear extensions is a third
-route, for special double posets, that shares no code with the other two.
-The orbit sums are also summed element by element, in Fractions, as the paper
-defines them, against the class sums of the equivariant module; the
-automorphisms of a weighted double poset are found among all n! permutations.
+E-partition definition and the semistandard-tableau test of a filling are the
+definitions the fast routes are gated against.  The E-partition definition is
+written once, as the (i, j, strict) list of `_epartition_pairs`:
+`epartition_test` applies it to one map, and `_epartition_vectors` filters all
+maps E -> [m] by it, one pair at a time; `epartitions_into` gives the result
+as maps from the labels.  `_all_maps` is the one enumeration of all maps, and
+refuses more than ENUM_LIMIT of them before it builds one.  Three bounded
+tables hold what depends on no poset: `_map_table`, all maps per (|E|, m), up
+to MAP_TABLE_LIMIT of them; `_exponent_table`, the monomial of each of those
+maps per (weights, m); and `_monomial_exponents`, the monomials of M_alpha per
+(alpha, m).  The brute force is still brute force: every call tests every map
+against the definition, and only the list of maps and their monomials are
+reused.  The G-orbits (and E-coeven G-orbits) of E-partitions into [q] are
+counted by splitting that enumeration into orbits, for the order polynomial
+and reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
+independently of the closed form.  The fundamental expansion of Gamma over
+linear extensions is a third route, for special double posets, that shares no
+code with the other two.  The orbit sums are also summed element by element,
+in Fractions, as the paper defines them, against the class sums of the
+equivariant module; the automorphisms of a weighted double poset are found
+among all n! permutations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .compositions import Composition
 from .equivariant import GroupAction, Permutation, quotient_by, sign_of
@@ -36,15 +46,35 @@ from .young import Cell, SkewShape
 Poly = Dict[Tuple[int, ...], Coeff]
 
 
+# Bound of each oracle table.  `selftest --max-size 4` reads 19 tables of all
+# maps per (|E|, m), 8 of their monomials per (weights, m) and 48 of the
+# monomials of M_alpha per (alpha, m), about 96700, 96700 and 851000 times; 64
+# entries keep them all.
+ORACLE_CACHE_SIZE = 64
+# The most maps E -> [m] kept as a table.  selftest and the tests reuse a few
+# small (|E|, m); a larger enumeration is used once, and is streamed:
+# `reciprocity --q 11` on a 6-chain (1771561 maps) took 1.14 s and 203 MB
+# tabulated, and 0.35 s and 16 MB streamed.
+MAP_TABLE_LIMIT = 4096
+
+
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _monomial_exponents(alpha: Tuple[int, ...], m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The exponent vectors of the monomials of M_alpha in x_1..x_m."""
+    out = []
+    for positions in itertools.combinations(range(m), len(alpha)):
+        exps = [0] * m
+        for pos, part in zip(positions, alpha):
+            exps[pos] = part
+        out.append(tuple(exps))
+    return tuple(out)
+
+
 def _expand(f: QSymElem, m: int) -> Poly:
     """Expand f as a polynomial in x_1..x_m; keys are exponent vectors."""
     poly: Poly = {}
     for alpha, c in f.terms.items():
-        for positions in itertools.combinations(range(m), len(alpha)):
-            exps = [0] * m
-            for pos, part in zip(positions, alpha):
-                exps[pos] = part
-            key = tuple(exps)
+        for key in _monomial_exponents(alpha, m):
             poly[key] = poly.get(key, 0) + c
     return poly
 
@@ -79,10 +109,17 @@ def antipode_recursive(f: QSymElem) -> QSymElem:
     return linear_combination((c, _antipode_recursive_basis(alpha)) for alpha, c in f.terms.items())
 
 
+def _epartition_pairs(p: DoublePoset, rel: Rel) -> List[Tuple[int, int, int]]:
+    """The definition of an E-partition on rel: one (i, j, strict) per pair
+    i < j of rel, strict = 1 where j <2 i; a vector of values over declaration
+    index is one iff values[i] + strict <= values[j] for each."""
+    return [(i, j, p.lt2[j] >> i & 1) for i, j in index_pairs(rel)]
+
+
 def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]:
     """The test of a vector of values over declaration index: it weakly
     increases along each pair i < j of rel, strictly when j <2 i."""
-    checks = [(i, j, p.lt2[j] >> i & 1) for i, j in index_pairs(rel)]
+    checks = _epartition_pairs(p, rel)
 
     def holds(values: Sequence[int]) -> bool:
         for i, j, strict in checks:
@@ -126,17 +163,39 @@ def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
     return True
 
 
-def _epartition_vectors(d: WeightedDoublePoset, m: int) -> List[Tuple[int, ...]]:
-    """All E-partitions with values in {1,...,m}, as value vectors over the
-    declaration index, by filtering all maps, after a check of the number of
-    maps it would try."""
-    n = d.poset.size
-    if m < 0:
-        raise ValueError("q must be nonnegative")
+def _all_maps(n: int, m: int) -> Iterable[Tuple[int, ...]]:
+    """Every map from n elements to {1,...,m}, as value vectors over the
+    declaration index in lexicographic order; more than ENUM_LIMIT are refused
+    before the first is built.  At most MAP_TABLE_LIMIT maps come from a
+    cached table, more from a fresh iterator."""
     if m ** n > ENUM_LIMIT:
         raise BoundExceededError(f"{m}^{n} assignments exceed limit {ENUM_LIMIT}")
-    holds = epartition_test(d.poset, d.poset.lt1)
-    return [values for values in itertools.product(range(1, m + 1), repeat=n) if holds(values)]
+    if m ** n > MAP_TABLE_LIMIT:
+        return itertools.product(range(1, m + 1), repeat=n)
+    return _map_table(n, m)
+
+
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _map_table(n: int, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The maps of `_all_maps(n, m)` as a tuple."""
+    return tuple(itertools.product(range(1, m + 1), repeat=n))
+
+
+def _keep(vectors: Iterable[Tuple[int, ...]], i: int, j: int, strict: int) -> Iterator[Tuple[int, ...]]:
+    """The vectors that satisfy the pair (i, j, strict) of the definition."""
+    return (v for v in vectors if v[i] + strict <= v[j])
+
+
+def _epartition_vectors(d: WeightedDoublePoset, m: int) -> List[Tuple[int, ...]]:
+    """All E-partitions with values in {1,...,m}, as value vectors over the
+    declaration index: all maps, filtered by one pair of the definition after
+    another, lazily, so that a streamed enumeration holds only the kept maps."""
+    if m < 0:
+        raise ValueError("q must be nonnegative")
+    vectors = _all_maps(d.poset.size, m)
+    for i, j, strict in _epartition_pairs(d.poset, d.poset.lt1):
+        vectors = _keep(vectors, i, j, strict)
+    return list(vectors)
 
 
 def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
@@ -144,22 +203,34 @@ def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
     return [dict(zip(d.poset.elements, values)) for values in _epartition_vectors(d, m)]
 
 
+def _exponents(w: Tuple[int, ...], m: int, values: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The exponent vector of prod_i x_{values[i]}^{w[i]} in x_1..x_m."""
+    exps = [0] * m
+    for weight, i in zip(w, values):
+        exps[i - 1] += weight
+    return tuple(exps)
+
+
+@lru_cache(maxsize=ORACLE_CACHE_SIZE)
+def _exponent_table(w: Tuple[int, ...], m: int) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """`_exponents` of every map in `_map_table(len(w), m)`."""
+    return {values: _exponents(w, m, values) for values in _map_table(len(w), m)}
+
+
 def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
     """The truncation of Gamma(E, w) to m variables, summed map by map."""
-    w = [d.w[e] for e in d.poset.elements]
-    poly: Poly = {}
-    for values in _epartition_vectors(d, m):
-        exps = [0] * m
-        for weight, i in zip(w, values):
-            exps[i - 1] += weight
-        key = tuple(exps)
-        poly[key] = poly.get(key, 0) + 1
-    return poly
+    w = tuple(d.w[e] for e in d.poset.elements)
+    vectors = _epartition_vectors(d, m)
+    if m ** len(w) > MAP_TABLE_LIMIT:  # the maps were not tabulated
+        return dict(Counter(_exponents(w, m, values) for values in vectors))
+    return dict(Counter(map(_exponent_table(w, m).__getitem__, vectors)))
 
 
 def gamma_truncation_matches(d: WeightedDoublePoset, f: QSymElem, m: int) -> bool:
-    """True iff f, expanded in m variables, equals the brute-force truncation."""
-    return _expand(f, m) == gamma_truncated_bruteforce(d, m)
+    """True iff f, expanded in m variables, equals the brute-force truncation;
+    the brute force, and so its bound, comes first."""
+    truncation = gamma_truncated_bruteforce(d, m)
+    return _expand(f, m) == truncation
 
 
 def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:

@@ -213,13 +213,25 @@ def all_strict_orders(elements: Sequence[str]) -> List[Rel]:
     return orders
 
 
+# The number of strict partial orders on n labelled elements, n = 0..5 (OEIS A001035).
+STRICT_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231)
+
+
+def check_double_poset_count(n: int) -> None:
+    """Refuse n elements if their orders, or their double posets (pairs of
+    orders), exceed ENUM_LIMIT, without enumerating either."""
+    check_order_count(n)  # from here on n <= 5, inside STRICT_ORDER_COUNTS
+    count = STRICT_ORDER_COUNTS[n]
+    if count**2 > ENUM_LIMIT:
+        raise BoundExceededError(f"{count}^2 double posets on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
+
+
 def all_double_posets(n: int) -> List[DoublePoset]:
     """All double posets on the labels a, b, c, ... (n of them), in a fixed order;
-    more than ENUM_LIMIT of them are refused before the first is built."""
+    more than ENUM_LIMIT of them are refused before any order is enumerated."""
+    check_double_poset_count(n)
     labels = tuple(chr(ord("a") + i) for i in range(n))
     orders = all_strict_orders(labels)
-    if len(orders) ** 2 > ENUM_LIMIT:
-        raise BoundExceededError(f"{len(orders)}^2 double posets on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
     return [
         DoublePoset(elements=labels, lt1=lt1, lt2=lt2) for lt1 in orders for lt2 in orders
     ]

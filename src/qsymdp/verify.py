@@ -23,10 +23,10 @@ from . import qsym
 
 
 def _all_posets(size: int):
-    """Every double poset with |E| <= size, by size; the largest size is
-    enumerated first, so that a size over the bound is refused at once."""
-    by_size = [pos.all_double_posets(n) for n in range(size, -1, -1)]
-    return [p for posets in reversed(by_size) for p in posets]
+    """Every double poset with |E| <= size, by size; a size over the bound is
+    refused before any is enumerated."""
+    pos.check_double_poset_count(size)
+    return [p for n in range(size + 1) for p in pos.all_double_posets(n)]
 
 
 def compositions_round_trip(n: int) -> Iterator[bool]:

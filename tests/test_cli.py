@@ -10,7 +10,7 @@ import pytest
 from qsymdp import cli, verify, young
 from qsymdp.cli import run
 from qsymdp.compositions import conjugate
-from qsymdp.qsym import fundamental, monomial
+from qsymdp.qsym import ENUM_LIMIT, fundamental, monomial
 
 
 def invoke(capsys, *argv):
@@ -470,6 +470,16 @@ def test_selftest_above_the_enumeration_limit_exits_2(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and err.startswith("error: ") and "ENUM_LIMIT" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_selftest_size_5_refused_before_any_suite(capsys):
+    # 4231^2 double posets on 5 elements: refused from the table of order
+    # counts, before any suite or order enumeration
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "selftest", "--max-size", "5")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: 4231^2 double posets on 5 elements exceed ENUM_LIMIT {ENUM_LIMIT}\n"
 
 
 @pytest.mark.parametrize("size", ["1000000", "9" * 4300])

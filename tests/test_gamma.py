@@ -195,6 +195,17 @@ def test_antipode_theorem_fails_on_designated_example():
     assert not antipode_theorem_check(d)
 
 
+def test_antipode_theorem_holds_exactly_on_the_tertispecial_posets():
+    # the converse census: for |E| <= 3 the identity fails on every
+    # non-tertispecial double poset, under either weighting
+    posets = [d for n in range(4) for d in all_double_posets(n)]
+    tert = [d for d in posets if is_tertispecial(d)]
+    assert (len(posets) - len(tert), len(tert)) == (176, 196)
+    for d in posets:
+        for w in ({}, {e: 1 + i % 2 for i, e in enumerate(d.elements)}):
+            assert antipode_theorem_check(WeightedDoublePoset(poset=d, w=w)) == is_tertispecial(d)
+
+
 def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
     import qsymdp.gamma as m
 
@@ -223,6 +234,13 @@ def test_gamma_is_memoised_on_orders_and_weights():
     assert gamma(relabelled) == first and cache.cache_info()[:2] == (1, 1)
     reweighted = WeightedDoublePoset(poset=d.poset, w={"a": 2, "b": 1, "c": 1})
     assert gamma(reweighted) != first and cache.cache_info()[:2] == (1, 2)
+    # <2 is read only on <1-comparable pairs: c <2 a and b <2 c change no strict pair
+    w = d.w
+    same_strict = WeightedDoublePoset(poset=build("abc", [("a", "b")], [("b", "c"), ("c", "a")]), w=w)
+    assert gamma(same_strict) == first and cache.cache_info()[:2] == (2, 2)
+    # a <2 b makes the pair a <1 b weak: a new key
+    weak = WeightedDoublePoset(poset=build("abc", [("a", "b")], [("a", "b")]), w=w)
+    assert gamma(weak) != first and cache.cache_info()[:2] == (2, 3)
 
 
 def test_refused_gamma_is_refused_again():
@@ -230,6 +248,25 @@ def test_refused_gamma_is_refused_again():
     for _ in range(2):
         with pytest.raises(BoundExceededError, match="2000000"):
             gamma(huge)
+
+
+def test_refused_enumeration_is_refused_again():
+    import qsymdp.oracles as m
+
+    d = chain(3)
+    tables = (m._map_table, m._exponent_table, m._monomial_exponents)
+    before = [t.cache_info().currsize for t in tables]
+    for _ in range(2):
+        with pytest.raises(BoundExceededError, match="200\\^3 assignments exceed limit 2000000"):
+            epartitions_into(d, 200)
+        with pytest.raises(BoundExceededError, match="200\\^3"):  # before f is expanded in 200 variables
+            gamma_truncation_matches(d, gamma(d), 200)
+    assert [t.cache_info().currsize for t in tables] == before
+    # above MAP_TABLE_LIMIT the maps are streamed, not tabulated
+    assert 17**3 > m.MAP_TABLE_LIMIT
+    assert len(epartitions_into(d, 17)) == math.comb(19, 3)
+    assert gamma_truncation_matches(d, gamma(d), 17)
+    assert [t.cache_info().currsize for t in tables[:2]] == before[:2]
 
 
 def test_gamma_product_rule_sampled():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsymdp.poset import (
+    STRICT_ORDER_COUNTS,
     CycleError,
     DoublePoset,
     all_strict_orders,
@@ -190,16 +191,27 @@ def test_all_strict_orders_counts():
     assert len(all_strict_orders(labels_for(4))) == 219
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_strict_order_counts_table(n):
+    # the table that refuses double posets before enumerating their orders
+    assert STRICT_ORDER_COUNTS[n] == len(all_strict_orders(labels_for(n)))
+
+
 def test_enumerations_refuse_above_the_enumeration_limit(monkeypatch):
     import qsymdp.poset as m
 
     with pytest.raises(BoundExceededError, match="2\\^30 candidate orders on 6 elements exceed ENUM_LIMIT"):
         all_strict_orders(labels_for(6))  # 2^30 vectors; refused before the first
-    # 1415^2 > ENUM_LIMIT double posets: refused before the first is built
-    monkeypatch.setattr(m, "all_strict_orders", lambda labels: [(0,) * len(labels)] * 1415)
+    # 4231^2 > ENUM_LIMIT double posets: refused before any order is enumerated
+    def no_orders(labels):
+        raise AssertionError("orders enumerated")
+
+    monkeypatch.setattr(m, "all_strict_orders", no_orders)
     monkeypatch.setattr(m, "DoublePoset", None)
-    with pytest.raises(BoundExceededError, match="1415\\^2 double posets on 5 elements exceed ENUM_LIMIT"):
+    with pytest.raises(BoundExceededError, match="4231\\^2 double posets on 5 elements exceed ENUM_LIMIT"):
         m.all_double_posets(5)
+    with pytest.raises(BoundExceededError, match="2\\^30 candidate orders on 6 elements"):
+        m.all_double_posets(6)
 
 
 def label_pairs(d, rel):
