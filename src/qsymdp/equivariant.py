@@ -8,7 +8,7 @@ Gamma per class, weighted by the class size, give the sum over all of G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
@@ -32,11 +32,13 @@ class NotPreservingError(ValueError):
 @dataclass(frozen=True)
 class GroupAction:
     """A full finite permutation group acting on a weighted double poset, with
-    its conjugacy classes as (least member, class size) pairs."""
+    the generators it was built from and its conjugacy classes as (least
+    member, class size) pairs."""
 
     base: WeightedDoublePoset
     elements: Tuple[Permutation, ...]
     classes: Tuple[Tuple[Permutation, int], ...]
+    generators: Tuple[Permutation, ...]
 
     @property
     def order(self) -> int:
@@ -99,7 +101,8 @@ def build_action(
                 group.add(nxt)
                 frontier.append(nxt)
     elements = tuple(sorted(group))
-    return GroupAction(base=base, elements=elements, classes=_conjugacy_classes(elements, gens))
+    classes = _conjugacy_classes(elements, gens)
+    return GroupAction(base=base, elements=elements, classes=classes, generators=tuple(gens))
 
 
 def _conjugacy_classes(elements: Tuple[Permutation, ...], gens: List[Permutation]) -> Tuple[Tuple[Permutation, int], ...]:
@@ -219,7 +222,7 @@ def gamma_plus(a: GroupAction) -> QSymElem:
 def opposite1_action(a: GroupAction) -> GroupAction:
     """The same group acting on (E, >1, <2); permutations preserve >1 too."""
     flipped = WeightedDoublePoset(poset=opposite1(a.base.poset), w=dict(a.base.w))
-    return GroupAction(base=flipped, elements=a.elements, classes=a.classes)
+    return replace(a, base=flipped)
 
 
 def equivariant_theorem_check(a: GroupAction) -> bool:

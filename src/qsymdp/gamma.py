@@ -17,7 +17,7 @@ from .poset import (
     opposite1,
     restrict,
 )
-from .qsym import ENUM_LIMIT, BoundExceededError, QSymElem, antipode_closed, coproduct, product
+from .qsym import ENUM_LIMIT, ONE, BoundExceededError, QSymElem, antipode_closed, coproduct, product
 
 
 class NotTertispecialError(ValueError):
@@ -76,7 +76,9 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     contributes M_alpha with alpha_i = w(D_i) - w(D_{i-1}).  chains[D] maps the
     mask of the partial weights w(D_0) = 0, ..., w(D_{i-1}) to the number of
     such chains up to D = D_i.  The bound counts each down-set once per 64-bit
-    word of a degree-n mask, before any such mask is built.
+    word of a degree-n mask, before any such mask is built.  The <1-isolated
+    elements are left out of the chain sum: each is its own <1-component and
+    is multiplied in as the factor M_(w_e) (the product rule).
 
     Gamma depends on neither the labels nor the <2 relations outside <1, so it
     is memoised, in the bounded `gamma_of_orders`, on (<1, the strict pairs of
@@ -92,7 +94,43 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
 @lru_cache(maxsize=GAMMA_CACHE_SIZE)
 def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
     """Gamma of the double poset with order lt1, strict pairs strict (as from
-    `strict_pairs`) and weights w over the declaration index."""
+    `strict_pairs`) and weights w over the declaration index.
+
+    By the product rule, Gamma of a disjoint union is the product of the
+    Gammas, so a <1-isolated element e contributes the one factor M_(w_e):
+    the isolated elements are taken out, the rest goes through `_chain_sum`,
+    and each factor is multiplied in by `_times_part`.  A degree past one
+    64-bit word per down-set is refused first, as the chain sum would.
+    """
+    n = sum(w)
+    if n // 64 >= ENUM_LIMIT:
+        raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} down-set words")
+    related = 0  # the elements in some <1 pair
+    for i, up in enumerate(lt1):
+        if up:
+            related |= up | 1 << i
+    if related.bit_count() == len(w):
+        return _chain_sum(lt1, strict, w)
+    keep = [i for i in range(len(w)) if related >> i & 1]
+
+    def squeeze(mask):
+        return sum(1 << k for k, i in enumerate(keep) if mask >> i & 1)
+
+    f = ONE
+    if keep:
+        f = _chain_sum(
+            tuple(squeeze(lt1[i]) for i in keep),
+            tuple(squeeze(strict[i]) for i in keep),
+            tuple(w[i] for i in keep),
+        )
+    for i, part in enumerate(w):
+        if not related >> i & 1:
+            f = _times_part(f, part)
+    return f
+
+
+def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
+    """Gamma summed over the chains of <1-down-sets, as `gamma` describes."""
     n = sum(w)
     reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(strict)]
     order = DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt1)  # down_sets reads only <1
@@ -120,6 +158,24 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
                     into[key] = into.get(key, 0) + c
         chains[top] = into
     return QSymElem({_parts(n, mask): c for mask, c in chains[downs[-1]].items()})
+
+
+def _times_part(f: QSymElem, a: int) -> QSymElem:
+    """f * M_(a), the quasi-shuffle with one part: a goes into each gap of
+    alpha, or is added to each part.  It makes at most 2 len(alpha) + 1 terms
+    per term alpha, and more than ENUM_LIMIT in all are refused before any is."""
+    longest = max(map(len, f.terms), default=0)
+    if len(f.terms) * (2 * longest + 1) > ENUM_LIMIT:
+        raise BoundExceededError(f"Gamma times M({a}) needs over {ENUM_LIMIT} terms")
+    terms: Dict[Tuple[int, ...], int] = {}
+    for alpha, c in f.terms.items():
+        for k in range(len(alpha) + 1):
+            key = alpha[:k] + (a,) + alpha[k:]
+            terms[key] = terms.get(key, 0) + c
+        for k, part in enumerate(alpha):
+            key = alpha[:k] + (part + a,) + alpha[k + 1:]
+            terms[key] = terms.get(key, 0) + c
+    return QSymElem(terms)
 
 
 def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, tuple], int]:

@@ -18,8 +18,9 @@ maps per (weights, m); and `_monomial_exponents`, the monomials of M_alpha per
 (alpha, m).  The brute force is still brute force: every call tests every map
 against the definition, and only the list of maps and their monomials are
 reused.  The G-orbits (and E-coeven G-orbits) of E-partitions into [q] are
-counted by splitting that enumeration into orbits, for the order polynomial
-and reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
+counted by walking that enumeration along the group's generators, with a
+parity per vector to find the odd stabilisers, for the order polynomial and
+reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
 independently of the closed form.  The fundamental expansion of Gamma over
 linear extensions is a third route, for special double posets, that shares no
 code with the other two.  The orbit sums are also summed element by element,
@@ -31,6 +32,7 @@ among all n! permutations.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
@@ -70,8 +72,17 @@ def _monomial_exponents(alpha: Tuple[int, ...], m: int) -> Tuple[Tuple[int, ...]
     return tuple(out)
 
 
+def _expansion_entries(f: QSymElem, m: int) -> int:
+    """The entries of f's exponent vectors in m variables: C(m, len(alpha))
+    vectors of m entries per term alpha."""
+    return m * sum(math.comb(m, len(alpha)) for alpha in f.terms)
+
+
 def _expand(f: QSymElem, m: int) -> Poly:
-    """Expand f as a polynomial in x_1..x_m; keys are exponent vectors."""
+    """Expand f as a polynomial in x_1..x_m; keys are exponent vectors.  More
+    than ENUM_LIMIT vector entries are refused before any vector is built."""
+    if _expansion_entries(f, m) > ENUM_LIMIT:
+        raise BoundExceededError(f"expanding in {m} variables needs over {ENUM_LIMIT} exponent entries")
     poly: Poly = {}
     for alpha, c in f.terms.items():
         for key in _monomial_exponents(alpha, m):
@@ -81,14 +92,18 @@ def _expand(f: QSymElem, m: int) -> Poly:
 
 def product_truncation_matches(f: QSymElem, g: QSymElem, m: int) -> bool:
     """True iff product(f, g) in m variables equals the polynomial product of
-    f and g in m variables (exact when m >= deg f + deg g)."""
+    f and g in m variables (exact when m >= deg f + deg g).  The pairwise
+    products, of m entries each, are bounded like an expansion."""
+    if _expansion_entries(f, m) * _expansion_entries(g, m) // max(m, 1) > ENUM_LIMIT:
+        raise BoundExceededError(f"multiplying in {m} variables needs over {ENUM_LIMIT} exponent entries")
+    truncation = _expand(product(f, g), m)
     poly: Poly = {}
     pg = _expand(g, m)
     for ea, ca in _expand(f, m).items():
         for eb, cb in pg.items():
             key = tuple(x + y for x, y in zip(ea, eb))
             poly[key] = poly.get(key, 0) + ca * cb
-    return _expand(product(f, g), m) == {k: c for k, c in poly.items() if c}
+    return truncation == {k: c for k, c in poly.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -186,16 +201,18 @@ def _keep(vectors: Iterable[Tuple[int, ...]], i: int, j: int, strict: int) -> It
     return (v for v in vectors if v[i] + strict <= v[j])
 
 
-def _epartition_vectors(d: WeightedDoublePoset, m: int) -> List[Tuple[int, ...]]:
+def _epartition_vectors(d: WeightedDoublePoset, m: int) -> Iterator[Tuple[int, ...]]:
     """All E-partitions with values in {1,...,m}, as value vectors over the
     declaration index: all maps, filtered by one pair of the definition after
-    another, lazily, so that a streamed enumeration holds only the kept maps."""
+    another, lazily, so that a streamed enumeration holds only what its
+    caller keeps.  A negative m, or more than ENUM_LIMIT maps, are refused
+    before the first map is built."""
     if m < 0:
         raise ValueError("q must be nonnegative")
     vectors = _all_maps(d.poset.size, m)
     for i, j, strict in _epartition_pairs(d.poset, d.poset.lt1):
         vectors = _keep(vectors, i, j, strict)
-    return list(vectors)
+    return vectors
 
 
 def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
@@ -276,47 +293,52 @@ def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     return linear_combination(terms).scale(Fraction(1, a.order))
 
 
-def _act(g, values: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Action on maps as value vectors over declaration index: (g pi)(e) = pi(g^{-1} e)."""
-    out = [0] * len(g)
-    for i, v in zip(g, values):
-        out[i] = v
-    return tuple(out)
+def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:
+    """The number of G-orbits of E-partitions into [q], and of E-coeven ones.
 
-
-def _orbit_decomposition(a: GroupAction, vectors: List[Tuple[int, ...]]) -> List[List[Tuple[int, ...]]]:
-    """Split E-partitions, as value vectors, into G-orbits; each orbit is a list of vectors."""
-    index = {v: i for i, v in enumerate(vectors)}
-    seen = [False] * len(vectors)
-    orbits = []
-    for i, v in enumerate(vectors):
-        if seen[i]:
+    Every map is tested against the definition; then each orbit is walked
+    from its first E-partition along the edges v -> v o g, one per generator
+    g (the action of g^-1: the inverses generate G too, with the same
+    signs), and each vector it reaches gets the parity of a group element
+    that takes the root to it.  The orbit is coeven iff no edge contradicts
+    those parities: an edge v -> v o g with parity(v o g) != parity(v) +
+    parity(g) closes a walk from the root back to itself, an odd element of
+    the root's stabiliser, and conversely every element of the stabiliser is
+    such a closed walk.
+    """
+    generators = [(g, sign_of(g) < 0) for g in a.generators]
+    parity: Dict[Tuple[int, ...], bool] = {}
+    orbits = coeven = 0
+    for root in _epartition_vectors(a.base, q):
+        if root in parity:
             continue
-        orbit = []
-        for g in a.elements:
-            j = index[_act(g, v)]
-            if not seen[j]:
-                seen[j] = True
-                orbit.append(vectors[j])
-        orbits.append(orbit)
-    return orbits
+        parity[root] = False
+        stack, consistent = [root], True
+        while stack:
+            v = stack.pop()
+            at, odd_v = v.__getitem__, parity[v]
+            for g, odd in generators:
+                u, p = tuple(map(at, g)), odd_v ^ odd
+                seen = parity.get(u)
+                if seen is None:
+                    parity[u] = p
+                    stack.append(u)
+                elif seen != p:
+                    consistent = False
+        orbits += 1
+        coeven += consistent
+    return orbits, coeven
 
 
 def count_orbits_bruteforce(a: GroupAction, q: int) -> int:
     """Number of G-orbits of E-partitions into [q], by direct enumeration."""
-    return len(_orbit_decomposition(a, _epartition_vectors(a.base, q)))
-
-
-def _is_coeven(v: Tuple[int, ...], odd: List[Permutation]) -> bool:
-    """True iff no odd permutation of G, from ``odd``, fixes the value vector v."""
-    return not any(_act(g, v) == v for g in odd)
+    return _orbit_walk(a, q)[0]
 
 
 def count_coeven_orbits_bruteforce(a: GroupAction, q: int) -> int:
-    """Number of E-coeven G-orbits of E-partitions into [q]."""
-    orbits = _orbit_decomposition(a, _epartition_vectors(a.base, q))
-    odd = [g for g in a.elements if sign_of(g) < 0]
-    return sum(1 for orbit in orbits if _is_coeven(orbit[0], odd))
+    """Number of E-coeven G-orbits of E-partitions into [q]: those whose
+    members no odd element of G fixes."""
+    return _orbit_walk(a, q)[1]
 
 
 def automorphisms(d: WeightedDoublePoset) -> List[Permutation]:

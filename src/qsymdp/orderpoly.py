@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -43,7 +43,7 @@ class OrderPolynomial:
 
 def _all_ones_action(a: GroupAction) -> GroupAction:
     base = WeightedDoublePoset(poset=a.base.poset, w={})
-    return GroupAction(base=base, elements=a.elements, classes=a.classes)
+    return replace(a, base=base)
 
 
 def order_polynomial(a: GroupAction) -> OrderPolynomial:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qsymdp.equivariant import build_action, sign_of
-from qsymdp.gamma import WeightedDoublePoset
-from qsymdp.oracles import _epartition_vectors, _is_coeven, _orbit_decomposition, automorphisms
+from qsymdp.gamma import WeightedDoublePoset, _chain_sum, gamma_of_orders, strict_pairs
+from qsymdp.oracles import _epartition_vectors, automorphisms
 from qsymdp.poset import (
     DoublePoset,
     _incomparable2,
@@ -16,6 +16,7 @@ from qsymdp.poset import (
     is_tertispecial,
     transpose,
 )
+from qsymdp.young import Partition, SkewShape
 
 
 def labels_for(n):
@@ -85,10 +86,50 @@ def to_dict(d) -> dict:
     }
 
 
+def _act(g, values):
+    """Action on maps as value vectors over declaration index: (g pi)(e) = pi(g^{-1} e)."""
+    out = [0] * len(g)
+    for i, v in zip(g, values):
+        out[i] = v
+    return tuple(out)
+
+
+def _orbit_decomposition(a, vectors):
+    """Split E-partitions, as value vectors, into G-orbits by applying every
+    element of G; each orbit is a list of vectors."""
+    index = {v: i for i, v in enumerate(vectors)}
+    seen = [False] * len(vectors)
+    orbits = []
+    for i, v in enumerate(vectors):
+        if seen[i]:
+            continue
+        orbit = []
+        for g in a.elements:
+            j = index[_act(g, v)]
+            if not seen[j]:
+                seen[j] = True
+                orbit.append(vectors[j])
+        orbits.append(orbit)
+    return orbits
+
+
+def _is_coeven(v, odd):
+    """True iff no odd permutation of G, from ``odd``, fixes the value vector v."""
+    return not any(_act(g, v) == v for g in odd)
+
+
+def orbit_counts_by_elements(a, q):
+    """The numbers of G-orbits and of E-coeven G-orbits of E-partitions into
+    [q], element by element: the reference for the oracles' generator walk."""
+    orbits = _orbit_decomposition(a, list(_epartition_vectors(a.base, q)))
+    odd = [g for g in a.elements if sign_of(g) < 0]
+    return len(orbits), sum(1 for orbit in orbits if _is_coeven(orbit[0], odd))
+
+
 def orbit_tallies(a, m):
     """Exponent-vector tallies of G-orbits (and coeven orbits) of
     E-partitions into [m], directly from the definitions."""
-    orbits = _orbit_decomposition(a, _epartition_vectors(a.base, m))
+    orbits = _orbit_decomposition(a, list(_epartition_vectors(a.base, m)))
     odd = [g for g in a.elements if sign_of(g) < 0]
     all_counts = {}
     coeven_counts = {}
@@ -154,3 +195,46 @@ def aut_orbit_weight(d: WeightedDoublePoset):
     least = [min(g[i] for g in auts) for i in range(len(labels))]
     number = {m: k for k, m in enumerate(sorted(set(least)))}
     return {e: 2 - number[least[i]] % 2 for i, e in enumerate(labels)}
+
+
+def peeled_and_whole(p: DoublePoset, w):
+    """Gamma of p with weights w (over the declaration index) as the memoised
+    `gamma_of_orders`, which takes the <1-isolated elements out of the chain
+    sum, and as the bare chain sum over the whole poset."""
+    key = (p.lt1, strict_pairs(p), tuple(w))
+    return gamma_of_orders(*key), _chain_sum(*key)
+
+
+def skew_shapes(n):
+    """Every skew shape of n cells up to the order of its edge-connected
+    components, one shape per multiset of components.  Rows are built from
+    the bottom, as (first column - 1, last column): the bottom row starts in
+    column 1, each row is nonempty, and a row that shares no column with the
+    row below it touches it at a corner, as any wider gap gives the same cell
+    posets.  A shape is kept when its components, read from the bottom and
+    each shifted to start in column 1, are in sorted order."""
+    out = []
+
+    def grow(left, rows):
+        if not left:
+            components, start = [], 0
+            for k in range(1, len(rows) + 1):
+                if k == len(rows) or rows[k][0] >= rows[k - 1][1]:
+                    base = rows[start][0]
+                    components.append(tuple((m - base, l - base) for m, l in rows[start:k]))
+                    start = k
+            if components == sorted(components):
+                outer = [l for _, l in reversed(rows)]
+                inner = [m for m, _ in reversed(rows) if m]
+                out.append(SkewShape(outer=Partition(outer), inner=Partition(inner)))
+            return
+        low, high = rows[-1]
+        for m in range(low, high + 1):
+            for l in range(max(high, m + 1), m + left + 1):
+                grow(left - (l - m), rows + [(m, l)])
+
+    if n == 0:
+        return [SkewShape(outer=Partition(), inner=Partition())]
+    for first in range(1, n + 1):
+        grow(n - first, [(0, first)])
+    return out

@@ -178,6 +178,18 @@ def test_hostile_weight_exits_2(capsys, tmp_path, command, doc, generators):
     assert err.startswith("error: ") and "2000000" in err
 
 
+@pytest.mark.parametrize("n", [10, 12])
+def test_antichain_with_doubling_weights_exits_2(capsys, tmp_path, n):
+    # weights 2^0, ..., 2^(n-1): every ordered set partition has its own weight
+    # sequence, so Gamma has over ENUM_LIMIT terms; the product by one part refuses
+    labels = [f"e{i}" for i in range(n)]
+    path = write_poset(tmp_path, "p.json", {"elements": labels, "w": {e: 2**i for i, e in enumerate(labels)}})
+    start = time.perf_counter()
+    err = hostile_run(capsys, ["gamma", path])
+    assert time.perf_counter() - start < 2
+    assert err.startswith("error: ") and "2000000" in err
+
+
 def test_antipode_f_at_degree_18(capsys):
     code, out, _ = invoke(capsys, "--json", "antipode-f", "(2,3,4,1,4,4)")
     assert code == 0

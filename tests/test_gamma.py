@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +24,12 @@ from qsymdp.oracles import (
     gamma_truncation_matches,
     is_epartition,
     is_epartition_covers,
+    product_truncation_matches,
 )
-from qsymdp.poset import build, is_special, is_tertispecial
+from qsymdp.poset import DoublePoset, build, is_special, is_tertispecial
 from qsymdp.qsym import BoundExceededError, antipode_closed, coproduct, fundamental, monomial, product
 
-from conftest import all_double_posets, chain, random_double_poset, random_tertispecial_posets
+from conftest import all_double_posets, chain, peeled_and_whole, random_double_poset, random_tertispecial_posets
 
 
 def test_weight_defaults_to_all_ones():
@@ -221,6 +223,42 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
     assert len(calls) == 9 and len(set(calls)) == 8
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_peeled_gamma_equals_the_chain_sum_on_every_double_poset(n):
+    for d in all_double_posets(n):
+        for w in ([1] * n, [1 + i % 2 for i in range(n)]):
+            peeled, whole = peeled_and_whole(d, w)
+            assert peeled == whole, (d, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False), st.data())
+def test_peeled_gamma_equals_the_chain_sum_drawn(n, rng, data):
+    # a drawn double poset with a drawn nonempty set of elements cut out of <1;
+    # what is left of <1 is still transitive, and <2 keeps its pairs
+    d = random_double_poset(n, rng)
+    isolated = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    cut = sum(1 << i for i in isolated)
+    lt1 = tuple(0 if i in isolated else up & ~cut for i, up in enumerate(d.lt1))
+    w = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    peeled, whole = peeled_and_whole(DoublePoset(d.elements, lt1, d.lt2), w)
+    assert peeled == whole
+
+
+def test_gamma_antichain12_takes_the_peel():
+    import qsymdp.gamma as m
+
+    m.gamma_of_orders.cache_clear()
+    d = WeightedDoublePoset(poset=build("abcdefghijkl", [], []), w={})
+    start = time.perf_counter()
+    terms = gamma(d).terms
+    assert time.perf_counter() - start < 0.5  # the chain sum takes seconds
+    assert terms == {
+        alpha: math.factorial(12) // math.prod(math.factorial(a) for a in alpha) for alpha in compositions_of(12)
+    }
+    assert m.gamma_of_orders.cache_info()[:2] == (0, 1)
+
+
 def test_gamma_is_memoised_on_orders_and_weights():
     import qsymdp.gamma as m
 
@@ -267,6 +305,21 @@ def test_refused_enumeration_is_refused_again():
     assert len(epartitions_into(d, 17)) == math.comb(19, 3)
     assert gamma_truncation_matches(d, gamma(d), 17)
     assert [t.cache_info().currsize for t in tables[:2]] == before[:2]
+
+
+def test_expansion_is_refused_before_it_is_built():
+    # Gamma of the 3-chain in 200 variables: 1353400 exponent vectors of 200 entries
+    import qsymdp.oracles as m
+
+    f = gamma(chain(3))
+    before = m._monomial_exponents.cache_info().currsize
+    for check in (lambda: m._expand(f, 200), lambda: product_truncation_matches(f, f, 200)):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="in 200 variables needs over 2000000 exponent entries"):
+            check()
+        assert time.perf_counter() - start < 0.1
+    assert m._monomial_exponents.cache_info().currsize == before
+    assert product_truncation_matches(f, f, 6)
 
 
 def test_gamma_product_rule_sampled():

@@ -1,14 +1,21 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from qsymdp.equivariant import build_action
+from qsymdp.equivariant import build_action, opposite1_action
 from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset
 from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
 from qsymdp.orderpoly import OrderPolynomial, order_polynomial, reciprocity_check
 from qsymdp.poset import build
 
-from conftest import antichain, chain
+from conftest import (
+    antichain,
+    chain,
+    isomorphism_class_representatives,
+    orbit_counts_by_elements,
+    subgroup_generators,
+)
 
 
 def trivial_action(base):
@@ -94,3 +101,52 @@ def test_order_polynomial_negative_evaluation_exact():
     assert omega(-1) == 0
     assert omega(-2) == 1
     assert omega(Fraction(1, 2)) == Fraction(3, 8)
+
+
+def walk_counts(a, q):
+    return count_orbits_bruteforce(a, q), count_coeven_orbits_bruteforce(a, q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_orbit_walk_matches_the_element_by_element_counts(n):
+    # every (isomorphism class, subgroup of Aut) pair, on (E, <1, <2) and (E, >1, <2)
+    for p in isomorphism_class_representatives(n):
+        base = WeightedDoublePoset(p)
+        for gens in subgroup_generators(base):
+            a = build_action(base, gens)
+            for action in (a, opposite1_action(a)):
+                for q in range(4):
+                    assert walk_counts(action, q) == orbit_counts_by_elements(action, q), (p, gens, q)
+
+
+def test_orbit_walk_under_the_symmetric_group_on_6():
+    labs = "abcdef"
+    swap = {"a": "b", "b": "a", **{e: e for e in labs[2:]}}
+    cycle = {e: labs[(i + 1) % 6] for i, e in enumerate(labs)}
+    a = build_action(antichain(6), [swap, cycle])
+    assert a.order == 720 and len(a.generators) == 2
+    for q in range(5):
+        # orbits: the multisets of 6 values in [q]; coeven: the sets
+        expected = (math.comb(q + 5, 6), math.comb(q, 6))
+        assert walk_counts(a, q) == orbit_counts_by_elements(a, q) == expected
+
+
+def test_orbit_walk_under_the_trivial_group():
+    for base in (chain(3), chain(3, strict=True), antichain(3)):
+        a = build_action(base, [])
+        assert a.generators == ()
+        for q in range(4):
+            assert walk_counts(a, q) == orbit_counts_by_elements(a, q)
+            assert walk_counts(a, q)[0] == walk_counts(a, q)[1]
+
+
+def test_orbit_walk_with_the_identity_and_repeated_generators():
+    labs = "abc"
+    identity = {e: e for e in labs}
+    swap = {"a": "b", "b": "a", "c": "c"}
+    cycle = {"a": "b", "b": "c", "c": "a"}
+    for gens in ([identity], [identity, swap], [swap, swap], [cycle, identity, cycle], [swap, cycle, swap, identity]):
+        a = build_action(antichain(3), gens)
+        assert len(a.generators) == len(gens)  # kept as given, identities and repeats too
+        for q in range(5):
+            assert walk_counts(a, q) == orbit_counts_by_elements(a, q), (gens, q)

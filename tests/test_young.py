@@ -21,6 +21,8 @@ from qsymdp.young import (
     skew_schur,
 )
 
+from conftest import peeled_and_whole, skew_shapes
+
 
 def shape(outer, inner=()):
     return SkewShape(outer=Partition(outer), inner=Partition(inner))
@@ -193,3 +195,18 @@ def test_parse_shape():
     assert parse_partition("[]") == Partition()
     with pytest.raises(ValueError):
         parse_shape("2,1")
+
+
+# skew shapes up to the order of their components: 1, 1, 3, 7, 19, 47, 125,
+# 318, 829, 2128, 5491 for 0..10 cells
+SKEW_SHAPE_COUNTS = (1, 1, 3, 7, 19, 47, 125, 318, 829, 2128, 5491)
+
+
+@pytest.mark.parametrize("n", [*range(8), *(pytest.param(n, marks=pytest.mark.slow) for n in (8, 9, 10))])
+def test_peeled_gamma_equals_the_chain_sum_on_every_skew_shape(n):
+    shapes = skew_shapes(n)
+    assert len(shapes) == SKEW_SHAPE_COUNTS[n]
+    for sh in shapes:
+        d = build_Y(sh)
+        peeled, whole = peeled_and_whole(d.poset, [1] * sh.size)
+        assert peeled == whole, sh
