@@ -15,7 +15,7 @@ from .poset import (
     from_dict,
     index_pairs,
     opposite1,
-    restrict,
+    squeeze,
 )
 from .qsym import ENUM_LIMIT, ONE, BoundExceededError, QSymElem, antipode_closed, coproduct, product
 
@@ -43,9 +43,10 @@ class WeightedDoublePoset:
 
 
 # Bound of gamma_of_orders.  The coproduct rule takes Gamma of restrictions that
-# recur across posets: `selftest --max-size 4` makes 771023 calls on 6616
-# distinct (<1, strict pairs, weights) keys, all of which 8192 entries keep; its
-# peak RSS goes from 25.1 MB (1024 entries keyed on <2) to 30.3 MB.
+# recur across posets: `selftest --max-size 4` makes 771023 calls (each part of
+# the coproduct check one, straight from its squeezed orders) on 6616 distinct
+# (<1, strict pairs, weights) keys, all of which 8192 entries keep; its peak RSS
+# goes from 25.1 MB (1024 entries keyed on <2) to 30.2 MB.
 # It is a module-level lru_cache, so clearing the package's caches starts it
 # cold, as a fresh process does.
 GAMMA_CACHE_SIZE = 8192
@@ -88,7 +89,12 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     terms.  A refused Gamma is not cached.
     """
     p = d.poset
-    return gamma_of_orders(p.lt1, strict_pairs(p), tuple(d.w[e] for e in p.elements))
+    return gamma_of_orders(p.lt1, strict_pairs(p), _weights(d))
+
+
+def _weights(d: WeightedDoublePoset) -> Tuple[int, ...]:
+    """The weights of d over the declaration index."""
+    return tuple(d.w[e] for e in d.poset.elements)
 
 
 @lru_cache(maxsize=GAMMA_CACHE_SIZE)
@@ -111,17 +117,10 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
             related |= up | 1 << i
     if related.bit_count() == len(w):
         return _chain_sum(lt1, strict, w)
-    keep = [i for i in range(len(w)) if related >> i & 1]
-
-    def squeeze(mask):
-        return sum(1 << k for k, i in enumerate(keep) if mask >> i & 1)
-
     f = ONE
-    if keep:
+    if related:
         f = _chain_sum(
-            tuple(squeeze(lt1[i]) for i in keep),
-            tuple(squeeze(strict[i]) for i in keep),
-            tuple(w[i] for i in keep),
+            squeeze(lt1, related), squeeze(strict, related), tuple(x for i, x in enumerate(w) if related >> i & 1)
         )
     for i, part in enumerate(w):
         if not related >> i & 1:
@@ -130,7 +129,13 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
 
 
 def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
-    """Gamma summed over the chains of <1-down-sets, as `gamma` describes."""
+    """Gamma summed over the chains of <1-down-sets, as `gamma` describes.
+
+    The chain dicts are bounded as the down-sets are: before chains[low] is
+    merged into a new dict, the entries stored so far, those of the new dict
+    and those of chains[low], each one word per 64 bits of a degree-n mask,
+    may not exceed ENUM_LIMIT.
+    """
     n = sum(w)
     reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(strict)]
     order = DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt1)  # down_sets reads only <1
@@ -139,6 +144,7 @@ def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
         raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} down-set words")
     weight = {s: sum(w[i] for i in range(len(w)) if s >> i & 1) for s in downs}
     chains: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    cap, stored = ENUM_LIMIT // (n // 64 + 1), 1  # the cap on entries, and the entries of the finished dicts
     for top in downs[1:]:
         into: Dict[int, int] = {}
         size = top.bit_count()
@@ -152,11 +158,15 @@ def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
                 if block & r == r:
                     break
             else:
+                below = chains[low]
+                if stored + len(into) + len(below) > cap:
+                    raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} chain-dict words")
                 cut = 1 << weight[low]
-                for mask, c in chains[low].items():
+                for mask, c in below.items():
                     key = mask | cut
                     into[key] = into.get(key, 0) + c
         chains[top] = into
+        stored += len(into)
     return QSymElem({_parts(n, mask): c for mask, c in chains[downs[-1]].items()})
 
 
@@ -190,25 +200,42 @@ def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, t
 
 def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
     """True iff Delta(Gamma(E,w)) equals the sum over admissible pairs (P, Q)
-    of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q): P a <1-down-set, Q its complement."""
-    # a subset can be the P of one pair and the Q of another
-    parts: Dict[int, QSymElem] = {}
+    of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
+
+    Both sides are read from the orders over the declaration index, with no
+    labelled poset built per subset.  The left side is the chain sum of E; each
+    part is its own memoised `gamma_of_orders` call on <1, the strict pairs and
+    the weights of E squeezed to the subset's mask.  Both orders of E|P are
+    induced from E, so the strict pairs of E|P are those of E restricted to P.
+    """
+    p = d.poset
+    lt1, strict, w = p.lt1, strict_pairs(p), _weights(d)
+    parts: Dict[int, QSymElem] = {}  # a subset can be the P of one pair and the Q of another
 
     def part(mask):
         if mask not in parts:
-            r = restrict(d.poset, mask)
-            parts[mask] = gamma(WeightedDoublePoset(poset=r, w={e: d.w[e] for e in r.elements}))
+            parts[mask] = gamma_of_orders(
+                squeeze(lt1, mask), squeeze(strict, mask), tuple(x for i, x in enumerate(w) if mask >> i & 1)
+            )
         return parts[mask]
 
-    full = (1 << d.poset.size) - 1
-    rhs_pairs = [(part(p), part(full ^ p)) for p in down_sets(d.poset)]
-    return _tensor_table(coproduct(gamma(d))) == _tensor_table(rhs_pairs)
+    full = (1 << p.size) - 1
+    rhs_pairs = [(part(low), part(full ^ low)) for low in down_sets(p)]
+    return _tensor_table(coproduct(gamma_of_orders(lt1, strict, w))) == _tensor_table(rhs_pairs)
 
 
 def antipode_theorem_sides(d: WeightedDoublePoset) -> Tuple[QSymElem, QSymElem]:
-    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w)."""
-    flipped = WeightedDoublePoset(poset=opposite1(d.poset), w=dict(d.w))
-    return antipode_closed(gamma(d)), gamma(flipped).scale((-1) ** d.poset.size)
+    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w).
+
+    Both Gammas are taken from the orders: the right side from the <1 and the
+    strict pairs of `opposite1(E)`, with the weights of E over the same index.
+    """
+    p, w = d.poset, _weights(d)
+    flipped = opposite1(p)
+    return (
+        antipode_closed(gamma_of_orders(p.lt1, strict_pairs(p), w)),
+        gamma_of_orders(flipped.lt1, strict_pairs(flipped), w).scale((-1) ** p.size),
+    )
 
 
 def antipode_theorem_check(d: WeightedDoublePoset) -> bool:

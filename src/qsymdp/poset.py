@@ -119,17 +119,31 @@ def opposite1(d: DoublePoset) -> DoublePoset:
     return DoublePoset(elements=d.elements, lt1=transpose(d.lt1), lt2=d.lt2)
 
 
+def squeeze(rel: Rel, mask: int) -> Rel:
+    """rel induced on the indices set in mask, renumbered 0, 1, ... in index order."""
+    rank: Dict[int, int] = {}  # old index -> new index
+    for i in range(len(rel)):
+        if mask >> i & 1:
+            rank[i] = len(rank)
+    out = []
+    for i in rank:
+        up, packed = rel[i] & mask, 0
+        while up:
+            bit = up & -up
+            packed |= 1 << rank[bit.bit_length() - 1]
+            up ^= bit
+        out.append(packed)
+    return tuple(out)
+
+
 def restrict(d: DoublePoset, mask: int) -> DoublePoset:
     """The double poset induced on the elements whose declaration index is set in mask."""
     if mask < 0 or mask >> d.size:
         raise ValueError(f"mask {mask:#b} has bits outside the {d.size} elements")
-    kept = [i for i in range(d.size) if mask >> i & 1]
-
-    def squeeze(rel: Rel) -> Rel:
-        return tuple(sum(1 << k for k, j in enumerate(kept) if rel[i] >> j & 1) for i in kept)
-
     return DoublePoset(
-        elements=tuple(d.elements[i] for i in kept), lt1=squeeze(d.lt1), lt2=squeeze(d.lt2)
+        elements=tuple(e for i, e in enumerate(d.elements) if mask >> i & 1),
+        lt1=squeeze(d.lt1, mask),
+        lt2=squeeze(d.lt2, mask),
     )
 
 

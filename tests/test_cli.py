@@ -10,7 +10,7 @@ import pytest
 from qsymdp import cli, verify, young
 from qsymdp.cli import run
 from qsymdp.compositions import conjugate
-from qsymdp.qsym import ENUM_LIMIT, fundamental, monomial
+from qsymdp.qsym import ENUM_LIMIT, format_qsym, fundamental, monomial, product
 
 
 def invoke(capsys, *argv):
@@ -188,6 +188,34 @@ def test_antichain_with_doubling_weights_exits_2(capsys, tmp_path, n):
     err = hostile_run(capsys, ["gamma", path])
     assert time.perf_counter() - start < 2
     assert err.startswith("error: ") and "2000000" in err
+
+
+def disjoint_chains(k, weights):
+    """k disjoint 2-chains e(2i) <1 e(2i+1), with <2 = <1, and the given weights."""
+    labels = [f"e{i}" for i in range(2 * k)]
+    pairs = [labels[i : i + 2] for i in range(0, 2 * k, 2)]
+    return {"elements": labels, "lt1": pairs, "lt2": pairs, "w": dict(zip(labels, weights))}
+
+
+def test_disjoint_chains_with_doubling_weights_exit_2(capsys, tmp_path):
+    # weights 2^0, ..., 2^9 on 5 disjoint 2-chains: no element is peeled, and the
+    # chain dicts hold a key per partial-weight set; they are refused before they grow
+    path = write_poset(tmp_path, "p.json", disjoint_chains(5, [2**i for i in range(10)]))
+    start = time.perf_counter()
+    err = hostile_run(capsys, ["gamma", path])
+    assert time.perf_counter() - start < 2
+    assert err.startswith("error: ") and "2000000" in err
+
+
+def test_six_disjoint_chains_stay_under_the_chain_dict_bound(capsys, tmp_path):
+    path = write_poset(tmp_path, "p.json", disjoint_chains(6, [1] * 12))
+    code, out, err = invoke(capsys, "gamma", path)
+    chain = monomial((2,)) + monomial((1, 1))
+    expected = chain
+    for _ in range(5):
+        expected = product(expected, chain)
+    assert (code, err) == (0, "")
+    assert out == format_qsym(expected) + "\n"
 
 
 def test_antipode_f_at_degree_18(capsys):

@@ -16,6 +16,7 @@ from qsymdp.gamma import (
     gamma,
     gamma_coproduct_check,
     gamma_product_check,
+    strict_pairs,
     weighted_from_dict,
 )
 from qsymdp.oracles import (
@@ -26,10 +27,17 @@ from qsymdp.oracles import (
     is_epartition_covers,
     product_truncation_matches,
 )
-from qsymdp.poset import DoublePoset, build, is_special, is_tertispecial
+from qsymdp.poset import DoublePoset, build, is_special, is_tertispecial, opposite1, restrict, squeeze
 from qsymdp.qsym import BoundExceededError, antipode_closed, coproduct, fundamental, monomial, product
 
-from conftest import all_double_posets, chain, peeled_and_whole, random_double_poset, random_tertispecial_posets
+from conftest import (
+    all_double_posets,
+    chain,
+    opposite2,
+    peeled_and_whole,
+    random_double_poset,
+    random_tertispecial_posets,
+)
 
 
 def test_weight_defaults_to_all_ones():
@@ -212,15 +220,42 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
     import qsymdp.gamma as m
 
     calls = []
+    memo = m.gamma_of_orders
 
-    def counted(d):
-        calls.append(d.poset.elements)
-        return gamma(d)
+    def counted(*key):
+        calls.append(key)
+        return memo(*key)
 
-    monkeypatch.setattr(m, "gamma", counted)
-    assert gamma_coproduct_check(WeightedDoublePoset(poset=build("abc", [], []), w={}))
-    # the 8 subsets of the 3-antichain, each once, and E itself for the left side
+    monkeypatch.setattr(m, "gamma_of_orders", counted)
+    # distinct weights give each subset of the 3-antichain its own key
+    assert gamma_coproduct_check(WeightedDoublePoset(poset=build("abc", [], []), w={"a": 1, "b": 2, "c": 3}))
+    # the 8 subsets, each once, and E itself for the left side
     assert len(calls) == 9 and len(set(calls)) == 8
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_index_routes_match_the_labelled_posets(n):
+    # the coproduct check squeezes the strict pairs of E by mask; the antipode
+    # sides take the flipped Gamma from the orders of opposite1(E)
+    for p in all_double_posets(n):
+        strict = strict_pairs(p)
+        for mask in range(1 << n):
+            assert squeeze(strict, mask) == strict_pairs(restrict(p, mask)), (p, mask)
+        for w in ({}, {e: 1 + i % 2 for i, e in enumerate(p.elements)}):
+            d = WeightedDoublePoset(poset=p, w=w)
+            flipped = gamma(WeightedDoublePoset(poset=opposite1(p), w=d.w)).scale((-1) ** n)
+            assert antipode_theorem_sides(d) == (antipode_closed(gamma(d)), flipped)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_reversing_both_orders_reverses_gamma(n):
+    # phi -> k + 1 - phi takes the packed E-partitions of (E, <1, <2) onto those
+    # of (E, >1, >2), so Gamma(E, >1, >2) = rev Gamma(E, <1, <2), rev M_alpha = M_rev(alpha)
+    for p in all_double_posets(n):
+        both = opposite1(opposite2(p))
+        for w in ({}, {e: 1 + i % 2 for i, e in enumerate(p.elements)}):
+            reversed_terms = {alpha[::-1]: c for alpha, c in gamma(WeightedDoublePoset(poset=p, w=w)).terms.items()}
+            assert gamma(WeightedDoublePoset(poset=both, w=w)).terms == reversed_terms
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
