@@ -69,26 +69,54 @@ def conjugate(alpha: Composition) -> Composition:
     return Composition(_parts(n, all_descents(n) & ~descent_set(reverse(alpha))))
 
 
-def submasks(top: int) -> List[int]:
-    """The 2^k sub-masks of a k-bit mask in index order: bit j of the index
-    selects the j-th lowest set bit of top, so index 0 is 0 and the last is top."""
-    subs = [0]
-    while top:
-        bit = top & -top
-        subs += [s | bit for s in subs]
-        top ^= bit
-    return subs
+def cube(n: int, low: int, top: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """The 2^k sub-masks s of a k-bit mask top, and beside each the composition
+    of n with descent mask low | s, for disjoint low and top inside {1, ..., n-1}.
+
+    The sub-masks come in index order: bit j of the index selects the j-th lowest
+    set bit of top, so index 0 is 0 and the last is top.  The compositions are
+    built by walking the cuts of low | top from the lowest, starting from (n,):
+    a cut of top appends a copy of every composition so far with its last part
+    split there, and a run of cuts of low up to the next cut of top splits the
+    last part of every one in a single step, so no cell walks its mask bit by bit.
+    """
+    subs, comps = [0], [(n,)] if n else [()]
+    cuts = low | top
+    while cuts:
+        bit = cuts & -cuts
+        cuts ^= bit
+        rest = n + 1 - bit.bit_length()  # the last part once split at this cut
+        if bit & top:
+            subs += [s | bit for s in subs]
+            comps += [a[:-1] + (a[-1] - rest, rest) for a in comps]
+            continue
+        tail = [rest]  # the parts after this cut once the cuts of low up to the next cut of top are made
+        while cuts & -cuts & low:
+            bit = cuts & -cuts
+            cuts ^= bit
+            last = n + 1 - bit.bit_length()
+            tail[-1] -= last
+            tail.append(last)
+        split = tuple(tail)
+        comps = [a[:-1] + (a[-1] - rest,) + split for a in comps]
+    return subs, comps
 
 
-def compositions_between(n: int, low: int, high: int) -> Iterator[Tuple[int, ...]]:
+def compositions_between(n: int, low: int, high: int) -> List[Tuple[int, ...]]:
     """The compositions of n whose descent mask D satisfies low <= D <= high,
     as plain tuples: they are built from cut points, so there is nothing to check."""
-    return (_parts(n, low | sub) for sub in submasks(high & ~low))
+    return cube(n, low, high & ~low)[1]
+
+
+def in_sort_key_order(keys: Iterable[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """The keys sorted by sort_key, as three stable sorts with no Python key function:
+    by parts, then by length, then by size."""
+    return sorted(sorted(sorted(keys), key=len), key=sum)
 
 
 def compositions_of(n: int) -> Iterator[Tuple[int, ...]]:
     """All compositions of n, in the deterministic order of sort_key."""
-    return iter(sorted(compositions_between(n, 0, all_descents(n)), key=sort_key))
+    return iter(in_sort_key_order(compositions_between(n, 0, all_descents(n))))
 
 
 def format_composition(alpha: Composition) -> str:

@@ -13,18 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from .compositions import (
     Composition,
     all_descents,
-    _parts,
     compositions_between,
+    cube,
     descent_set,
     format_composition,
+    in_sort_key_order,
     reverse,
-    sort_key,
-    submasks,
 )
 
 Comp = Tuple[int, ...]
@@ -54,7 +53,7 @@ class QSymElem:
 
     def sorted_terms(self) -> List[Tuple[Comp, Coeff]]:
         terms = self.terms
-        return [(alpha, terms[alpha]) for alpha in sorted(terms, key=sort_key)]
+        return [(alpha, terms[alpha]) for alpha in in_sort_key_order(terms)]
 
     def __add__(self, other: "QSymElem") -> "QSymElem":
         return linear_combination(((1, self), (1, other)))
@@ -139,7 +138,7 @@ def coproduct(f: QSymElem) -> List[Tuple[QSymElem, QSymElem]]:
     for alpha, c in f.sorted_terms():
         for k in range(len(alpha) + 1):
             rights.setdefault(alpha[:k], {})[alpha[k:]] = c
-    return [(QSymElem({left: 1}), QSymElem(rights[left])) for left in sorted(rights, key=sort_key)]
+    return [(QSymElem({left: 1}), QSymElem(rights[left])) for left in in_sort_key_order(rights)]
 
 
 def counit(f: QSymElem) -> Coeff:
@@ -147,10 +146,18 @@ def counit(f: QSymElem) -> Coeff:
 
 
 def antipode_closed(f: QSymElem) -> QSymElem:
-    """S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma, extended linearly: in degree n,
-    S(f)[G] = sum over E >= G of c'[E] with c'[D(rev alpha)] = (-1)^l c_alpha, a superset-sum run by
-    Yates's passes on one sub-cube per maximal mask of the support: at most the 2^|D(rev alpha)| cells
-    per term the closed form visits.  The bound counts a cell once per 64-bit word of a degree-n mask."""
+    """S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma, extended linearly.
+
+    In degree n, S(f)[G] = sum over E >= G of c'[E], with c'[D(rev alpha)] = (-1)^l c_alpha:
+    a superset-sum, run by Yates's passes on sub-cubes of masks that cover the
+    degree's support.  The cover is one cube over the OR u of the support's masks
+    when 2^|u| <= sum over the support of 2^|m| (a dense support, such as a Gamma's)
+    and that cube fits the bound; otherwise it is one cube per maximal mask of the
+    support, at most the 2^|D(rev alpha)| cells per term that the closed form visits,
+    so a spread-out support never pays for its OR.  The bound, ENUM_LIMIT, is on the
+    cells of the cubes of all degrees, each counted once per 64-bit word of a
+    degree-n mask.
+    """
     by_degree: Dict[int, Dict[int, Coeff]] = {}
     for alpha, c in f.terms.items():
         n = sum(alpha)
@@ -160,27 +167,35 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     terms: Dict[Comp, Coeff] = {}
     cells = 0
     for n, values in by_degree.items():
-        where: Dict[int, Dict[int, Coeff]] = {}  # mask -> the cube holding it
-        cubes = []  # each a dict from its sub-masks, in index order, to their values
+        words = n // 64 + 1
+        union = 0
+        for mask in values:
+            union |= mask
+        size = 1 << union.bit_count()
+        if size <= sum(1 << mask.bit_count() for mask in values) and cells + size * words <= ENUM_LIMIT:
+            cells += size * words
+            terms.update(_antipode_cube(n, union, values.get))
+            continue
+        left = dict(values)  # each mask is popped into the first cube that holds it
         for mask in sorted(values, key=int.bit_count, reverse=True):
-            if mask not in where:
-                cells += (1 << mask.bit_count()) * (n // 64 + 1)
+            if mask in left:
+                cells += (1 << mask.bit_count()) * words
                 if cells > ENUM_LIMIT:
                     raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
-                cube = dict.fromkeys(submasks(mask), 0)
-                where.update(dict.fromkeys(cube, cube))
-                cubes.append(cube)
-            where[mask][mask] = values[mask]
-        total: Dict[int, Coeff] = {}
-        for cube in cubes:
-            a = list(cube.values())
-            for _ in range(len(a).bit_length() - 1):
-                odd = a[1::2]
-                a = list(map(add, a[0::2], odd)) + odd
-            for s, v in zip(cube, a):
-                total[s] = total.get(s, 0) + v
-        terms.update((_parts(n, s), v) for s, v in total.items() if v)
+                for gamma, v in _antipode_cube(n, mask, left.pop):
+                    terms[gamma] = terms.get(gamma, 0) + v
     return QSymElem(terms)
+
+
+def _antipode_cube(n: int, top: int, value: Callable[[int, int], Coeff]) -> Iterable[Tuple[Comp, Coeff]]:
+    """The pairs (composition of n with descent mask s, sum over the E >= s below top
+    of value(E, 0)) over the sub-masks s of top: Yates's passes on the cube's list."""
+    subs, comps = cube(n, 0, top)
+    a = [value(s, 0) for s in subs]
+    for _ in range(len(a).bit_length() - 1):
+        odd = a[1::2]
+        a = list(map(add, a[0::2], odd)) + odd
+    return zip(comps, a)
 
 
 def fundamental(alpha: Iterable[int]) -> QSymElem:
@@ -228,7 +243,8 @@ def format_qsym(f: QSymElem) -> str:
     items = f.sorted_terms()
     if not items:
         return "0"
-    return _join_terms([_term_head(c) + ",".join(map(str, alpha)) + ")" for alpha, c in items])
+    heads = {c: _term_head(c) for c in set(f.terms.values())}
+    return _join_terms([heads[c] + ",".join(map(str, alpha)) + ")" for alpha, c in items])
 
 
 def format_coproduct(f: QSymElem) -> str:
@@ -248,5 +264,5 @@ def format_coproduct(f: QSymElem) -> str:
             cut = text.find(",", cut) + 1
         rights.setdefault(alpha, []).append(head + ")")
     return "\n".join(
-        f"M({','.join(map(str, left))}) (x) {_join_terms(rights[left])}" for left in sorted(rights, key=sort_key)
+        f"M({','.join(map(str, left))}) (x) {_join_terms(rights[left])}" for left in in_sort_key_order(rights)
     )

@@ -218,6 +218,19 @@ def test_six_disjoint_chains_stay_under_the_chain_dict_bound(capsys, tmp_path):
     assert out == format_qsym(expected) + "\n"
 
 
+def test_verify_antipode_on_an_antichain_with_repeating_weights_passes(capsys, tmp_path):
+    # weights 1, 2, 3, 1, 2, 3, ... on 10 elements, degree 19: Gamma's descent masks
+    # are dense, so one cube over their OR (2^18 cells) takes the antipode, where
+    # a cube per maximal mask would take 2150400 cells, over ENUM_LIMIT
+    labels = [f"e{i}" for i in range(10)]
+    path = write_poset(tmp_path, "p.json", {"elements": labels, "w": {e: i % 3 + 1 for i, e in enumerate(labels)}})
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "verify-antipode", path)
+    assert time.perf_counter() - start < 3
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS"
+
+
 def test_antipode_f_at_degree_18(capsys):
     code, out, _ = invoke(capsys, "--json", "antipode-f", "(2,3,4,1,4,4)")
     assert code == 0

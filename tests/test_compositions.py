@@ -5,13 +5,17 @@ from qsymdp.compositions import (
     Composition,
     all_descents,
     comp_of_subset,
+    _parts,
     compositions_between,
     compositions_of,
     conjugate,
+    cube,
     descent_set,
     format_composition,
+    in_sort_key_order,
     parse_composition,
     reverse,
+    sort_key,
 )
 from qsymdp.verify import compositions_round_trip, descent_sets_round_trip
 from qsymdp.young import parse_partition
@@ -62,6 +66,24 @@ def test_compositions_between_is_the_descent_interval(n):
             inside = [a for a in every if low & ~descent_set(a) == 0 and descent_set(a) & ~high == 0]
             between = list(compositions_between(n, low, high))
             assert sorted(between) == sorted(inside) and len(set(between)) == len(between)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_cube_is_the_sub_masks_in_index_order_with_their_compositions(n):
+    # every disjoint (low, top) inside {1, ..., n-1}; bit j of a cell's index
+    # selects the j-th lowest set bit of top
+    for top in range(0, all_descents(n) + 1, 2):
+        bits = [1 << d for d in range(n) if top >> d & 1]
+        subs = [sum(b for j, b in enumerate(bits) if i >> j & 1) for i in range(1 << len(bits))]
+        for low in range(0, all_descents(n) + 1, 2):
+            if low & top:
+                continue
+            assert cube(n, low, top) == (subs, [_parts(n, low | s) for s in subs])
+
+
+@given(st.lists(st.lists(st.integers(min_value=1, max_value=4), max_size=6).map(tuple), unique=True))
+def test_in_sort_key_order_is_sorted_by_sort_key(keys):
+    assert in_sort_key_order(keys) == sorted(keys, key=sort_key)
 
 
 def test_reverse_examples():

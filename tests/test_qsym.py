@@ -1,16 +1,30 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymdp.compositions import Composition, all_descents, comp_of_subset, compositions_of, conjugate, sort_key
+from conftest import random_double_poset
+from qsymdp import qsym
+from qsymdp.compositions import (
+    Composition,
+    all_descents,
+    comp_of_subset,
+    compositions_of,
+    conjugate,
+    cube,
+    reverse,
+    sort_key,
+)
 from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check, gamma
 from qsymdp.oracles import antipode_recursive, product_truncation_matches
 from qsymdp.poset import all_double_posets, build
 from qsymdp.qsym import (
     ONE,
     ZERO,
+    BoundExceededError,
+    QSymElem,
     antipode_closed,
     binomial,
     coproduct,
@@ -280,6 +294,79 @@ def test_antipode_closed_matches_recursive_on_sparse_mixed_degree(f):
     assert s == antipode_recursive(f)
     assert antipode_closed(s) == f
     assert all(s.terms.values())
+
+
+@st.composite
+def dense_support(draw):
+    """Gamma of a random double poset with |E| <= 5 and weights 1-3, or over half
+    of the compositions of some n <= 8 with nonzero coefficients -3..3: supports
+    whose OR cube has no more cells than the cubes of their masks together."""
+    if draw(st.booleans()):
+        p = random_double_poset(draw(st.integers(0, 5)), draw(st.randoms(use_true_random=False)))
+        return gamma(WeightedDoublePoset(p, {e: draw(st.integers(1, 3)) for e in p.elements}))
+    every = list(compositions_of(draw(st.integers(0, 8))))
+    chosen = draw(st.lists(st.sampled_from(every), min_size=len(every) // 2 + 1, unique=True))
+    return QSymElem({alpha: draw(st.integers(-3, -1) | st.integers(1, 3)) for alpha in chosen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_support())
+def test_antipode_closed_matches_recursive_on_dense_supports(f):
+    s = antipode_closed(f)
+    assert s == antipode_recursive(f)
+    assert antipode_closed(s) == f
+
+
+def with_reversed_descents(n, masks):
+    """The sum of the M_alpha of degree n with D(rev alpha) in masks."""
+    return linear_combination((1, monomial(reverse(comp_of_subset(n, m)))) for m in masks)
+
+
+def bits(lo, hi):
+    return sum(1 << d for d in range(lo, hi + 1))
+
+
+def test_antipode_of_a_spread_out_support_takes_the_maximal_masks():
+    # D(rev alpha) = {40 - k}, 39 masks of one bit each: the OR cube would have 2^39 cells
+    f = linear_combination((1, M(k, 40 - k)) for k in range(1, 40))
+    start = time.perf_counter()
+    s = antipode_closed(f)
+    assert time.perf_counter() - start < 0.1
+    assert s == antipode_recursive(f)
+
+
+@pytest.mark.parametrize(
+    "masks, tops",
+    [
+        # 2^6 cells over the OR against 6 * 2^1 over the masks: a cube per mask
+        ([1 << d for d in (1, 3, 5, 7, 9, 11)], [1 << d for d in (1, 3, 5, 7, 9, 11)]),
+        # 2^4 over the OR against 2^2 + 2^2 + 2^1: a cube per maximal mask
+        ([bits(1, 2), bits(3, 4), 1 << 4], [bits(1, 2), bits(3, 4)]),
+        # 2^3 over the OR against 2^2 + 2^2: one cube
+        ([bits(1, 2), bits(2, 3)], [bits(1, 3)]),
+        ([bits(1, 11), 1 << 4], [bits(1, 11)]),
+    ],
+)
+def test_antipode_takes_the_or_cube_when_it_has_no_more_cells_than_the_masks(monkeypatch, masks, tops):
+    f = with_reversed_descents(12, masks)
+    expected = antipode_recursive(f)
+    cubes = []
+    monkeypatch.setattr(qsym, "cube", lambda n, low, top: cubes.append(top) or cube(n, low, top))
+    assert antipode_closed(f) == expected
+    assert sorted(cubes) == sorted(tops)
+
+
+def test_antipode_falls_back_to_the_maximal_masks_when_the_or_cube_is_over_the_limit(monkeypatch):
+    # the OR {1..7} has 128 cells, no more than 32 + 32 + 32 + 16 + 16, but over
+    # the limit; the maximal masks {1..5}, {2..6}, {3..7} take 96 cells
+    f = with_reversed_descents(10, [bits(1, 5), bits(2, 6), bits(3, 7), bits(1, 4), bits(2, 5)])
+    expected = antipode_recursive(f)
+    monkeypatch.setattr(qsym, "ENUM_LIMIT", 100)
+    assert antipode_closed(f) == expected
+    # the maximal masks {1..5}, ..., {4..8} take 128 cells: refused, as before the OR cube
+    g = with_reversed_descents(10, [bits(1, 5), bits(2, 6), bits(3, 7), bits(4, 8)])
+    with pytest.raises(BoundExceededError, match="^antipode in degree 10 needs over 100 cell words$"):
+        antipode_closed(g)
 
 
 @settings(max_examples=200, deadline=None)
