@@ -8,16 +8,13 @@ Gamma per class, weighted by the class size, give the sum over all of G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
 from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1
-from .qsym import BoundExceededError, QSymElem, antipode_closed, linear_combination
+from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
-
-DEFAULT_GROUP_CAP = 5040
 
 
 class NotPreservingError(ValueError):
@@ -29,16 +26,25 @@ class NotPreservingError(ValueError):
         super().__init__(f"permutation {self.perm} does not preserve {witness}")
 
 
-@dataclass(frozen=True)
 class GroupAction:
     """A full finite permutation group acting on a weighted double poset, with
     the generators it was built from and its conjugacy classes as (least
     member, class size) pairs."""
 
-    base: WeightedDoublePoset
-    elements: Tuple[Permutation, ...]
-    classes: Tuple[Tuple[Permutation, int], ...]
-    generators: Tuple[Permutation, ...]
+    __slots__ = ("base", "elements", "classes", "generators")
+
+    def __init__(
+        self,
+        base: WeightedDoublePoset,
+        elements: Tuple[Permutation, ...],
+        classes: Tuple[Tuple[Permutation, int], ...],
+        generators: Tuple[Permutation, ...],
+    ):
+        self.base, self.elements, self.classes, self.generators = base, elements, classes, generators
+
+    def with_base(self, base: WeightedDoublePoset) -> "GroupAction":
+        """The same group acting on another base with the same labels."""
+        return GroupAction(base, self.elements, self.classes, self.generators)
 
     @property
     def order(self) -> int:
@@ -221,8 +227,7 @@ def gamma_plus(a: GroupAction) -> QSymElem:
 
 def opposite1_action(a: GroupAction) -> GroupAction:
     """The same group acting on (E, >1, <2); permutations preserve >1 too."""
-    flipped = WeightedDoublePoset(poset=opposite1(a.base.poset), w=dict(a.base.w))
-    return replace(a, base=flipped)
+    return a.with_base(WeightedDoublePoset(poset=opposite1(a.base.poset), w=a.base.w))
 
 
 def equivariant_theorem_check(a: GroupAction) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
 
@@ -24,18 +23,18 @@ class NotTertispecialError(ValueError):
     """Raised when an operation requires a tertispecial double poset."""
 
 
-@dataclass(frozen=True)
 class WeightedDoublePoset:
-    poset: DoublePoset
-    w: Mapping[str, int] = field(default_factory=dict)
+    """A double poset with a positive integer weight per label; an empty w weighs each 1."""
 
-    def __post_init__(self):
-        w = dict(self.w) if self.w else {e: 1 for e in self.poset.elements}
-        if set(w) != set(self.poset.elements):
+    __slots__ = ("poset", "w")
+
+    def __init__(self, poset: DoublePoset, w: Mapping[str, int] | None = None):
+        w = dict(w) if w else {e: 1 for e in poset.elements}
+        if set(w) != set(poset.elements):
             raise ValueError("weight function must be total on the ground set")
         if any(type(v) is not int or v < 1 for v in w.values()):  # no bool, no float
             raise ValueError("weights must be positive integers")
-        object.__setattr__(self, "w", w)
+        self.poset, self.w = poset, w
 
     @property
     def degree(self) -> int:

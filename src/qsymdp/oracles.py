@@ -24,9 +24,9 @@ reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
 independently of the closed form.  The fundamental expansion of Gamma over
 linear extensions is a third route, for special double posets, that shares no
 code with the other two.  The orbit sums are also summed element by element,
-in Fractions, as the paper defines them, against the class sums of the
-equivariant module; the automorphisms of a weighted double poset are found
-among all n! permutations.
+as the paper defines them, against the class sums of the equivariant module;
+the automorphisms of a weighted double poset are found among all n!
+permutations.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .compositions import Composition
@@ -288,9 +287,12 @@ def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
 
 def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     """Gamma(E, w, G), or Gamma+(E, w, G) if ``plus``: (1/|G|) sum over every
-    g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``."""
-    terms = [(sign_of(g) if plus else 1, gamma(quotient_by(g, a.base))) for g in a.elements]
-    return linear_combination(terms).scale(Fraction(1, a.order))
+    g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``, summed in
+    ints; |G| divides the sum (Burnside), which is asserted."""
+    total = linear_combination([(sign_of(g) if plus else 1, gamma(quotient_by(g, a.base))) for g in a.elements])
+    if any(c % a.order for c in total.terms.values()):
+        raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {a.order}")
+    return QSymElem({alpha: c // a.order for alpha, c in total.terms.items()})
 
 
 def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -12,14 +11,26 @@ from .gamma import NotTertispecialError, WeightedDoublePoset
 # perfbench/checks.py imports them from qsymdp.orderpoly.
 from .oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
 from .poset import is_tertispecial
-from .qsym import binomial
 
 
-@dataclass(frozen=True)
+def binomial(q, k: int) -> Fraction:
+    """Generalized binomial C(q, k) = q(q-1)...(q-k+1)/k!, valid for negative q."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(q) - i
+    den = 1
+    for i in range(1, k + 1):
+        den *= i
+    return num / den
+
+
 class OrderPolynomial:
-    """A polynomial stored in the binomial basis: sum of c_k * C(q, k)."""
+    """A polynomial stored in the binomial basis: sum of c_k * C(q, k), c_k ints."""
 
-    binom_coeffs: Tuple[Fraction, ...]
+    __slots__ = ("binom_coeffs",)
+
+    def __init__(self, binom_coeffs: Tuple[int, ...]):
+        self.binom_coeffs = binom_coeffs
 
     def __call__(self, q) -> Fraction:
         return sum(
@@ -42,16 +53,17 @@ class OrderPolynomial:
 
 
 def _all_ones_action(a: GroupAction) -> GroupAction:
-    base = WeightedDoublePoset(poset=a.base.poset, w={})
-    return replace(a, base=base)
+    return a.with_base(WeightedDoublePoset(poset=a.base.poset, w={}))
 
 
 def order_polynomial(a: GroupAction) -> OrderPolynomial:
-    """Omega(q) = number of G-orbits of E-partitions into [q], via ps1 of the
-    equivariant generating function with w identically 1."""
+    """Omega(q) = number of G-orbits of E-partitions into [q]: the principal
+    specialization (x_1 = ... = x_q = 1, the rest 0) of the equivariant
+    generating function with w identically 1, which sends M_alpha to
+    C(q, len(alpha)), so c_k sums the coefficients of the alpha with k parts."""
     g = gamma_equivariant(_all_ones_action(a))
     n = a.base.poset.size
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for alpha, c in g.terms.items():
         coeffs[len(alpha)] += c
     return OrderPolynomial(binom_coeffs=tuple(coeffs))

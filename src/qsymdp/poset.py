@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .qsym import ENUM_LIMIT, BoundExceededError
@@ -54,22 +53,24 @@ def transitive_closure(elements: Sequence, pairs: Iterable[Pair]) -> Rel:
     return tuple(rel)
 
 
-@dataclass(frozen=True)
 class DoublePoset:
     """Finite ground set with two strict partial orders, stored transitively
     closed as bitmasks over the declaration index of the elements."""
 
-    elements: Tuple[str, ...]
-    lt1: Rel
-    lt2: Rel
+    __slots__ = ("elements", "lt1", "lt2")
+
+    def __init__(self, elements: Tuple[str, ...], lt1: Rel, lt2: Rel):
+        self.elements, self.lt1, self.lt2 = elements, lt1, lt2
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DoublePoset) and (self.elements, self.lt1, self.lt2) == (other.elements, other.lt1, other.lt2)
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.lt1, self.lt2))
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def pairs(self, rel: Rel) -> List[Pair]:
-        """The label pairs (a, b) with a < b in rel, in declaration order."""
-        return [(self.elements[i], self.elements[j]) for i, j in index_pairs(rel)]
 
     def covers(self, rel: Rel) -> Rel:
         """The cover relation of a (transitively closed) strict order."""

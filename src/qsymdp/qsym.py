@@ -3,17 +3,15 @@ computed in the monomial basis alone (the product is the quasi-shuffle product,
 the antipode a superset-sum transform over descent masks).
 
 Compositions are checked where they enter (monomial, fundamental); inside, keys
-are plain tuples of positive parts.  The package's routes give int coefficients:
-product, coproduct and antipode keep them integral.  A Fraction coefficient comes
-only from a caller that scales by one; ps1 and binomial return Fractions.
+are plain tuples of positive parts.  Coefficients are ints: product, coproduct and
+antipode keep them integral, and the orbit sums divide by |G| exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .compositions import (
     Composition,
@@ -27,9 +25,10 @@ from .compositions import (
 )
 
 Comp = Tuple[int, ...]
-Coeff = Union[int, Fraction]
+Coeff = int
 
 ENUM_LIMIT = 2_000_000  # the most terms, cells or maps one enumeration may build
+DEFAULT_GROUP_CAP = 5040  # the largest group materialised from generators unless --group-cap says otherwise
 
 
 class BoundExceededError(RuntimeError):
@@ -40,7 +39,7 @@ class QSymElem:
     """A finite linear combination of monomial basis elements M_alpha.
 
     Keys are compositions as tuples, checked where they enter; coefficients are
-    ints, or Fractions once something divides.  Zero coefficients are never stored.
+    ints.  Zero coefficients are never stored.
     """
 
     __slots__ = ("terms",)
@@ -68,7 +67,7 @@ class QSymElem:
         return QSymElem({a: c * v for a, v in self.terms.items()})
 
     def __rmul__(self, c) -> "QSymElem":
-        if isinstance(c, (int, Fraction)):
+        if isinstance(c, int):
             return self.scale(c)
         return NotImplemented
 
@@ -207,27 +206,8 @@ def fundamental(alpha: Iterable[int]) -> QSymElem:
     return QSymElem(dict.fromkeys(compositions_between(n, descent_set(alpha), all_descents(n)), 1))
 
 
-def binomial(q, k: int) -> Fraction:
-    """Generalized binomial C(q, k) = q(q-1)...(q-k+1)/k!, valid for negative q."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(q) - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    return num / den
-
-
-def ps1(f: QSymElem, q: int) -> Fraction:
-    """Principal specialization: substitute 1 for x_1..x_q and 0 for the rest."""
-    return sum(
-        (c * binomial(q, len(alpha)) for alpha, c in f.terms.items()),
-        Fraction(0),
-    )
-
-
 def _term_head(c: Coeff) -> str:
-    """The text of a term up to its parts, sign first: " + M(", " - 2*M(", " + 1/2*M("."""
+    """The text of a term up to its parts, sign first: " + M(", " - 2*M(", " + 3*M("."""
     mag = abs(c)
     return (" - " if c < 0 else " + ") + ("M(" if mag == 1 else f"{mag}*M(")
 
@@ -239,7 +219,7 @@ def _join_terms(pieces: List[str]) -> str:
 
 
 def format_qsym(f: QSymElem) -> str:
-    """Render as e.g. ``M(2) + 2*M(1,1) - 1/2*M(3)``; zero prints as ``0``."""
+    """Render as e.g. ``M(2) + 2*M(1,1) - 3*M(3)``; zero prints as ``0``."""
     items = f.sorted_terms()
     if not items:
         return "0"

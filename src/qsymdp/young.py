@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from .compositions import parse_parts
@@ -40,17 +39,16 @@ def conjugate_partition(lam: Partition) -> Partition:
     )
 
 
-@dataclass(frozen=True)
 class SkewShape:
-    outer: Partition
-    inner: Partition
+    """The cells of the Young diagram of outer that are not in that of inner."""
 
-    def __post_init__(self):
-        padded = tuple(self.inner) + (0,) * (len(self.outer) - len(self.inner))
-        if len(self.inner) > len(self.outer) or any(
-            m > l for m, l in zip(padded, self.outer)
-        ):
-            raise ValueError(f"inner {tuple(self.inner)} not contained in outer {tuple(self.outer)}")
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: Partition, inner: Partition):
+        padded = tuple(inner) + (0,) * (len(outer) - len(inner))
+        if len(inner) > len(outer) or any(m > l for m, l in zip(padded, outer)):
+            raise ValueError(f"inner {tuple(inner)} not contained in outer {tuple(outer)}")
+        self.outer, self.inner = outer, inner
 
     @property
     def cells(self) -> Tuple[Cell, ...]:

@@ -73,6 +73,11 @@ def is_semispecial(d) -> bool:
     return not any(a & b for a, b in zip(d.lt1, _incomparable2(d)))
 
 
+def pairs(d, rel):
+    """The label pairs (a, b) with a < b in rel, in declaration order."""
+    return [(d.elements[i], d.elements[j]) for i, j in index_pairs(rel)]
+
+
 def opposite2(d) -> DoublePoset:
     return DoublePoset(elements=d.elements, lt1=d.lt1, lt2=transpose(d.lt2))
 
@@ -81,8 +86,8 @@ def to_dict(d) -> dict:
     """d as a poset JSON document."""
     return {
         "elements": list(d.elements),
-        "lt1": sorted([a, b] for a, b in d.pairs(d.lt1)),
-        "lt2": sorted([a, b] for a, b in d.pairs(d.lt2)),
+        "lt1": sorted([a, b] for a, b in pairs(d, d.lt1)),
+        "lt2": sorted([a, b] for a, b in pairs(d, d.lt2)),
     }
 
 

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +99,29 @@ def test_no_admissible_pair_type():
         module = importlib.import_module(f"qsymdp.{info.name}")
         assert gone & set(vars(module)) == set(), info.name
     assert gone & set(vars(qsymdp)) == set()
+
+
+# What `import qsymdp.cli` must leave unloaded: dataclasses and the inspect it
+# pulls in, fractions and its decimal, and the layers that only some commands
+# use, which their handlers import when called.
+NOT_LOADED_BY_THE_CLI = (
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "qsymdp.equivariant",
+    "qsymdp.oracles",
+    "qsymdp.orderpoly",
+    "qsymdp.verify",
+    "qsymdp.young",
+)
+
+
+def test_importing_the_cli_loads_only_the_common_layers():
+    src = os.path.dirname(os.path.dirname(qsymdp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qsymdp.cli; print(' '.join(sys.modules))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(child.stdout.split())
+    assert {"qsymdp.cli", "qsymdp.gamma", "qsymdp.poset"} <= loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_THE_CLI)) == []

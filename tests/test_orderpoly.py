@@ -1,13 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from qsymdp.equivariant import build_action, opposite1_action
-from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset
+from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset, gamma
 from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
-from qsymdp.orderpoly import OrderPolynomial, order_polynomial, reciprocity_check
-from qsymdp.poset import build
+from qsymdp.orderpoly import OrderPolynomial, binomial, order_polynomial, reciprocity_check
+from qsymdp.poset import all_double_posets, build
 
 from conftest import (
     antichain,
@@ -33,8 +34,42 @@ def test_order_polynomial_chain():
     # weak 2-chain counts pairs 1 <= i <= j <= q: C(q,1) + C(q,2)
     omega = order_polynomial(trivial_action(chain(2)))
     assert omega.binom_coeffs == (Fraction(0), Fraction(1), Fraction(1))
+    assert all(type(c) is int for c in omega.binom_coeffs)
     assert [omega(q) for q in range(5)] == [0, 1, 3, 6, 10]
     assert omega.power_coeffs() == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+
+
+def _ps1_by_substitution(f, q):
+    # literal substitution x_1..x_q -> 1
+    total = Fraction(0)
+    for alpha, c in f.terms.items():
+        count = 0
+        for positions in itertools.combinations(range(q), len(alpha)):
+            count += 1
+        total += c * count
+    return total
+
+
+def test_ps1_examples():
+    """order_polynomial is the principal specialization ps1 (x_1..x_q -> 1) of
+    Gamma with w identically 1, which sends M_alpha to C(q, len(alpha))."""
+    strict = chain(2, strict=True)  # Gamma = M(1,1) = F(1,1); its ps1 is that of M(2,1)
+    omega = order_polynomial(trivial_action(strict))
+    for q in range(6):
+        assert omega(q) == Fraction(q * (q - 1), 2)
+        assert omega(q) == _ps1_by_substitution(gamma(strict), q)
+    assert order_polynomial(trivial_action(antichain(0)))(7) == 1  # Gamma = ONE
+    assert omega(3) == 3
+    for d in all_double_posets(3):
+        base = WeightedDoublePoset(d)
+        omega = order_polynomial(trivial_action(base))
+        assert all(omega(q) == _ps1_by_substitution(gamma(base), q) for q in range(4))
+
+
+def test_binomial_negative_argument():
+    assert binomial(-2, 2) == 3
+    assert binomial(-1, 3) == -1
+    assert binomial(4, 2) == 6
 
 
 def test_order_polynomial_antichain():

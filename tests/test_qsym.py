@@ -26,7 +26,6 @@ from qsymdp.qsym import (
     BoundExceededError,
     QSymElem,
     antipode_closed,
-    binomial,
     coproduct,
     counit,
     format_coproduct,
@@ -35,7 +34,6 @@ from qsymdp.qsym import (
     linear_combination,
     monomial,
     product,
-    ps1,
 )
 
 M = lambda *parts: monomial(Composition(parts))
@@ -229,31 +227,6 @@ def test_antipode_of_fundamental_is_signed_conjugate_upto_10():
     for alpha in all_basis_upto(10):
         n = sum(alpha)
         assert antipode_closed(fundamental(alpha)) == fundamental(conjugate(alpha)).scale((-1) ** n)
-
-
-def _ps1_by_substitution(f, q):
-    # literal substitution x_1..x_q -> 1
-    total = Fraction(0)
-    for alpha, c in f.terms.items():
-        count = 0
-        for positions in itertools.combinations(range(q), len(alpha)):
-            count += 1
-        total += c * count
-    return total
-
-
-def test_ps1_examples():
-    for q in range(6):
-        assert ps1(M(2, 1), q) == Fraction(q * (q - 1), 2)
-        assert ps1(M(2, 1), q) == _ps1_by_substitution(M(2, 1), q)
-    assert ps1(ONE, 7) == 1
-    assert ps1(fundamental(Composition([1, 1])), 3) == 3
-
-
-def test_binomial_negative_argument():
-    assert binomial(-2, 2) == 3
-    assert binomial(-1, 3) == -1
-    assert binomial(4, 2) == 6
 
 
 def test_format_qsym_examples():
