@@ -66,13 +66,13 @@ def _parse_comp(text: str) -> Composition:
         raise InputError(str(exc)) from exc
 
 
-def _qsym_json(f: qsym.QSymElem) -> list:
-    return [[str(c), list(a)] for a, c in f.sorted_terms()]
+def _terms_json(terms: dict) -> list:
+    return [[str(terms[a]), list(a)] for a in comps.in_sort_key_order(terms)]
 
 
 def _emit_qsym(f: qsym.QSymElem, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_qsym_json(f)))
+        print(json.dumps(_terms_json(f.terms)))
     else:
         print(qsym.format_qsym(f))
 
@@ -91,7 +91,7 @@ def cmd_antipode_f(args) -> int:
             json.dumps(
                 {
                     "conjugate": list(comps.conjugate(alpha)),
-                    "terms": _qsym_json(result),
+                    "terms": _terms_json(result.terms),
                 }
             )
         )
@@ -109,8 +109,11 @@ def cmd_gamma(args) -> int:
 
 def cmd_coproduct(args) -> int:
     f = gamma_of(_load_weighted(args.poset))
-    if args.json:
-        print(json.dumps([[_qsym_json(l), _qsym_json(r)] for l, r in qsym.coproduct(f)]))
+    if args.json:  # the table grouped by left, each left the sum M_beta, both in sort_key order
+        rights: dict = {}
+        for (beta, gamma), c in qsym.coproduct(f).items():
+            rights.setdefault(beta, {})[gamma] = c
+        print(json.dumps([[_terms_json({b: 1}), _terms_json(rights[b])] for b in comps.in_sort_key_order(rights)]))
     elif f:  # the text of zero is no line at all
         print(qsym.format_coproduct(f))
     return 0

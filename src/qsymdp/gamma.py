@@ -15,6 +15,7 @@ from .poset import (
     index_pairs,
     opposite1,
     squeeze,
+    transpose,
 )
 from .qsym import ENUM_LIMIT, ONE, BoundExceededError, QSymElem, antipode_closed, coproduct, product
 
@@ -54,17 +55,7 @@ GAMMA_CACHE_SIZE = 8192
 def strict_pairs(p: DoublePoset) -> Rel:
     """strict[i]: the mask of the j with i <1 j and j <2 i, the pairs on which an
     E-partition must increase strictly.  Gamma reads <2 only through them."""
-    lt2 = p.lt2
-    strict = []
-    for i, up in enumerate(p.lt1):
-        mask = 0
-        while up:
-            bit = up & -up
-            if lt2[bit.bit_length() - 1] >> i & 1:
-                mask |= bit
-            up ^= bit
-        strict.append(mask)
-    return tuple(strict)
+    return tuple(a & b for a, b in zip(p.lt1, transpose(p.lt2)))
 
 
 def gamma(d: WeightedDoublePoset) -> QSymElem:
@@ -198,8 +189,8 @@ def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, t
 
 
 def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
-    """True iff Delta(Gamma(E,w)) equals the sum over admissible pairs (P, Q)
-    of Gamma(E|P, w|P) tensor Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
+    """True iff the table of Delta(Gamma(E,w)) equals the summed table of the
+    Gamma(E|P, w|P) (x) Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
 
     Both sides are read from the orders over the declaration index, with no
     labelled poset built per subset.  The left side is the chain sum of E; each
@@ -220,7 +211,7 @@ def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
 
     full = (1 << p.size) - 1
     rhs_pairs = [(part(low), part(full ^ low)) for low in down_sets(p)]
-    return _tensor_table(coproduct(gamma_of_orders(lt1, strict, w))) == _tensor_table(rhs_pairs)
+    return coproduct(gamma_of_orders(lt1, strict, w)) == _tensor_table(rhs_pairs)
 
 
 def antipode_theorem_sides(d: WeightedDoublePoset) -> Tuple[QSymElem, QSymElem]:

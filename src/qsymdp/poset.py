@@ -20,9 +20,15 @@ class CycleError(ValueError):
 
 
 def index_pairs(rel: Rel) -> List[Tuple[int, int]]:
-    """The pairs (i, j) with i < j in rel, in declaration order."""
-    n = len(rel)
-    return [(i, j) for i, up in enumerate(rel) for j in range(n) if up >> j & 1]
+    """The pairs (i, j) with i < j in rel, in declaration order: each row's set
+    bits are walked lowest first, so the cost is the pairs', not n^2."""
+    pairs = []
+    for i, up in enumerate(rel):
+        while up:
+            low = up & -up
+            pairs.append((i, low.bit_length() - 1))
+            up ^= low
+    return pairs
 
 
 def transpose(rel: Rel) -> Rel:

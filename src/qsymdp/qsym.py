@@ -10,6 +10,7 @@ antipode keep them integral, and the orbit sums divide by |G| exactly.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from operator import add
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -117,7 +118,20 @@ def _quasi_shuffle(a: Comp, b: Comp) -> Dict[Comp, int]:
 
 
 def product(f: QSymElem, g: QSymElem) -> QSymElem:
-    """QSym product, the bilinear extension of the quasi-shuffle product."""
+    """QSym product, the bilinear extension of the quasi-shuffle product.
+
+    A k-part and an l-part composition have the Delannoy number
+    D(k, l) = sum_i C(k, i) C(l, i) 2^i of quasi-shuffles, so the pairs of terms
+    have sum_i 2^i (sum_a C(|a|, i)) (sum_b C(|b|, i)); more than ENUM_LIMIT in
+    all are refused before any is built.
+    """
+    top = min(max(map(len, f.terms), default=0), max(map(len, g.terms), default=0))
+    shuffles = sum(
+        sum(comb(len(a), i) for a in f.terms) * sum(comb(len(b), i) for b in g.terms) << i
+        for i in range(top + 1)
+    )
+    if shuffles > ENUM_LIMIT:
+        raise BoundExceededError(f"product needs {shuffles} quasi-shuffles, above limit {ENUM_LIMIT}")
     return linear_combination(
         (cf * cg, QSymElem(_quasi_shuffle(a, b)))
         for a, cf in f.terms.items()
@@ -125,19 +139,14 @@ def product(f: QSymElem, g: QSymElem) -> QSymElem:
     )
 
 
-def coproduct(f: QSymElem) -> List[Tuple[QSymElem, QSymElem]]:
-    """Deconcatenation coproduct, as the tensor terms (M_beta, right) of the alpha = beta.gamma.
+def coproduct(f: QSymElem) -> Dict[Tuple[Comp, Comp], Coeff]:
+    """Deconcatenation coproduct, as the sparse tensor table {(beta, gamma): c} of
+    the terms c M_beta (x) M_gamma, one per cut alpha = beta.gamma of a term c M_alpha.
 
-    Left factors are distinct basis elements M_beta, in sort_key order.  Each right
-    lists its terms in sort_key order, with no zero: f's terms are walked once in
-    that order, beta is a common prefix of the alpha that reach it, and each gamma
-    comes from exactly one alpha, so nothing is summed.
+    Each pair (beta, gamma) comes from exactly one alpha, so nothing is summed and
+    no entry is zero.
     """
-    rights: Dict[Comp, Dict[Comp, Coeff]] = {}
-    for alpha, c in f.sorted_terms():
-        for k in range(len(alpha) + 1):
-            rights.setdefault(alpha[:k], {})[alpha[k:]] = c
-    return [(QSymElem({left: 1}), QSymElem(rights[left])) for left in in_sort_key_order(rights)]
+    return {(alpha[:k], alpha[k:]): c for alpha, c in f.terms.items() for k in range(len(alpha) + 1)}
 
 
 def counit(f: QSymElem) -> Coeff:
@@ -228,11 +237,12 @@ def format_qsym(f: QSymElem) -> str:
 
 
 def format_coproduct(f: QSymElem) -> str:
-    """The lines ``M(beta) (x) right`` of coproduct(f), each pair as format_qsym
-    prints it, in the same order; empty for zero.  One pass over f's terms in
-    sort_key order fills each right in order, as in coproduct, and the text of
-    each gamma in alpha = beta.gamma is a slice of alpha's text "a1,...,al)",
-    cut after its k-th comma for |beta| = k parts.
+    """The lines ``M(beta) (x) right`` of the table coproduct(f) grouped by its
+    lefts beta, in sort_key order, each right as format_qsym prints the sum of
+    its c M_gamma; empty for zero.  One pass over f's terms in sort_key order
+    fills each right in order (beta is a common prefix of the alpha that reach
+    it), and the text of each gamma in alpha = beta.gamma is a slice of alpha's
+    text "a1,...,al)", cut after its k-th comma for |beta| = k parts.
     """
     rights: Dict[Comp, List[str]] = {}
     for alpha, c in f.sorted_terms():

@@ -57,7 +57,8 @@ def antipode_consistency(size: int) -> Iterator[bool]:
             m = qsym.monomial(alpha)
             s = qsym.antipode_closed(m)
             axiom = qsym.linear_combination(
-                (1, qsym.product(qsym.antipode_closed(left), right)) for left, right in qsym.coproduct(m)
+                (c, qsym.product(qsym.antipode_closed(qsym.monomial(beta)), qsym.monomial(gamma)))
+                for (beta, gamma), c in qsym.coproduct(m).items()
             )
             f_conjugate = qsym.fundamental(comps.conjugate(alpha)).scale((-1) ** n)
             yield (

@@ -9,8 +9,12 @@ import pytest
 
 from qsymdp import cli, verify, young
 from qsymdp.cli import run
-from qsymdp.compositions import conjugate
+from qsymdp.compositions import conjugate, sort_key
+from qsymdp.gamma import WeightedDoublePoset, gamma
+from qsymdp.poset import all_double_posets
 from qsymdp.qsym import ENUM_LIMIT, format_qsym, fundamental, monomial, product
+
+from conftest import to_dict
 
 
 def invoke(capsys, *argv):
@@ -190,6 +194,16 @@ def test_antichain_with_doubling_weights_exits_2(capsys, tmp_path, n):
     assert err.startswith("error: ") and "2000000" in err
 
 
+def test_antichain_product_above_the_quasi_shuffle_bound_exits_2(capsys, tmp_path):
+    # Gamma of the 10-antichain has 512 terms; their pairs have far more than
+    # ENUM_LIMIT quasi-shuffles, refused before any is built
+    path = write_poset(tmp_path, "p.json", {"elements": [f"e{i}" for i in range(10)]})
+    start = time.perf_counter()
+    err = hostile_run(capsys, ["product", path, path])
+    assert time.perf_counter() - start < 1
+    assert err.startswith("error: ") and "2000000" in err
+
+
 def disjoint_chains(k, weights):
     """k disjoint 2-chains e(2i) <1 e(2i+1), with <2 = <1, and the given weights."""
     labels = [f"e{i}" for i in range(2 * k)]
@@ -280,6 +294,23 @@ def test_coproduct(capsys, chain2):
     assert all("(x)" in line for line in lines)
     # grouped by left factor: M(), M(1), M(2), M(1,1)
     assert len(lines) == 4
+
+
+def test_coproduct_json_groups_the_table_by_left(capsys, tmp_path):
+    # the pairs built one by one from Gamma's terms in sort_key order, each
+    # suffix appended under its prefix, the prefixes in sort_key order
+    for n in range(4):
+        for p in all_double_posets(n):
+            for w in ({e: 1 for e in p.elements}, {e: 1 + i % 2 for i, e in enumerate(p.elements)}):
+                path = write_poset(tmp_path, "p.json", dict(to_dict(p), w=w))
+                rights = {}
+                for alpha, c in gamma(WeightedDoublePoset(p, w)).sorted_terms():
+                    for k in range(len(alpha) + 1):
+                        rights.setdefault(alpha[:k], []).append([str(c), list(alpha[k:])])
+                want = [[[["1", list(beta)]], rights[beta]] for beta in sorted(rights, key=sort_key)]
+                code, out, err = invoke(capsys, "--json", "coproduct", path)
+                assert (code, err) == (0, "")
+                assert json.loads(out) == want, (p, w)
 
 
 def test_product(capsys, chain2, antichain2):

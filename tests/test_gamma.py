@@ -33,6 +33,8 @@ from qsymdp.qsym import BoundExceededError, antipode_closed, coproduct, fundamen
 from conftest import (
     all_double_posets,
     chain,
+    less1,
+    less2,
     opposite2,
     peeled_and_whole,
     random_double_poset,
@@ -233,6 +235,17 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
     assert len(calls) == 9 and len(set(calls)) == 8
 
 
+def test_strict_pairs_match_the_definition():
+    # strict[i] holds j exactly when i <1 j and j <2 i
+    for n in range(4):
+        for p in all_double_posets(n):
+            want = tuple(
+                sum(1 << j for j, b in enumerate(p.elements) if less1(p, a, b) and less2(p, b, a))
+                for a in p.elements
+            )
+            assert strict_pairs(p) == want, p
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_index_routes_match_the_labelled_posets(n):
     # the coproduct check squeezes the strict pairs of E by mask; the antipode
@@ -378,10 +391,9 @@ def test_coefficients_stay_integers():
     # Gamma counts E-partitions, and product, coproduct and antipode do not divide
     readme = build("abc", [("a", "b"), ("a", "c")], [("a", "b"), ("c", "a")])
     g = gamma(WeightedDoublePoset(poset=readme, w={"a": 1, "b": 2, "c": 1}))
-    elems = [g, product(g, g), antipode_closed(g), fundamental((2, 1, 3))]
-    elems += [f for pair in coproduct(g) for f in pair]
-    assert all(f.terms for f in elems)
-    assert all(type(c) is int for f in elems for c in f.terms.values())
+    tables = [f.terms for f in (g, product(g, g), antipode_closed(g), fundamental((2, 1, 3)))] + [coproduct(g)]
+    assert all(tables)
+    assert all(type(c) is int and c for table in tables for c in table.values())
 
 
 def test_weighted_from_json():

@@ -88,32 +88,43 @@ def test_product_integer_coefficients():
                 assert c.denominator == 1 and c >= 0
 
 
+def test_product_is_refused_only_above_its_quasi_shuffle_count(monkeypatch):
+    # the count is exact: the coefficients of M_a * M_b sum to the quasi-shuffles of a and b
+    f = M(1, 2) + M(3) + M(1, 1, 1).scale(2)
+    g = M(2, 1) + M(1) + ONE
+    shuffles = sum(sum(product(M(*a), M(*b)).terms.values()) for a in f.terms for b in g.terms)
+    expected = product(f, g)
+    monkeypatch.setattr(qsym, "ENUM_LIMIT", shuffles)
+    assert product(f, g) == expected
+    monkeypatch.setattr(qsym, "ENUM_LIMIT", shuffles - 1)
+    with pytest.raises(BoundExceededError, match=f"^product needs {shuffles} quasi-shuffles, above limit {shuffles - 1}$"):
+        product(f, g)
+
+
 def test_coproduct_splits():
-    terms = coproduct(M(2, 3))
-    table = {tuple(l.sorted_terms()[0][0]): r for l, r in terms}
-    assert table[()] == M(2, 3)
-    assert table[(2,)] == M(3)
-    assert table[(2, 3)] == ONE
-    assert len(terms) == 3
+    assert coproduct(M(2, 3)) == {((), (2, 3)): 1, ((2,), (3,)): 1, ((2, 3), ()): 1}
 
 
 def test_coproduct_grouplike_unit():
-    assert coproduct(ONE) == [(ONE, ONE)]
+    assert coproduct(ONE) == {((), ()): 1}
 
 
 def coproduct_text_by_pairs(f):
-    """The text of the coproduct formatted pair by pair, each factor through format_qsym."""
-    return "\n".join(f"{format_qsym(l)} (x) {format_qsym(r)}" for l, r in coproduct(f))
+    """The text of the coproduct table grouped by left, each M_beta and each right through format_qsym."""
+    rights = {}
+    for (beta, gamma), c in coproduct(f).items():
+        rights.setdefault(beta, {})[gamma] = c
+    return "\n".join(
+        f"{format_qsym(monomial(beta))} (x) {format_qsym(QSymElem(rights[beta]))}"
+        for beta in sorted(rights, key=sort_key)
+    )
 
 
-def assert_coproduct_in_sort_key_order(f):
-    pairs = coproduct(f)
-    lefts = [l.sorted_terms() for l, _ in pairs]
-    assert all(len(t) == 1 and t[0][1] == 1 for t in lefts)
-    assert [t[0][0] for t in lefts] == sorted((t[0][0] for t in lefts), key=sort_key)
-    for _, right in pairs:
-        assert list(right.terms) == sorted(right.terms, key=sort_key)
-        assert right and all(right.terms.values())
+def assert_table_is_deconcatenation(f):
+    """One entry c M_beta (x) M_gamma per cut of each term c M_alpha, alpha = beta.gamma."""
+    table = coproduct(f)
+    assert len(table) == sum(len(alpha) + 1 for alpha in f.terms)
+    assert all(f.terms[beta + gamma] == c for (beta, gamma), c in table.items())
 
 
 def test_format_coproduct_on_gamma_of_every_small_double_poset():
@@ -122,7 +133,7 @@ def test_format_coproduct_on_gamma_of_every_small_double_poset():
             for w in ({}, {e: 1 + i % 2 for i, e in enumerate(poset.elements)}):
                 f = gamma(WeightedDoublePoset(poset, w))
                 assert format_coproduct(f) == coproduct_text_by_pairs(f)
-                assert_coproduct_in_sort_key_order(f)
+                assert_table_is_deconcatenation(f)
 
 
 def test_format_coproduct_examples():
@@ -139,9 +150,9 @@ def test_format_coproduct_examples():
 
 def test_counit_axiom():
     f = M(2, 1).scale(3) + M(1).scale(Fraction(1, 2)) + ONE.scale(5)
-    recovered = ZERO
-    for left, right in coproduct(f):
-        recovered = recovered + right.scale(counit(left))
+    recovered = linear_combination(
+        (c * counit(monomial(beta)), monomial(gamma)) for (beta, gamma), c in coproduct(f).items()
+    )
     assert recovered == f
 
 
@@ -166,9 +177,10 @@ def test_antipode_axiom_upto_6():
     # the closed form's axiom is part of the antipode-consistency suite
     for alpha in all_basis_upto(6):
         f = monomial(alpha)
-        acc = ZERO
-        for left, right in coproduct(f):
-            acc = acc + product(antipode_recursive(left), right)
+        acc = linear_combination(
+            (c, product(antipode_recursive(monomial(beta)), monomial(gamma)))
+            for (beta, gamma), c in coproduct(f).items()
+        )
         assert acc == ONE.scale(counit(f))
 
 
@@ -178,24 +190,16 @@ def test_bialgebra_compatibility():
         for b in small:
             if sum(a) + sum(b) > 5:
                 continue
-            lhs = coproduct(product(monomial(a), monomial(b)))
             # componentwise product of the two coproducts
             table = {}
-            for l1, r1 in coproduct(monomial(a)):
-                for l2, r2 in coproduct(monomial(b)):
-                    left = product(l1, l2)
-                    right = product(r1, r2)
+            for (l1, r1), c1 in coproduct(monomial(a)).items():
+                for (l2, r2), c2 in coproduct(monomial(b)).items():
+                    left = product(monomial(l1), monomial(l2))
+                    right = product(monomial(r1), monomial(r2))
                     for x, cx in left.terms.items():
                         for y, cy in right.terms.items():
-                            table[(x, y)] = table.get((x, y), Fraction(0)) + cx * cy
-            lhs_table = {}
-            for l, r in lhs:
-                for x, cx in l.terms.items():
-                    for y, cy in r.terms.items():
-                        lhs_table[(x, y)] = lhs_table.get((x, y), Fraction(0)) + cx * cy
-            assert {k: v for k, v in table.items() if v} == {
-                k: v for k, v in lhs_table.items() if v
-            }
+                            table[(x, y)] = table.get((x, y), 0) + c1 * c2 * cx * cy
+            assert {k: v for k, v in table.items() if v} == coproduct(product(monomial(a), monomial(b)))
 
 
 def test_fundamental_examples():
@@ -346,7 +350,7 @@ def test_antipode_falls_back_to_the_maximal_masks_when_the_or_cube_is_over_the_l
 @given(sparse_mixed_degree())
 def test_format_coproduct_matches_pair_by_pair_text(f):
     assert format_coproduct(f) == coproduct_text_by_pairs(f)
-    assert_coproduct_in_sort_key_order(f)
+    assert_table_is_deconcatenation(f)
 
 
 @pytest.mark.parametrize("n", [5, 6])
