@@ -109,11 +109,10 @@ def cmd_gamma(args) -> int:
 
 def cmd_coproduct(args) -> int:
     f = gamma_of(_load_weighted(args.poset))
-    if args.json:  # the table grouped by left, each left the sum M_beta, both in sort_key order
-        rights: dict = {}
-        for (beta, gamma), c in qsym.coproduct(f).items():
-            rights.setdefault(beta, {})[gamma] = c
-        print(json.dumps([[_terms_json({b: 1}), _terms_json(rights[b])] for b in comps.in_sort_key_order(rights)]))
+    if args.json:  # one [M_beta, right] per left beta, in sort_key order
+        rights = qsym.rights_by_left(qsym.coproduct(f))
+        pairs = [[_terms_json({beta: 1}), _terms_json(rights[beta])] for beta in comps.in_sort_key_order(rights)]
+        print(json.dumps(pairs))
     elif f:  # the text of zero is no line at all
         print(qsym.format_coproduct(f))
     return 0

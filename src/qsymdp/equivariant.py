@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma, strict_pairs
-from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1, transpose
+from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1
 from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
@@ -177,7 +177,7 @@ def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePose
                 out[of[i]] |= 1 << of[j]
         return tuple(out)
 
-    reversing = index_pairs(transpose(strict_pairs(base.poset)))  # the i <2 j with j <1 i
+    reversing = [(j, i) for i, j in index_pairs(strict_pairs(base.poset))]  # the i <2 j with j <1 i
     names = tuple(labels[cycle[0]] for cycle in cycles)
     quotient = DoublePoset(elements=names, lt1=project(index_pairs(lt1)), lt2=project(reversing))
     w = {name: sum(base.w[labels[i]] for i in cycle) for name, cycle in zip(names, cycles)}

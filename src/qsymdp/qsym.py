@@ -149,6 +149,14 @@ def coproduct(f: QSymElem) -> Dict[Tuple[Comp, Comp], Coeff]:
     return {(alpha[:k], alpha[k:]): c for alpha, c in f.terms.items() for k in range(len(alpha) + 1)}
 
 
+def rights_by_left(table: Dict[Tuple[Comp, Comp], Coeff]) -> Dict[Comp, Dict[Comp, Coeff]]:
+    """A tensor table {(beta, gamma): c} grouped by left, as {beta: {gamma: c}}."""
+    rights: Dict[Comp, Dict[Comp, Coeff]] = {}
+    for (beta, gamma), c in table.items():
+        rights.setdefault(beta, {})[gamma] = c
+    return rights
+
+
 def counit(f: QSymElem) -> Coeff:
     return f.coeff(())
 

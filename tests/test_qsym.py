@@ -34,6 +34,7 @@ from qsymdp.qsym import (
     linear_combination,
     monomial,
     product,
+    rights_by_left,
 )
 
 M = lambda *parts: monomial(Composition(parts))
@@ -111,9 +112,7 @@ def test_coproduct_grouplike_unit():
 
 def coproduct_text_by_pairs(f):
     """The text of the coproduct table grouped by left, each M_beta and each right through format_qsym."""
-    rights = {}
-    for (beta, gamma), c in coproduct(f).items():
-        rights.setdefault(beta, {})[gamma] = c
+    rights = rights_by_left(coproduct(f))
     return "\n".join(
         f"{format_qsym(monomial(beta))} (x) {format_qsym(QSymElem(rights[beta]))}"
         for beta in sorted(rights, key=sort_key)
