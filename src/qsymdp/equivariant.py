@@ -8,10 +8,11 @@ Gamma per class, weighted by the class size, give the sum over all of G.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma, strict_pairs
-from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1
+from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1, transpose
 from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
@@ -51,9 +52,11 @@ class GroupAction:
         return len(self.elements)
 
 
-def _compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+def precompose(g: Permutation) -> Callable[[tuple], tuple]:
+    """The map x -> x o g on tuples indexed by the points, as one C call:
+    itemgetter returns a scalar for one index and raises for none, so on at
+    most one point, where g is the identity, it is tuple."""
+    return itemgetter(*g) if len(g) > 1 else tuple
 
 
 def _perm_from_mapping(base: WeightedDoublePoset, mapping: Mapping[str, str]) -> Permutation:
@@ -95,14 +98,15 @@ def build_action(
         perm = _perm_from_mapping(base, mapping)
         _validate_preserving(base, perm)
         gens.append(perm)
+    rights = [precompose(g) for g in gens]  # x -> x o g generates the same group
     group = {identity}
     frontier = [identity]
     while frontier:
         if len(group) > cap:
             raise BoundExceededError(f"group closure exceeds cap {cap}")
         current = frontier.pop()
-        for g in gens:
-            nxt = _compose(g, current)
+        for right in rights:
+            nxt = right(current)
             if nxt not in group:
                 group.add(nxt)
                 frontier.append(nxt)
@@ -114,11 +118,14 @@ def build_action(
 def _conjugacy_classes(elements: Tuple[Permutation, ...], gens: List[Permutation]) -> Tuple[Tuple[Permutation, int], ...]:
     """One (least member, size) pair per conjugacy class, in sorted order.
 
-    A class is the closure of any member x under x -> h x h^-1 for the
-    generators h, written y[h[i]] = h[x[i]]: each conjugation is a bijection of
-    the finite group, so closing under the generators closes under their
-    inverses too.  Every element is conjugated once by each generator.
+    A class is the closure of any member x under x -> h^-1 x h for the
+    generators h, taken in C as x o h by h's getter, then h^-1 looked up at
+    each entry: each conjugation is a bijection of the finite group, so
+    closing under the generators closes under their inverses too.  Every
+    element is conjugated once by each generator.
     """
+    inverses = [tuple(sorted(range(len(h)), key=h.__getitem__)) for h in gens]
+    conjugators = [(precompose(h), inverse.__getitem__) for h, inverse in zip(gens, inverses)]
     seen = set()
     classes = []
     for g in elements:  # sorted: a class is first met at its least member
@@ -128,11 +135,8 @@ def _conjugacy_classes(elements: Tuple[Permutation, ...], gens: List[Permutation
         frontier, size = [g], 1
         while frontier:
             x = frontier.pop()
-            for h in gens:
-                y = [0] * len(x)
-                for i, xi in enumerate(x):
-                    y[h[i]] = h[xi]
-                y = tuple(y)
+            for right, inverse in conjugators:
+                y = tuple(map(inverse, right(x)))
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -166,20 +170,31 @@ def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePose
     E-partitions, and both relations are orders (<1 and <2 & >1 are transitive
     and g-invariant).  Each orbit is named by the label of its first member in
     declaration order and weighs the sum of its members' weights."""
-    labels, lt1 = base.poset.elements, base.poset.lt1
+    labels = base.poset.elements
     cycles = orbits_of(g)
-    of = {i: k for k, cycle in enumerate(cycles) for i in cycle}  # element -> orbit
+    of = [0] * len(labels)  # element -> orbit
+    for k, cycle in enumerate(cycles):
+        for i in cycle:
+            of[i] = k
 
-    def project(pairs):
-        out = [0] * len(cycles)
-        for i, j in pairs:
-            if of[i] != of[j]:
-                out[of[i]] |= 1 << of[j]
+    def project(rel):
+        """Each orbit's rows ORed, then one walk of their set bits.  No pair
+        lies inside an orbit: i < g^m(i) would give i < g^m(i) < ... < i."""
+        out = []
+        for cycle in cycles:
+            up, row = 0, 0
+            for i in cycle:
+                up |= rel[i]
+            while up:
+                low = up & -up
+                row |= 1 << of[low.bit_length() - 1]
+                up ^= low
+            out.append(row)
         return tuple(out)
 
-    reversing = [(j, i) for i, j in index_pairs(strict_pairs(base.poset))]  # the i <2 j with j <1 i
+    reversing = transpose(strict_pairs(base.poset))  # the i <2 j with j <1 i
     names = tuple(labels[cycle[0]] for cycle in cycles)
-    quotient = DoublePoset(elements=names, lt1=project(index_pairs(lt1)), lt2=project(reversing))
+    quotient = DoublePoset(elements=names, lt1=project(base.poset.lt1), lt2=project(reversing))
     w = {name: sum(base.w[labels[i]] for i in cycle) for name, cycle in zip(names, cycles)}
     return WeightedDoublePoset(poset=quotient, w=w)
 
@@ -198,9 +213,10 @@ def _orbit_sum(a: GroupAction, weight) -> QSymElem:
     """
     # a list, so that each Gamma is called from here (perfbench's layer tracer counts them)
     total = linear_combination([(size * weight(g), gamma(quotient_by(g, a.base))) for g, size in a.classes])
-    if any(c % a.order for c in total.terms.values()):
-        raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {a.order}")
-    return QSymElem({alpha: c // a.order for alpha, c in total.terms.items()})
+    order = a.order
+    if any(c % order for c in total.terms.values()):
+        raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {order}")
+    return QSymElem({alpha: c // order for alpha, c in total.terms.items()})
 
 
 def gamma_equivariant(a: GroupAction) -> QSymElem:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .compositions import Composition
-from .equivariant import GroupAction, Permutation, quotient_by, sign_of
+from .equivariant import GroupAction, Permutation, precompose, quotient_by, sign_of
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
 from .poset import DoublePoset, Rel, index_pairs, is_special, is_tertispecial
 from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, linear_combination, monomial, product
@@ -290,9 +290,10 @@ def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``, summed in
     ints; |G| divides the sum (Burnside), which is asserted."""
     total = linear_combination([(sign_of(g) if plus else 1, gamma(quotient_by(g, a.base))) for g in a.elements])
-    if any(c % a.order for c in total.terms.values()):
-        raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {a.order}")
-    return QSymElem({alpha: c // a.order for alpha, c in total.terms.items()})
+    order = a.order
+    if any(c % order for c in total.terms.values()):
+        raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {order}")
+    return QSymElem({alpha: c // order for alpha, c in total.terms.items()})
 
 
 def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:
@@ -308,7 +309,7 @@ def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:
     the root's stabiliser, and conversely every element of the stabiliser is
     such a closed walk.
     """
-    generators = [(g, sign_of(g) < 0) for g in a.generators]
+    generators = [(precompose(g), sign_of(g) < 0) for g in a.generators]
     parity: Dict[Tuple[int, ...], bool] = {}
     orbits = coeven = 0
     for root in _epartition_vectors(a.base, q):
@@ -318,9 +319,9 @@ def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:
         stack, consistent = [root], True
         while stack:
             v = stack.pop()
-            at, odd_v = v.__getitem__, parity[v]
-            for g, odd in generators:
-                u, p = tuple(map(at, g)), odd_v ^ odd
+            odd_v = parity[v]
+            for right, odd in generators:
+                u, p = right(v), odd_v ^ odd
                 seen = parity.get(u)
                 if seen is None:
                     parity[u] = p

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Tuple
 
@@ -14,14 +15,12 @@ from .poset import is_tertispecial
 
 
 def binomial(q, k: int) -> Fraction:
-    """Generalized binomial C(q, k) = q(q-1)...(q-k+1)/k!, valid for negative q."""
-    num = Fraction(1)
+    """Generalized binomial C(q, k) = q(q-1)...(q-k+1)/k!, valid for negative
+    and rational q: the falling product, then one exact division."""
+    num = 1
     for i in range(k):
-        num *= Fraction(q) - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    return num / den
+        num *= q - i
+    return Fraction(num, math.factorial(k))
 
 
 class OrderPolynomial:
@@ -39,17 +38,21 @@ class OrderPolynomial:
         )
 
     def power_coeffs(self) -> Tuple[Fraction, ...]:
-        """Coefficients in the power basis, constant term first."""
-        out = [Fraction(0)] * (len(self.binom_coeffs) or 1)
-        basis = [Fraction(1)]  # C(q, k) in the power basis
+        """Coefficients in the power basis, constant term first: with n the
+        top degree, n! C(q, k) = (n!/k!) q(q-1)...(q-k+1), so the sum is taken
+        in ints and each coefficient divided by n! once."""
+        n = max(len(self.binom_coeffs) - 1, 0)
+        whole, out = math.factorial(n), [0] * (n + 1)
+        falling = [1]  # q(q-1)...(q-k+1) in the power basis
         for k, c in enumerate(self.binom_coeffs):
-            if k:  # C(q, k) = C(q, k-1) (q - k + 1) / k
-                basis = [(lo - (k - 1) * hi) / k for lo, hi in zip([0, *basis], [*basis, 0])]
-            for j, p in enumerate(basis):
-                out[j] += c * p
+            if k:
+                falling = [lo - (k - 1) * hi for lo, hi in zip([0, *falling], [*falling, 0])]
+            scale = c * (whole // math.factorial(k))
+            for j, p in enumerate(falling):
+                out[j] += scale * p
         while len(out) > 1 and out[-1] == 0:
             out.pop()
-        return tuple(out)
+        return tuple(Fraction(c, whole) for c in out)
 
 
 def _all_ones_action(a: GroupAction) -> GroupAction:

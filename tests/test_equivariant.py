@@ -31,6 +31,7 @@ from conftest import (
     aut_orbit_weight,
     isomorphism_class_representatives,
     less1,
+    less2,
     orbit_tallies,
     subgroup_generators,
 )
@@ -352,6 +353,46 @@ def test_quotient_keeps_only_the_lt2_pairs_that_reverse_lt1():
     assert (q.lt1, q.lt2) == ((0, 1), (0, 0))
 
 
+def quotient_by_the_pair_definition(g, d):
+    """(names, <1 pairs, <2 pairs, w) of E^g as quotient_by's docstring defines
+    it, by labels: the orbits {i, g(i), g(g(i)), ...} ordered by their first
+    member, u <1 v iff some a in u, b in v have a <1 b, u <2 v iff some have
+    a <2 b and b <1 a."""
+    p, orbits, seen = d.poset, [], set()
+    for i in range(p.size):
+        if i not in seen:
+            orbit, j = [i], g[i]
+            while j != i:
+                orbit.append(j)
+                j = g[j]
+            seen.update(orbit)
+            orbits.append([p.elements[j] for j in sorted(orbit)])
+    names = tuple(orbit[0] for orbit in orbits)
+    pairs1, pairs2 = set(), set()
+    for u, v in itertools.permutations(range(len(orbits)), 2):
+        for a, b in itertools.product(orbits[u], orbits[v]):
+            if less1(p, a, b):
+                pairs1.add((names[u], names[v]))
+            if less2(p, a, b) and less1(p, b, a):
+                pairs2.add((names[u], names[v]))
+    w = {name: sum(d.w[a] for a in orbit) for name, orbit in zip(names, orbits)}
+    return names, pairs1, pairs2, w
+
+
+def test_quotient_matches_its_pair_definition():
+    for n in range(4):
+        for p in all_double_posets(n):
+            for weights in ((1, 1, 1), (1, 2, 1)):
+                d = WeightedDoublePoset(poset=p, w=dict(zip(p.elements, weights)))
+                for g in automorphisms(d):
+                    q = quotient_by(g, d)
+                    names, pairs1, pairs2, w = quotient_by_the_pair_definition(g, d)
+                    assert q.poset.elements == names
+                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less1(q.poset, u, v)} == pairs1
+                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less2(q.poset, u, v)} == pairs2
+                    assert q.w == w
+
+
 def is_strict_order(rel):
     return all(not up >> i & 1 for i, up in enumerate(rel)) and all(rel[j] & ~rel[i] == 0 for i, j in index_pairs(rel))
 
@@ -381,14 +422,53 @@ def test_automorphisms_by_brute_force():
 # --- the conjugacy classes ---------------------------------------------------
 
 
-def conjugacy_classes_by_brute_force(a):
-    """{least member: size} over the classes {k g k^-1 : k in G}."""
-    inverse = {k: tuple(sorted(range(len(k)), key=k.__getitem__)) for k in a.elements}
-    out = {}
-    for g in a.elements:
-        cls = {tuple(k[g[inverse[k][i]]] for i in range(len(g))) for k in a.elements}
-        out[min(cls)] = len(cls)
-    return out
+def closure_by_left_words(gens, n):
+    """The group generated by gens, closed by left-composing generators onto
+    the words found so far: x -> g o x, by the definition (g o x)(i) = g(x(i))."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple(g[x[i]] for i in range(n))
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+def conjugacy_classes_by_brute_force(group):
+    """(least member, size) per class {k g k^-1 : k in G}, sorted, conjugating
+    by every element of the group, not only by its generators."""
+    inverse = {k: tuple(sorted(range(len(k)), key=k.__getitem__)) for k in group}
+    classes, seen = [], set()
+    for g in group:
+        if g not in seen:
+            cls = {tuple(k[g[inverse[k][i]]] for i in range(len(g))) for k in group}
+            seen |= cls
+            classes.append((min(cls), len(cls)))
+    return sorted(classes)
+
+
+def reference_actions():
+    """The block groups of these tests on antichains of n <= 6 and on component
+    copies, and the trivial group on 0 and 1 points under no generator and
+    under the identity."""
+    for n in range(7):
+        base = antichain(n)
+        for group in ("cyclic", "dihedral", "symmetric"):
+            yield base, block_group([(e,) for e in base.poset.elements], group)
+    for size, k in ((2, 2), (2, 3), (3, 2)):
+        for component in tertispecial_components(size):
+            base, blocks = copies(component, k)
+            for group in ("cyclic", "dihedral", "symmetric"):
+                yield base, block_group(blocks, group)
+    base, blocks = copies(build("ab", [("a", "b")], [("a", "b")]), 3)
+    yield base, block_group(blocks, "symmetric")
+    for n in (0, 1):
+        base = antichain(n)
+        yield base, []
+        yield base, [{e: e for e in base.poset.elements}]
 
 
 def symmetric_on_antichain(n):
@@ -413,13 +493,15 @@ def test_class_counts_of_dihedral_and_cyclic_groups():
 
 
 def test_classes_are_the_conjugacy_classes():
-    actions = [symmetric_on_antichain(n) for n in range(1, 6)]
-    for group in ("cyclic", "dihedral"):
-        actions += [build_action(antichain(n), block_group([(e,) for e in "abcdef"[:n]], group)) for n in range(1, 7)]
-    base, blocks = copies(build("ab", [("a", "b")], [("a", "b")]), 3)
-    actions.append(build_action(base, block_group(blocks, "symmetric")))
-    for a in actions:
-        assert dict(a.classes) == conjugacy_classes_by_brute_force(a)
+    """The closure and the classes against an independent reference: the
+    group closed by left-composing generators, its classes found by
+    conjugating with every element."""
+    for base, gens in reference_actions():
+        labels = base.poset.elements
+        group = closure_by_left_words([tuple(labels.index(g[e]) for e in labels) for g in gens], len(labels))
+        a = build_action(base, gens)
+        assert list(a.elements) == sorted(group)
+        assert list(a.classes) == conjugacy_classes_by_brute_force(group)
         assert sum(size for _, size in a.classes) == a.order
         assert all(a.order % size == 0 for _, size in a.classes)
         assert opposite1_action(a).classes == a.classes

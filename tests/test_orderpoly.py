@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsymdp.equivariant import build_action, opposite1_action
 from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset, gamma
@@ -70,6 +72,46 @@ def test_binomial_negative_argument():
     assert binomial(-2, 2) == 3
     assert binomial(-1, 3) == -1
     assert binomial(4, 2) == 6
+
+
+def binomial_by_fractions(q, k):
+    """C(q, k) = q(q-1)...(q-k+1)/k! with every factor a Fraction."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(q) - i
+    return num / math.factorial(k)
+
+
+def test_binomial_matches_the_fraction_product():
+    rationals = [*range(-8, 9), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
+    for q in rationals:
+        for k in range(9):
+            value = binomial(q, k)
+            assert type(value) is Fraction and value == binomial_by_fractions(q, k)
+
+
+def power_coeffs_by_recursion(binom_coeffs):
+    """The power-basis coefficients by C(q, k) = C(q, k-1) (q - k + 1) / k, in Fractions."""
+    out = [Fraction(0)] * (len(binom_coeffs) or 1)
+    basis = [Fraction(1)]  # C(q, k) in the power basis
+    for k, c in enumerate(binom_coeffs):
+        if k:
+            basis = [(lo - (k - 1) * hi) / k for lo, hi in zip([0, *basis], [*basis, 0])]
+        for j, p in enumerate(basis):
+            out[j] += c * p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@example(binom_coeffs=())
+@example(binom_coeffs=(0,))
+@given(binom_coeffs=st.lists(st.integers(-5, 5), max_size=10).map(tuple))
+def test_power_coeffs_match_the_fraction_recursion(binom_coeffs):
+    power = OrderPolynomial(binom_coeffs).power_coeffs()
+    assert power == power_coeffs_by_recursion(binom_coeffs)
+    assert all(type(c) is Fraction for c in power)
 
 
 def test_order_polynomial_antichain():
