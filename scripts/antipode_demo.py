@@ -18,7 +18,7 @@ def main():
         [("a", "b"), ("a", "c")],
         [("a", "b"), ("c", "a")],
     )
-    d = WeightedDoublePoset(poset=poset, w={"a": 1, "b": 2, "c": 1})
+    d = WeightedDoublePoset(poset=poset, w=(1, 2, 1))
     print(f"tertispecial: {is_tertispecial(poset)}")
 
     f = gamma(d)
@@ -27,7 +27,7 @@ def main():
     lhs = antipode_closed(f)
     print(f"S(Gamma(E, w))   = {format_qsym(lhs)}")
 
-    flipped = WeightedDoublePoset(poset=opposite1(poset), w=dict(d.w))
+    flipped = WeightedDoublePoset(poset=opposite1(poset), w=d.w)
     rhs = gamma(flipped).scale((-1) ** poset.size)
     print(f"(-1)^|E| Gamma'  = {format_qsym(rhs)}")
     print(f"identity holds: {lhs == rhs}")

@@ -17,7 +17,7 @@ from qsymdp.poset import build
 def three_chains():
     labs = [f"{i}.{j}" for i in range(3) for j in range(2)]
     gens = [(f"{i}.0", f"{i}.1") for i in range(3)]
-    return WeightedDoublePoset(poset=build(labs, gens, gens), w={})
+    return WeightedDoublePoset(poset=build(labs, gens, gens))
 
 
 def component_symmetric_action(base):

@@ -76,7 +76,7 @@ def _validate_preserving(base: WeightedDoublePoset, perm: Permutation) -> None:
         for i, j in index_pairs(rel)
         if not rel[perm[i]] >> perm[j] & 1
     ]
-    broken += [("w", e) for e, i in zip(labels, perm) if base.w[labels[i]] != base.w[e]]
+    broken += [("w", labels[j]) for j, i in enumerate(perm) if base.w[i] != base.w[j]]
     if broken:
         raise NotPreservingError({e: labels[i] for e, i in zip(labels, perm)}, broken[0])
 
@@ -195,8 +195,7 @@ def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePose
     reversing = transpose(strict_pairs(base.poset))  # the i <2 j with j <1 i
     names = tuple(labels[cycle[0]] for cycle in cycles)
     quotient = DoublePoset(elements=names, lt1=project(base.poset.lt1), lt2=project(reversing))
-    w = {name: sum(base.w[labels[i]] for i in cycle) for name, cycle in zip(names, cycles)}
-    return WeightedDoublePoset(poset=quotient, w=w)
+    return WeightedDoublePoset(poset=quotient, w=tuple(sum(base.w[i] for i in cycle) for cycle in cycles))
 
 
 def sign_of(g: Permutation) -> int:

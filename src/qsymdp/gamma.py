@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .compositions import _parts
 from .poset import (
     DoublePoset,
     Rel,
-    disjoint_union,
     down_sets,
     from_dict,
     index_pairs,
@@ -25,21 +24,20 @@ class NotTertispecialError(ValueError):
 
 
 class WeightedDoublePoset:
-    """A double poset with a positive integer weight per label; an empty w weighs each 1."""
+    """A double poset with a positive integer weight per element, as a tuple
+    over the declaration index; an empty w weighs each 1."""
 
     __slots__ = ("poset", "w")
 
-    def __init__(self, poset: DoublePoset, w: Mapping[str, int] | None = None):
-        w = dict(w) if w else {e: 1 for e in poset.elements}
-        if set(w) != set(poset.elements):
+    def __init__(self, poset: DoublePoset, w: Iterable[int] = ()):
+        if isinstance(w, dict) and w:
+            raise ValueError("weights are a sequence over the declaration index, not a map from the labels")
+        w = tuple(w) or (1,) * poset.size
+        if len(w) != poset.size:
             raise ValueError("weight function must be total on the ground set")
-        if any(type(v) is not int or v < 1 for v in w.values()):  # no bool, no float
+        if not all(type(v) is int and v > 0 for v in w):  # no bool, no float
             raise ValueError("weights must be positive integers")
         self.poset, self.w = poset, w
-
-    @property
-    def degree(self) -> int:
-        return sum(self.w.values())
 
 
 # Bound of gamma_of_orders.  The coproduct rule takes Gamma of restrictions that
@@ -79,12 +77,7 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     terms.  A refused Gamma is not cached.
     """
     p = d.poset
-    return gamma_of_orders(p.lt1, strict_pairs(p), _weights(d))
-
-
-def _weights(d: WeightedDoublePoset) -> Tuple[int, ...]:
-    """The weights of d over the declaration index."""
-    return tuple(d.w[e] for e in d.poset.elements)
+    return gamma_of_orders(p.lt1, strict_pairs(p), d.w)
 
 
 @lru_cache(maxsize=GAMMA_CACHE_SIZE)
@@ -199,7 +192,7 @@ def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
     induced from E, so the strict pairs of E|P are those of E restricted to P.
     """
     p = d.poset
-    lt1, strict, w = p.lt1, strict_pairs(p), _weights(d)
+    lt1, strict, w = p.lt1, strict_pairs(p), d.w
     parts: Dict[int, QSymElem] = {}  # a subset can be the P of one pair and the Q of another
 
     def part(mask):
@@ -220,7 +213,7 @@ def antipode_theorem_sides(d: WeightedDoublePoset) -> Tuple[QSymElem, QSymElem]:
     Both Gammas are taken from the orders: the right side from the <1 and the
     strict pairs of `opposite1(E)`, with the weights of E over the same index.
     """
-    p, w = d.poset, _weights(d)
+    p, w = d.poset, d.w
     flipped = opposite1(p)
     return (
         antipode_closed(gamma_of_orders(p.lt1, strict_pairs(p), w)),
@@ -238,21 +231,28 @@ def antipode_theorem_check(d: WeightedDoublePoset) -> bool:
 
 
 def gamma_product_check(d1: WeightedDoublePoset, d2: WeightedDoublePoset) -> bool:
-    """True iff Gamma(E | F, w) = Gamma(E, w1) * Gamma(F, w2) on the tagged union."""
-    union_poset = disjoint_union(d1.poset, d2.poset)
-    weights = [d1.w[e] for e in d1.poset.elements] + [d2.w[e] for e in d2.poset.elements]
-    union = WeightedDoublePoset(poset=union_poset, w=dict(zip(union_poset.elements, weights)))
-    return gamma(union) == product(gamma(d1), gamma(d2))
+    """True iff Gamma(E | F, w) = Gamma(E, w1) * Gamma(F, w2), the disjoint
+    union read from the orders: those of F shifted past the |E| indices of E."""
+    p1, p2, n = d1.poset, d2.poset, d1.poset.size
+    lt1 = p1.lt1 + tuple(up << n for up in p2.lt1)
+    strict = strict_pairs(p1) + tuple(up << n for up in strict_pairs(p2))
+    return gamma_of_orders(lt1, strict, d1.w + d2.w) == product(gamma(d1), gamma(d2))
 
 
 def weighted_from_dict(doc: Dict) -> WeightedDoublePoset:
-    """Poset JSON extended with optional "w"; omitted w defaults to all-ones."""
+    """Poset JSON extended with optional "w", an object from the labels to
+    their weights, read into the declaration order; omitted w defaults to
+    all-ones."""
     poset = from_dict(doc)
     w = doc.get("w")
-    if w is not None and (
+    if w is None:
+        return WeightedDoublePoset(poset)
+    if (
         not isinstance(w, dict)
         or not all(type(v) is int for v in w.values())  # no bool, no float
         or (not w and poset.size)
     ):
         raise ValueError("'w' must map every label to an integer weight")
-    return WeightedDoublePoset(poset=poset, w=w or {})
+    if set(w) != set(poset.elements):
+        raise ValueError("weight function must be total on the ground set")
+    return WeightedDoublePoset(poset, [w[e] for e in poset.elements])

@@ -10,23 +10,25 @@ definitions the fast routes are gated against.  The E-partition definition is
 written once, as the (i, j, strict) list of `_epartition_pairs`:
 `epartition_test` applies it to one map, and `_epartition_vectors` filters all
 maps E -> [m] by it, one pair at a time; `epartitions_into` gives the result
-as maps from the labels.  `_all_maps` is the one enumeration of all maps, and
-refuses more than ENUM_LIMIT of them before it builds one.  Three bounded
-tables hold what depends on no poset: `_map_table`, all maps per (|E|, m), up
-to MAP_TABLE_LIMIT of them; `_exponent_table`, the monomial of each of those
-maps per (weights, m); and `_monomial_exponents`, the monomials of M_alpha per
-(alpha, m).  The brute force is still brute force: every call tests every map
-against the definition, and only the list of maps and their monomials are
-reused.  The G-orbits (and E-coeven G-orbits) of E-partitions into [q] are
-counted by walking that enumeration along the group's generators, with a
-parity per vector to find the odd stabilisers, for the order polynomial and
-reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
+as maps from the declaration index, the index of the weights d.w, and
+`is_epartition` takes such a map.  `_all_maps` is the one enumeration of all
+maps, and refuses more than ENUM_LIMIT of them before it builds one.  Three
+bounded tables hold what depends on no poset: `_map_table`, all maps per
+(|E|, m), up to MAP_TABLE_LIMIT of them; `_exponent_table`, the monomial of
+each of those maps per (weights, m); and `_monomial_exponents`, the monomials
+of M_alpha per (alpha, m).  The brute force is still brute force: every call
+tests every map against the definition, and only the list of maps and their
+monomials are reused.  The G-orbits (and E-coeven G-orbits) of E-partitions
+into [q] are counted by walking that enumeration along the group's generators,
+with a parity per vector to find the odd stabilisers, for the order polynomial
+and reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
 independently of the closed form.  The fundamental expansion of Gamma over
 linear extensions is a third route, for special double posets, that shares no
-code with the other two.  The orbit sums are also summed element by element,
-as the paper defines them, against the class sums of the equivariant module;
-the automorphisms of a weighted double poset are found among all n!
-permutations.
+code with the other two; `build_Yh`, the special cell poset of a skew shape,
+takes skew Schur functions along it.  The orbit sums are also summed element
+by element, as the paper defines them, against the class sums of the
+equivariant module; the automorphisms of a weighted double poset are found
+among all n! permutations.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .equivariant import GroupAction, Permutation, precompose, quotient_by, sign
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
 from .poset import DoublePoset, Rel, index_pairs, is_special, is_tertispecial
 from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, linear_combination, monomial, product
-from .young import Cell, SkewShape
+from .young import Cell, SkewShape, cell_poset
 
 Poly = Dict[Tuple[int, ...], Coeff]
 
@@ -144,19 +146,20 @@ def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]
     return holds
 
 
-def _is_epartition_on(d: WeightedDoublePoset, rel: Rel, pi: Mapping[str, int]) -> bool:
-    elements = d.poset.elements
-    if set(pi) != set(elements):
+def _is_epartition_on(d: WeightedDoublePoset, rel: Rel, pi: Mapping[int, int]) -> bool:
+    indices = range(d.poset.size)
+    if set(pi) != set(indices):
         raise ValueError("partition map must be total on the ground set")
-    return epartition_test(d.poset, rel)([pi[e] for e in elements])
+    return epartition_test(d.poset, rel)([pi[i] for i in indices])
 
 
-def is_epartition(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
-    """Weakly increasing along <1, strictly when the <2-reversal triggers."""
+def is_epartition(d: WeightedDoublePoset, pi: Mapping[int, int]) -> bool:
+    """Weakly increasing along <1, strictly when the <2-reversal triggers; pi
+    maps each declaration index to its value."""
     return _is_epartition_on(d, d.poset.lt1, pi)
 
 
-def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[str, int]) -> bool:
+def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[int, int]) -> bool:
     """Cover-based E-partition test; valid only for tertispecial posets."""
     p = d.poset
     if not is_tertispecial(p):
@@ -175,6 +178,13 @@ def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
         if (i + 1, j) in cells and not filling[(i, j)] < filling[(i + 1, j)]:
             return False
     return True
+
+
+def build_Yh(shape: SkewShape) -> WeightedDoublePoset:
+    """The special variant of `young.build_Y`, a second route to the skew
+    Schur function: same <1, but <2 is the total reading order
+    (i,j) <h (i',j') iff i > i', or i = i' and j < j'."""
+    return cell_poset(shape, lambda a, b: a[0] > b[0] or (a[0] == b[0] and a[1] < b[1]))
 
 
 def _all_maps(n: int, m: int) -> Iterable[Tuple[int, ...]]:
@@ -214,9 +224,10 @@ def _epartition_vectors(d: WeightedDoublePoset, m: int) -> Iterator[Tuple[int, .
     return vectors
 
 
-def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[str, int]]:
-    """All E-partitions with values in {1,...,m}, as maps from the labels."""
-    return [dict(zip(d.poset.elements, values)) for values in _epartition_vectors(d, m)]
+def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[int, int]]:
+    """All E-partitions with values in {1,...,m}, as maps from the
+    declaration index, the index of the weights d.w."""
+    return [dict(enumerate(values)) for values in _epartition_vectors(d, m)]
 
 
 def _exponents(w: Tuple[int, ...], m: int, values: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -235,7 +246,7 @@ def _exponent_table(w: Tuple[int, ...], m: int) -> Dict[Tuple[int, ...], Tuple[i
 
 def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
     """The truncation of Gamma(E, w) to m variables, summed map by map."""
-    w = tuple(d.w[e] for e in d.poset.elements)
+    w = d.w
     vectors = _epartition_vectors(d, m)
     if m ** len(w) > MAP_TABLE_LIMIT:  # the maps were not tabulated
         return dict(Counter(_exponents(w, m, values) for values in vectors))
@@ -260,7 +271,7 @@ def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
     p = d.poset
     if not is_special(p):
         raise ValueError("the linear-extension expansion needs <2 to be total")
-    n, w = p.size, [d.w[e] for e in p.elements]
+    n, w = p.size, d.w
     below = [sum(1 << i for i in range(n) if p.lt1[i] >> j & 1) for j in range(n)]
     runs: Dict[tuple, int] = {}  # (weights along L, descents of L) -> number of such L
     stack = [((), (), -1, (1 << n) - 1)]  # (weights, descents, last element, elements left)
@@ -348,8 +359,7 @@ def automorphisms(d: WeightedDoublePoset) -> List[Permutation]:
     """Every permutation of the declaration indices that preserves <1, <2 and w,
     in lexicographic order: a bijection that maps each order into itself maps
     it onto itself, as the order is finite."""
-    p = d.poset
-    w = [d.w[e] for e in p.elements]
+    p, w = d.poset, d.w
     pairs = [(rel, i, j) for rel in (p.lt1, p.lt2) for i, j in index_pairs(rel)]
     return [
         perm

@@ -56,7 +56,7 @@ class OrderPolynomial:
 
 
 def _all_ones_action(a: GroupAction) -> GroupAction:
-    return a.with_base(WeightedDoublePoset(poset=a.base.poset, w={}))
+    return a.with_base(WeightedDoublePoset(poset=a.base.poset))
 
 
 def order_polynomial(a: GroupAction) -> OrderPolynomial:

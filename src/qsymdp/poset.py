@@ -143,27 +143,6 @@ def squeeze(rel: Rel, mask: int) -> Rel:
     return tuple(out)
 
 
-def restrict(d: DoublePoset, mask: int) -> DoublePoset:
-    """The double poset induced on the elements whose declaration index is set in mask."""
-    if mask < 0 or mask >> d.size:
-        raise ValueError(f"mask {mask:#b} has bits outside the {d.size} elements")
-    return DoublePoset(
-        elements=tuple(e for i, e in enumerate(d.elements) if mask >> i & 1),
-        lt1=squeeze(d.lt1, mask),
-        lt2=squeeze(d.lt2, mask),
-    )
-
-
-def disjoint_union(d1: DoublePoset, d2: DoublePoset) -> DoublePoset:
-    """Tagged disjoint union; labels become '0.x' and '1.y'."""
-    n = d1.size
-    return DoublePoset(
-        elements=tuple(f"0.{e}" for e in d1.elements) + tuple(f"1.{e}" for e in d2.elements),
-        lt1=d1.lt1 + tuple(up << n for up in d2.lt1),
-        lt2=d1.lt2 + tuple(up << n for up in d2.lt2),
-    )
-
-
 def down_sets(d: DoublePoset) -> List[int]:
     """All down-sets of (E, <1) as bitmasks, lexicographic in the
     characteristic vector (element 0 first).  They are the P of the admissible

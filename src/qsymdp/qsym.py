@@ -58,19 +58,11 @@ class QSymElem:
     def __add__(self, other: "QSymElem") -> "QSymElem":
         return linear_combination(((1, self), (1, other)))
 
-    def __sub__(self, other: "QSymElem") -> "QSymElem":
-        return linear_combination(((1, self), (-1, other)))
-
     def __neg__(self) -> "QSymElem":
         return self.scale(-1)
 
     def scale(self, c: Coeff) -> "QSymElem":
         return QSymElem({a: c * v for a, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "QSymElem":
-        if isinstance(c, int):
-            return self.scale(c)
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QSymElem) and self.terms == other.terms

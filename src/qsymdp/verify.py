@@ -72,7 +72,7 @@ def antipode_consistency(size: int) -> Iterator[bool]:
 def gamma_truncation(size: int) -> Iterator[bool]:
     """Per poset: Gamma against the all-maps oracle, with weights all 1 and 1, 2, 1, ..."""
     for poset in _all_posets(size):
-        for w in ({}, {e: 1 + i % 2 for i, e in enumerate(poset.elements)}):
+        for w in ((), tuple(1 + i % 2 for i in range(poset.size))):
             d = gm.WeightedDoublePoset(poset, w)
             yield oracles.gamma_truncation_matches(d, gm.gamma(d), poset.size + 1)
 

@@ -76,7 +76,7 @@ def _cell_label(cell: Cell) -> str:
     return f"{cell[0]},{cell[1]}"
 
 
-def _cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
+def cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
     """The cells ordered by <1, (i,j) <1 (i',j') iff both coordinates weakly
     increase, and by <2, a <2 b iff below2(a, b); both are transitive as
     given, so no closure is taken."""
@@ -87,19 +87,13 @@ def _cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
 
     lt1 = rel(lambda a, b: a != b and a[0] <= b[0] and a[1] <= b[1])
     labels = tuple(_cell_label(c) for c in cells)
-    return WeightedDoublePoset(poset=DoublePoset(labels, lt1, rel(below2)), w={})
+    return WeightedDoublePoset(poset=DoublePoset(labels, lt1, rel(below2)))
 
 
 def build_Y(shape: SkewShape) -> WeightedDoublePoset:
     """The tertispecial double poset on the cells: (i,j) <1 (i',j') iff both
     coordinates weakly increase; (i,j) <2 (i',j') iff i >= i', j <= j'."""
-    return _cell_poset(shape, lambda a, b: a != b and a[0] >= b[0] and a[1] <= b[1])
-
-
-def build_Yh(shape: SkewShape) -> WeightedDoublePoset:
-    """The special variant: same <1, but <2 is the total reading order
-    (i,j) <h (i',j') iff i > i', or i = i' and j < j'."""
-    return _cell_poset(shape, lambda a, b: a[0] > b[0] or (a[0] == b[0] and a[1] < b[1]))
+    return cell_poset(shape, lambda a, b: a != b and a[0] >= b[0] and a[1] <= b[1])
 
 
 def skew_schur(shape: SkewShape) -> QSymElem:

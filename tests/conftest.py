@@ -14,6 +14,7 @@ from qsymdp.poset import (
     build,
     index_pairs,
     is_tertispecial,
+    squeeze,
     transpose,
 )
 from qsymdp.young import Partition, SkewShape
@@ -25,7 +26,7 @@ def labels_for(n):
 
 def antichain(n, w=None) -> WeightedDoublePoset:
     """The antichain on the first n labels; w defaults to all ones."""
-    return WeightedDoublePoset(poset=build(labels_for(n), [], []), w=w or {})
+    return WeightedDoublePoset(poset=build(labels_for(n), [], []), w=w or ())
 
 
 def chain(n, strict=False) -> WeightedDoublePoset:
@@ -35,6 +36,27 @@ def chain(n, strict=False) -> WeightedDoublePoset:
     gens = list(zip(labs, labs[1:]))
     lt2 = [(b, a) for a, b in gens] if strict else gens
     return WeightedDoublePoset(poset=build(labs, gens, lt2), w={})
+
+
+def restrict(d: DoublePoset, mask: int) -> DoublePoset:
+    """The double poset induced on the elements whose declaration index is set in mask."""
+    if mask < 0 or mask >> d.size:
+        raise ValueError(f"mask {mask:#b} has bits outside the {d.size} elements")
+    return DoublePoset(
+        elements=tuple(e for i, e in enumerate(d.elements) if mask >> i & 1),
+        lt1=squeeze(d.lt1, mask),
+        lt2=squeeze(d.lt2, mask),
+    )
+
+
+def disjoint_union(d1: DoublePoset, d2: DoublePoset) -> DoublePoset:
+    """Tagged disjoint union; labels become '0.x' and '1.y'."""
+    n = d1.size
+    return DoublePoset(
+        elements=tuple(f"0.{e}" for e in d1.elements) + tuple(f"1.{e}" for e in d2.elements),
+        lt1=d1.lt1 + tuple(up << n for up in d2.lt1),
+        lt2=d1.lt2 + tuple(up << n for up in d2.lt2),
+    )
 
 
 def random_double_poset(n, rng: random.Random) -> DoublePoset:
@@ -141,8 +163,8 @@ def orbit_tallies(a, m):
     for orbit in orbits:
         values = orbit[0]
         exps = [0] * m
-        for e, v in zip(a.base.poset.elements, values):
-            exps[v - 1] += a.base.w[e]
+        for weight, v in zip(a.base.w, values):
+            exps[v - 1] += weight
         key = tuple(exps)
         all_counts[key] = all_counts.get(key, Fraction(0)) + 1
         if _is_coeven(values, odd):
@@ -196,10 +218,9 @@ def aut_orbit_weight(d: WeightedDoublePoset):
     """A weight constant on each Aut(d)-orbit, 2 on the even-numbered orbits
     (by least member) and 1 on the others, so never 1 everywhere."""
     auts = automorphisms(d)
-    labels = d.poset.elements
-    least = [min(g[i] for g in auts) for i in range(len(labels))]
+    least = [min(g[i] for g in auts) for i in range(d.poset.size)]
     number = {m: k for k, m in enumerate(sorted(set(least)))}
-    return {e: 2 - number[least[i]] % 2 for i, e in enumerate(labels)}
+    return tuple(2 - number[m] % 2 for m in least)
 
 
 def peeled_and_whole(p: DoublePoset, w):

@@ -56,11 +56,22 @@ def test_criterion_4_gamma_bruteforce():
     report("criterion-4 gamma-bruteforce", passes("gamma-truncation", 3))  # |E| <= 3
 
 
+def test_criterion_4_weighs_each_poset_by_ones_then_by_1_2_1(monkeypatch):
+    import qsymdp.oracles
+
+    seen = []
+    monkeypatch.setattr(qsymdp.oracles, "gamma_truncation_matches", lambda d, f, m: seen.append(d.w) or True)
+    assert all(SUITES["gamma-truncation"](3))
+    assert len(seen) == 2 * sum(len(all_double_posets(n)) for n in range(4))
+    assert seen[0::2] == [(1,) * len(w) for w in seen[0::2]]
+    assert seen[1::2] == [(1, 2, 1)[: len(w)] for w in seen[1::2]]
+
+
 def test_criterion_5_antipode_theorem():
     ok = passes("antipode-theorem", 3)
     rng = random.Random(11)
     for d in random_tertispecial_posets(4, 100):
-        w = {e: rng.randint(1, 2) for e in d.elements}
+        w = tuple(rng.randint(1, 2) for _ in d.elements)
         ok = ok and antipode_theorem_check(WeightedDoublePoset(poset=d, w=w))
     report("criterion-5 antipode-theorem", ok)
 
@@ -172,7 +183,7 @@ def test_criterion_9_young():
         d = build_Y(sh)
         for values in itertools.product((1, 2, 3), repeat=sh.size):
             filling = dict(zip(sh.cells, values))
-            pi = {f"{i},{j}": v for (i, j), v in filling.items()}
+            pi = dict(enumerate(values))
             ok = ok and is_ssyt(sh, filling) == is_epartition(d, pi)
     for n in range(5):
         for lam in _partitions_of(n):

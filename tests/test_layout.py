@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import itertools
+import math
 import os
 import pkgutil
 import subprocess
@@ -10,7 +12,9 @@ import sys
 import pytest
 
 import qsymdp
+from qsymdp.gamma import WeightedDoublePoset, gamma
 from qsymdp.oracles import epartitions_into
+from qsymdp.poset import all_double_posets
 from qsymdp.qsym import BoundExceededError
 
 from conftest import antichain
@@ -28,6 +32,7 @@ MOVED = {
     "is_epartition",
     "is_epartition_covers",
     "is_ssyt",
+    "build_Yh",
 }
 
 
@@ -81,6 +86,33 @@ def test_orderpoly_still_binds_the_orbit_counts():
 
     assert count_orbits_bruteforce is oracles.count_orbits_bruteforce
     assert count_coeven_orbits_bruteforce is oracles.count_coeven_orbits_bruteforce
+
+
+def value_at(f, x):
+    """f at x_1..x_m: M_alpha is the sum over i_1 < ... < i_k of the products of x_(i_j)^alpha_j."""
+    return sum(
+        c * math.prod(x[i] ** part for i, part in zip(positions, alpha))
+        for alpha, c in f.terms.items()
+        for positions in itertools.combinations(range(len(x)), len(alpha))
+    )
+
+
+def test_epartitions_into_sums_to_gamma_as_perfbench_reads_it():
+    # perfbench/checks.py::_oracle_sum reads each map pi of epartitions_into as
+    # e -> pi[e] and weighs x[pi[e] - 1] by d.w[e]: the keys of pi index d.w
+    for n in range(4):
+        for p in all_double_posets(n):
+            for w in ((), (1, 2, 1)[:n]):
+                d = WeightedDoublePoset(p, w)
+                for m in (1, 2, 3):
+                    x = (2, 3, 5)[:m]
+                    total = 0
+                    for pi in epartitions_into(d, m):
+                        term = 1
+                        for e, i in pi.items():
+                            term *= x[i - 1] ** d.w[e]
+                        total += term
+                    assert total == value_at(gamma(d), x), (p, w, m)
 
 
 def test_epartitions_into_limit():

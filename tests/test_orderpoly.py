@@ -120,7 +120,7 @@ def test_order_polynomial_antichain():
 
 
 def test_order_polynomial_ignores_weights():
-    base = WeightedDoublePoset(poset=build("ab", [], []), w={"a": 2, "b": 2})
+    base = WeightedDoublePoset(poset=build("ab", [], []), w=(2, 2))
     omega = order_polynomial(trivial_action(base))
     assert omega(3) == 9
 

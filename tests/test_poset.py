@@ -9,19 +9,18 @@ from qsymdp.poset import (
     DoublePoset,
     all_strict_orders,
     build,
-    disjoint_union,
     down_sets,
     from_dict,
     is_special,
     is_tertispecial,
     opposite1,
-    restrict,
     transitive_closure,
 )
 from qsymdp.qsym import BoundExceededError
 
 from conftest import (
     all_double_posets,
+    disjoint_union,
     is_semispecial,
     labels_for,
     less1,
@@ -29,6 +28,7 @@ from conftest import (
     opposite2,
     pairs,
     random_double_poset,
+    restrict,
     to_dict,
 )
 

@@ -5,14 +5,13 @@ import pytest
 
 from qsymdp.compositions import Composition
 from qsymdp.gamma import gamma
-from qsymdp.oracles import gamma_linear_extensions, is_epartition, is_ssyt
+from qsymdp.oracles import build_Yh, gamma_linear_extensions, is_epartition, is_ssyt
 from qsymdp.poset import is_special, is_tertispecial
 from qsymdp.qsym import monomial
 from qsymdp.young import (
     Partition,
     SkewShape,
     build_Y,
-    build_Yh,
     conjugate_partition,
     conjugate_shape,
     parse_partition,
@@ -115,7 +114,7 @@ def test_ssyt_matches_epartitions():
         d = build_Y(sh)
         for values in itertools.product((1, 2, 3), repeat=sh.size):
             filling = dict(zip(sh.cells, values))
-            pi = {f"{i},{j}": v for (i, j), v in filling.items()}
+            pi = dict(enumerate(values))
             assert is_ssyt(sh, filling) == is_epartition(d, pi)
 
 
