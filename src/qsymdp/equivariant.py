@@ -1,15 +1,16 @@
 """Finite group actions on double posets and orbit generating functions.
 
-The orbit sums run over conjugacy classes: E^(k g k^-1) is isomorphic to E^g
-as a weighted double poset (k maps the orbits of g onto those of k g k^-1 and
-preserves <1, <2 and w), and sign is a class function, so one quotient and one
-Gamma per class, weighted by the class size, give the sum over all of G.
+Every orbit sum is one `orbit_sum` call.  The class sums pass one pair per
+conjugacy class: E^(k g k^-1) is isomorphic to E^g as a weighted double poset
+(k maps the orbits of g onto those of k g k^-1 and preserves <1, <2 and w),
+and sign is a class function, so one quotient and one Gamma per class,
+weighted by the class size, give the sum over all of G.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, WeightedDoublePoset, gamma, strict_pairs
 from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1, transpose
@@ -42,10 +43,6 @@ class GroupAction:
         generators: Tuple[Permutation, ...],
     ):
         self.base, self.elements, self.classes, self.generators = base, elements, classes, generators
-
-    def with_base(self, base: WeightedDoublePoset) -> "GroupAction":
-        """The same group acting on another base with the same labels."""
-        return GroupAction(base, self.elements, self.classes, self.generators)
 
     @property
     def order(self) -> int:
@@ -160,7 +157,7 @@ def orbits_of(perm: Permutation) -> List[Tuple[int, ...]]:
             cycle.append(j)
             j = perm[j]
         out.append(tuple(sorted(cycle)))
-    return sorted(out)
+    return out
 
 
 def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePoset:
@@ -203,16 +200,15 @@ def sign_of(g: Permutation) -> int:
     return -1 if (len(g) - len(orbits_of(g))) % 2 else 1
 
 
-def _orbit_sum(a: GroupAction, weight) -> QSymElem:
-    """(1/|G|) sum over the classes C, with representative g, of |C| weight(g)
-    Gamma(E^g, w^g), for a class function weight, summed in ints.
-
-    Gamma(E^g, w^g) sums over the g-fixed E-partitions, so by Burnside the sum
-    counts orbits and |G| divides it exactly, on every base.
+def orbit_sum(base: WeightedDoublePoset, order: int, weighted: Iterable[Tuple[Permutation, int]]) -> QSymElem:
+    """(1/|G|) sum of c Gamma(E^g, w^g) over the pairs (g, c), in ints, for
+    |G| = ``order``: the pairs are G's elements or its class representatives,
+    with c = 1 or sign(g), times the class size.  Gamma(E^g, w^g) sums over the
+    g-fixed E-partitions, so by Burnside the sum counts orbits and |G| divides
+    it exactly, on every base.
     """
     # a list, so that each Gamma is called from here (perfbench's layer tracer counts them)
-    total = linear_combination([(size * weight(g), gamma(quotient_by(g, a.base))) for g, size in a.classes])
-    order = a.order
+    total = linear_combination([(c, gamma(quotient_by(g, base))) for g, c in weighted])
     if any(c % order for c in total.terms.values()):
         raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {order}")
     return QSymElem({alpha: c // order for alpha, c in total.terms.items()})
@@ -221,28 +217,22 @@ def _orbit_sum(a: GroupAction, weight) -> QSymElem:
 def gamma_equivariant(a: GroupAction) -> QSymElem:
     """Gamma(E, w, G) = (1/|G|) sum over g of Gamma(E^g, w^g): the sum over
     the G-orbits of E-partitions pi of x^(w pi) (Burnside), so in integers.
-
-    Computed as (1/|G|) sum over the conjugacy classes C of |C| Gamma(E^g, w^g),
-    g in C: conjugate elements give isomorphic quotients, so equal Gammas.
-    """
-    return _orbit_sum(a, lambda g: 1)
+    Summed over the conjugacy classes, each weighted by its size."""
+    return orbit_sum(a.base, a.order, a.classes)
 
 
 def gamma_plus(a: GroupAction) -> QSymElem:
     """Gamma+(E, w, G) = (1/|G|) sum over g of sign(g) Gamma(E^g, w^g): the
     sum over the E-coeven G-orbits (no odd g fixes their members) of
-    x^(w pi), so in integers.
-
-    Computed as (1/|G|) sum over the conjugacy classes C of |C| sign(g)
-    Gamma(E^g, w^g), g in C: sign is a class function and conjugate elements
-    give isomorphic quotients.
-    """
-    return _orbit_sum(a, sign_of)
+    x^(w pi), so in integers.  Summed over the conjugacy classes, each
+    weighted by its size and sign."""
+    return orbit_sum(a.base, a.order, ((g, size * sign_of(g)) for g, size in a.classes))
 
 
 def opposite1_action(a: GroupAction) -> GroupAction:
     """The same group acting on (E, >1, <2); permutations preserve >1 too."""
-    return a.with_base(WeightedDoublePoset(poset=opposite1(a.base.poset), w=a.base.w))
+    base = WeightedDoublePoset(poset=opposite1(a.base.poset), w=a.base.w)
+    return GroupAction(base, a.elements, a.classes, a.generators)
 
 
 def equivariant_theorem_check(a: GroupAction) -> bool:

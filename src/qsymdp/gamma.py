@@ -178,7 +178,7 @@ def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, t
             for b, cb in right.terms.items():
                 key = (a, b)
                 table[key] = table.get(key, 0) + ca * cb
-    return {k: v for k, v in table.items() if v != 0}
+    return table
 
 
 def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:

@@ -26,9 +26,10 @@ independently of the closed form.  The fundamental expansion of Gamma over
 linear extensions is a third route, for special double posets, that shares no
 code with the other two; `build_Yh`, the special cell poset of a skew shape,
 takes skew Schur functions along it.  The orbit sums are also summed element
-by element, as the paper defines them, against the class sums of the
-equivariant module; the automorphisms of a weighted double poset are found
-among all n! permutations.
+by element, as the paper defines them, against the class sums: so the classes,
+their sizes and signs are checked, and only `equivariant.orbit_sum` is shared;
+the automorphisms of a weighted double poset are found among all n!
+permutations.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .compositions import Composition
-from .equivariant import GroupAction, Permutation, precompose, quotient_by, sign_of
-from .gamma import NotTertispecialError, WeightedDoublePoset, gamma
+from .equivariant import GroupAction, Permutation, orbit_sum, precompose, sign_of
+from .gamma import NotTertispecialError, WeightedDoublePoset
 from .poset import DoublePoset, Rel, index_pairs, is_special, is_tertispecial
 from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, linear_combination, monomial, product
 from .young import Cell, SkewShape, cell_poset
@@ -298,13 +299,9 @@ def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
 
 def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     """Gamma(E, w, G), or Gamma+(E, w, G) if ``plus``: (1/|G|) sum over every
-    g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``, summed in
-    ints; |G| divides the sum (Burnside), which is asserted."""
-    total = linear_combination([(sign_of(g) if plus else 1, gamma(quotient_by(g, a.base))) for g in a.elements])
-    order = a.order
-    if any(c % order for c in total.terms.values()):
-        raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {order}")
-    return QSymElem({alpha: c // order for alpha, c in total.terms.items()})
+    g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``, as the
+    paper defines them, with no reduction to conjugacy classes."""
+    return orbit_sum(a.base, a.order, ((g, sign_of(g) if plus else 1) for g in a.elements))
 
 
 def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:

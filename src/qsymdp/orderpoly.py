@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .equivariant import GroupAction, gamma_equivariant, opposite1_action
+from .equivariant import GroupAction, opposite1_action, orbit_sum
 from .gamma import NotTertispecialError, WeightedDoublePoset
 # The brute-force counts live in oracles; both names stay bound here because
 # perfbench/checks.py imports them from qsymdp.orderpoly.
@@ -55,16 +55,12 @@ class OrderPolynomial:
         return tuple(Fraction(c, whole) for c in out)
 
 
-def _all_ones_action(a: GroupAction) -> GroupAction:
-    return a.with_base(WeightedDoublePoset(poset=a.base.poset))
-
-
 def order_polynomial(a: GroupAction) -> OrderPolynomial:
     """Omega(q) = number of G-orbits of E-partitions into [q]: the principal
     specialization (x_1 = ... = x_q = 1, the rest 0) of the equivariant
     generating function with w identically 1, which sends M_alpha to
     C(q, len(alpha)), so c_k sums the coefficients of the alpha with k parts."""
-    g = gamma_equivariant(_all_ones_action(a))
+    g = orbit_sum(WeightedDoublePoset(a.base.poset), a.order, a.classes)
     n = a.base.poset.size
     coeffs = [0] * (n + 1)
     for alpha, c in g.terms.items():

@@ -15,6 +15,7 @@ from qsymdp.equivariant import (
     gamma_equivariant,
     gamma_plus,
     opposite1_action,
+    orbit_sum,
     orbits_of,
     quotient_by,
     sign_of,
@@ -96,9 +97,21 @@ def full_symmetric_action_with_cap():
 
 def test_orbits_and_sign():
     assert orbits_of((1, 0, 2)) == [(0, 1), (2,)]
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            out = orbits_of(perm)
+            assert sorted(i for cycle in out for i in cycle) == list(range(n))
+            assert all(perm[i] in cycle for cycle in out for i in cycle)
+            assert out == sorted(out)
     assert sign_of((1, 0, 2)) == -1
     assert sign_of((1, 2, 0)) == 1
     assert sign_of((0, 1, 2)) == 1
+
+
+def test_orbit_sum_refuses_a_sum_that_the_group_order_does_not_divide():
+    # one term Gamma(point) = M(1) over |G| = 2: not a sum over all of a group of order 2
+    with pytest.raises(AssertionError, match=r"\|G\| = 2"):
+        orbit_sum(antichain(1), 2, [((0,), 1)])
 
 
 def test_quotient_of_swap():

@@ -187,6 +187,8 @@ def test_gamma_matches_bruteforce_truncation():
             for w in ((), tuple(rng.randint(1, 2) for _ in d.elements)):
                 wd = WeightedDoublePoset(poset=d, w=w)
                 assert gamma_truncation_matches(wd, gamma(wd), n + 1)
+                # each coefficient counts E-partitions, so the coproduct table's sums of products hold no zero
+                assert all(c > 0 for c in gamma(wd).terms.values())
 
 
 def test_packed_count_matches_bruteforce_packed_filter():
