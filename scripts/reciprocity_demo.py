@@ -8,7 +8,6 @@ arguments.
 """
 
 from qsymdp.equivariant import build_action, opposite1_action
-from qsymdp.gamma import WeightedDoublePoset
 from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import build
@@ -17,7 +16,7 @@ from qsymdp.poset import build
 def three_chains():
     labs = [f"{i}.{j}" for i in range(3) for j in range(2)]
     gens = [(f"{i}.0", f"{i}.1") for i in range(3)]
-    return WeightedDoublePoset(poset=build(labs, gens, gens))
+    return build(labs, gens, gens)
 
 
 def component_symmetric_action(base):

@@ -14,21 +14,16 @@ import sys
 from . import compositions as comps
 from . import qsym
 from .compositions import Composition
-from .gamma import (
-    NotTertispecialError,
-    WeightedDoublePoset,
-    antipode_theorem_sides,
-    weighted_from_dict,
-)
+from .gamma import NotTertispecialError, antipode_theorem_sides, weighted_from_dict
 from .gamma import gamma as gamma_of
-from .poset import check_double_poset_count
+from .poset import DoublePoset, check_double_poset_count
 
 
 class InputError(ValueError):
     pass
 
 
-def _load_weighted(path: str) -> WeightedDoublePoset:
+def _load_weighted(path: str) -> DoublePoset:
     try:
         with open(path) as fh:
             return weighted_from_dict(json.load(fh))

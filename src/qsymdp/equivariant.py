@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .gamma import NotTertispecialError, WeightedDoublePoset, gamma, strict_pairs
+from .gamma import NotTertispecialError, gamma, strict_pairs
 from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1, transpose
 from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
 
@@ -37,7 +37,7 @@ class GroupAction:
 
     def __init__(
         self,
-        base: WeightedDoublePoset,
+        base: DoublePoset,
         elements: Tuple[Permutation, ...],
         classes: Tuple[Tuple[Permutation, int], ...],
         generators: Tuple[Permutation, ...],
@@ -56,20 +56,20 @@ def precompose(g: Permutation) -> Callable[[tuple], tuple]:
     return itemgetter(*g) if len(g) > 1 else tuple
 
 
-def _perm_from_mapping(base: WeightedDoublePoset, mapping: Mapping[str, str]) -> Permutation:
-    labels = base.poset.elements
+def _perm_from_mapping(base: DoublePoset, mapping: Mapping[str, str]) -> Permutation:
+    labels = base.elements
     idx = {e: i for i, e in enumerate(labels)}
     if set(mapping) != set(labels) or set(mapping.values()) != set(labels):
         raise ValueError(f"generator {dict(mapping)} is not a bijection of the ground set")
     return tuple(idx[mapping[e]] for e in labels)
 
 
-def _validate_preserving(base: WeightedDoublePoset, perm: Permutation) -> None:
+def _validate_preserving(base: DoublePoset, perm: Permutation) -> None:
     """Raise on the first broken pair or weight, in declaration order of the labels."""
-    labels = base.poset.elements
+    labels = base.elements
     broken = [
         (name, (labels[i], labels[j]))
-        for name, rel in (("lt1", base.poset.lt1), ("lt2", base.poset.lt2))
+        for name, rel in (("lt1", base.lt1), ("lt2", base.lt2))
         for i, j in index_pairs(rel)
         if not rel[perm[i]] >> perm[j] & 1
     ]
@@ -79,7 +79,7 @@ def _validate_preserving(base: WeightedDoublePoset, perm: Permutation) -> None:
 
 
 def build_action(
-    base: WeightedDoublePoset,
+    base: DoublePoset,
     generators: List[Mapping[str, str]],
     cap: int = DEFAULT_GROUP_CAP,
 ) -> GroupAction:
@@ -88,7 +88,7 @@ def build_action(
     Validates that every generator preserves <1, <2 and w; closure is bounded
     by ``cap``.
     """
-    n = base.poset.size
+    n = base.size
     identity = tuple(range(n))
     gens = []
     for mapping in generators:
@@ -160,14 +160,14 @@ def orbits_of(perm: Permutation) -> List[Tuple[int, ...]]:
     return out
 
 
-def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePoset:
+def quotient_by(g: Permutation, base: DoublePoset) -> DoublePoset:
     """Quotient E^g, for g preserving <1 and <2: u <1 v iff some a in u, b in v
     have a <1 b, and u <2 v iff some have a <2 b and b <1 a, as Gamma reads <2
     only where it reverses <1.  So the E^g-partitions are the g-fixed
     E-partitions, and both relations are orders (<1 and <2 & >1 are transitive
     and g-invariant).  Each orbit is named by the label of its first member in
     declaration order and weighs the sum of its members' weights."""
-    labels = base.poset.elements
+    labels = base.elements
     cycles = orbits_of(g)
     of = [0] * len(labels)  # element -> orbit
     for k, cycle in enumerate(cycles):
@@ -189,10 +189,10 @@ def quotient_by(g: Permutation, base: WeightedDoublePoset) -> WeightedDoublePose
             out.append(row)
         return tuple(out)
 
-    reversing = transpose(strict_pairs(base.poset))  # the i <2 j with j <1 i
+    reversing = transpose(strict_pairs(base))  # the i <2 j with j <1 i
     names = tuple(labels[cycle[0]] for cycle in cycles)
-    quotient = DoublePoset(elements=names, lt1=project(base.poset.lt1), lt2=project(reversing))
-    return WeightedDoublePoset(poset=quotient, w=tuple(sum(base.w[i] for i in cycle) for cycle in cycles))
+    w = tuple(sum(base.w[i] for i in cycle) for cycle in cycles)
+    return DoublePoset(elements=names, lt1=project(base.lt1), lt2=project(reversing), w=w)
 
 
 def sign_of(g: Permutation) -> int:
@@ -200,7 +200,7 @@ def sign_of(g: Permutation) -> int:
     return -1 if (len(g) - len(orbits_of(g))) % 2 else 1
 
 
-def orbit_sum(base: WeightedDoublePoset, order: int, weighted: Iterable[Tuple[Permutation, int]]) -> QSymElem:
+def orbit_sum(base: DoublePoset, order: int, weighted: Iterable[Tuple[Permutation, int]]) -> QSymElem:
     """(1/|G|) sum of c Gamma(E^g, w^g) over the pairs (g, c), in ints, for
     |G| = ``order``: the pairs are G's elements or its class representatives,
     with c = 1 or sign(g), times the class size.  Gamma(E^g, w^g) sums over the
@@ -231,20 +231,19 @@ def gamma_plus(a: GroupAction) -> QSymElem:
 
 def opposite1_action(a: GroupAction) -> GroupAction:
     """The same group acting on (E, >1, <2); permutations preserve >1 too."""
-    base = WeightedDoublePoset(poset=opposite1(a.base.poset), w=a.base.w)
-    return GroupAction(base, a.elements, a.classes, a.generators)
+    return GroupAction(opposite1(a.base), a.elements, a.classes, a.generators)
 
 
 def equivariant_theorem_check(a: GroupAction) -> bool:
     """True iff S(Gamma(E,w,G)) = (-1)^|E| Gamma+((E,>1,<2),w,G)."""
-    if not is_tertispecial(a.base.poset):
+    if not is_tertispecial(a.base):
         raise NotTertispecialError("equivariant antipode theorem requires tertispecial base")
     lhs = antipode_closed(gamma_equivariant(a))
-    rhs = gamma_plus(opposite1_action(a)).scale((-1) ** a.base.poset.size)
+    rhs = gamma_plus(opposite1_action(a)).scale((-1) ** a.base.size)
     return lhs == rhs
 
 
-def action_from_dict(base: WeightedDoublePoset, doc: Dict, cap: int = DEFAULT_GROUP_CAP) -> GroupAction:
+def action_from_dict(base: DoublePoset, doc: Dict, cap: int = DEFAULT_GROUP_CAP) -> GroupAction:
     """Group JSON: {"generators": [{"a": "b", "b": "a"}]}."""
     gens = doc.get("generators") if isinstance(doc, dict) else None
     if not isinstance(gens, list) or not all(

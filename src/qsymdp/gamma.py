@@ -1,19 +1,20 @@
-"""E-partitions and the quasisymmetric generating function of a weighted double poset."""
+"""E-partitions and the quasisymmetric generating function of a double poset
+with its weights, and the reader of the poset JSON."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .compositions import _parts
 from .poset import (
     DoublePoset,
     Rel,
     down_sets,
-    from_dict,
     index_pairs,
     opposite1,
     squeeze,
+    transitive_closure,
     transpose,
 )
 from .qsym import ENUM_LIMIT, ONE, BoundExceededError, QSymElem, antipode_closed, coproduct, product
@@ -21,23 +22,6 @@ from .qsym import ENUM_LIMIT, ONE, BoundExceededError, QSymElem, antipode_closed
 
 class NotTertispecialError(ValueError):
     """Raised when an operation requires a tertispecial double poset."""
-
-
-class WeightedDoublePoset:
-    """A double poset with a positive integer weight per element, as a tuple
-    over the declaration index; an empty w weighs each 1."""
-
-    __slots__ = ("poset", "w")
-
-    def __init__(self, poset: DoublePoset, w: Iterable[int] = ()):
-        if isinstance(w, dict) and w:
-            raise ValueError("weights are a sequence over the declaration index, not a map from the labels")
-        w = tuple(w) or (1,) * poset.size
-        if len(w) != poset.size:
-            raise ValueError("weight function must be total on the ground set")
-        if not all(type(v) is int and v > 0 for v in w):  # no bool, no float
-            raise ValueError("weights must be positive integers")
-        self.poset, self.w = poset, w
 
 
 # Bound of gamma_of_orders.  The coproduct rule takes Gamma of restrictions that
@@ -56,7 +40,7 @@ def strict_pairs(p: DoublePoset) -> Rel:
     return tuple(a & b for a, b in zip(p.lt1, transpose(p.lt2)))
 
 
-def gamma(d: WeightedDoublePoset) -> QSymElem:
+def gamma(d: DoublePoset) -> QSymElem:
     """Gamma(E, w) in the monomial basis, summed over chains of <1-down-sets.
 
     A packed E-partition phi onto {1,...,k} is the same thing as a chain of
@@ -76,8 +60,7 @@ def gamma(d: WeightedDoublePoset) -> QSymElem:
     The returned QSymElem is shared between callers; no caller may mutate its
     terms.  A refused Gamma is not cached.
     """
-    p = d.poset
-    return gamma_of_orders(p.lt1, strict_pairs(p), d.w)
+    return gamma_of_orders(d.lt1, strict_pairs(d), d.w)
 
 
 @lru_cache(maxsize=GAMMA_CACHE_SIZE)
@@ -181,7 +164,7 @@ def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, t
     return table
 
 
-def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
+def gamma_coproduct_check(d: DoublePoset) -> bool:
     """True iff the table of Delta(Gamma(E,w)) equals the summed table of the
     Gamma(E|P, w|P) (x) Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
 
@@ -191,8 +174,7 @@ def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
     the weights of E squeezed to the subset's mask.  Both orders of E|P are
     induced from E, so the strict pairs of E|P are those of E restricted to P.
     """
-    p = d.poset
-    lt1, strict, w = p.lt1, strict_pairs(p), d.w
+    lt1, strict, w = d.lt1, strict_pairs(d), d.w
     parts: Dict[int, QSymElem] = {}  # a subset can be the P of one pair and the Q of another
 
     def part(mask):
@@ -202,26 +184,17 @@ def gamma_coproduct_check(d: WeightedDoublePoset) -> bool:
             )
         return parts[mask]
 
-    full = (1 << p.size) - 1
-    rhs_pairs = [(part(low), part(full ^ low)) for low in down_sets(p)]
+    full = (1 << d.size) - 1
+    rhs_pairs = [(part(low), part(full ^ low)) for low in down_sets(d)]
     return coproduct(gamma_of_orders(lt1, strict, w)) == _tensor_table(rhs_pairs)
 
 
-def antipode_theorem_sides(d: WeightedDoublePoset) -> Tuple[QSymElem, QSymElem]:
-    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w).
-
-    Both Gammas are taken from the orders: the right side from the <1 and the
-    strict pairs of `opposite1(E)`, with the weights of E over the same index.
-    """
-    p, w = d.poset, d.w
-    flipped = opposite1(p)
-    return (
-        antipode_closed(gamma_of_orders(p.lt1, strict_pairs(p), w)),
-        gamma_of_orders(flipped.lt1, strict_pairs(flipped), w).scale((-1) ** p.size),
-    )
+def antipode_theorem_sides(d: DoublePoset) -> Tuple[QSymElem, QSymElem]:
+    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w)."""
+    return antipode_closed(gamma(d)), gamma(opposite1(d)).scale((-1) ** d.size)
 
 
-def antipode_theorem_check(d: WeightedDoublePoset) -> bool:
+def antipode_theorem_check(d: DoublePoset) -> bool:
     """True iff the two sides of :func:`antipode_theorem_sides` are equal.
 
     Guaranteed true for tertispecial posets; reported (not required) otherwise.
@@ -230,29 +203,47 @@ def antipode_theorem_check(d: WeightedDoublePoset) -> bool:
     return lhs == rhs
 
 
-def gamma_product_check(d1: WeightedDoublePoset, d2: WeightedDoublePoset) -> bool:
+def gamma_product_check(d1: DoublePoset, d2: DoublePoset) -> bool:
     """True iff Gamma(E | F, w) = Gamma(E, w1) * Gamma(F, w2), the disjoint
     union read from the orders: those of F shifted past the |E| indices of E."""
-    p1, p2, n = d1.poset, d2.poset, d1.poset.size
-    lt1 = p1.lt1 + tuple(up << n for up in p2.lt1)
-    strict = strict_pairs(p1) + tuple(up << n for up in strict_pairs(p2))
+    n = d1.size
+    lt1 = d1.lt1 + tuple(up << n for up in d2.lt1)
+    strict = strict_pairs(d1) + tuple(up << n for up in strict_pairs(d2))
     return gamma_of_orders(lt1, strict, d1.w + d2.w) == product(gamma(d1), gamma(d2))
 
 
-def weighted_from_dict(doc: Dict) -> WeightedDoublePoset:
-    """Poset JSON extended with optional "w", an object from the labels to
-    their weights, read into the declaration order; omitted w defaults to
-    all-ones."""
-    poset = from_dict(doc)
+def weighted_from_dict(doc: Dict) -> DoublePoset:
+    """Poset JSON: {"elements": [labels], "lt1": [[a, b], ...], "lt2": [...],
+    "w": {label: weight}}, lt1, lt2 and w optional; w is read into the
+    declaration order, and omitted it weighs each element 1.  An error names
+    the field at fault; a cycle in lt1 or lt2 is reported before a fault in w."""
+    elements = doc.get("elements") if isinstance(doc, dict) else None
+    if (
+        not isinstance(elements, list)
+        or not all(isinstance(e, str) for e in elements)
+        or len(set(elements)) != len(elements)
+    ):
+        raise ValueError("'elements' must be a list of distinct strings")
+    orders = []
+    for name in ("lt1", "lt2"):
+        pairs = doc.get(name, [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(x in elements for x in p)
+            for p in pairs
+        ):
+            raise ValueError(f"'{name}' must list pairs [a, b] of labels from 'elements'")
+        orders.append([tuple(p) for p in pairs])
+    elements = tuple(elements)
+    lt1, lt2 = (transitive_closure(elements, pairs) for pairs in orders)
     w = doc.get("w")
     if w is None:
-        return WeightedDoublePoset(poset)
+        return DoublePoset(elements, lt1, lt2)
     if (
         not isinstance(w, dict)
         or not all(type(v) is int for v in w.values())  # no bool, no float
-        or (not w and poset.size)
+        or (not w and elements)
     ):
         raise ValueError("'w' must map every label to an integer weight")
-    if set(w) != set(poset.elements):
+    if set(w) != set(elements):
         raise ValueError("weight function must be total on the ground set")
-    return WeightedDoublePoset(poset, [w[e] for e in poset.elements])
+    return DoublePoset(elements, lt1, lt2, [w[e] for e in elements])

@@ -10,8 +10,10 @@ definitions the fast routes are gated against.  The E-partition definition is
 written once, as the (i, j, strict) list of `_epartition_pairs`:
 `epartition_test` applies it to one map, and `_epartition_vectors` filters all
 maps E -> [m] by it, one pair at a time; `epartitions_into` gives the result
-as maps from the declaration index, the index of the weights d.w, and
-`is_epartition` takes such a map.  `_all_maps` is the one enumeration of all
+as maps from the declaration index, the index of the orders and of the
+weights d.w of the one `DoublePoset` it takes, and `is_epartition` takes
+such a map (`is_epartition_covers` applies the definition to the covers of
+<1 only, from `poset.covers`).  `_all_maps` is the one enumeration of all
 maps, and refuses more than ENUM_LIMIT of them before it builds one.  Three
 bounded tables hold what depends on no poset: `_map_table`, all maps per
 (|E|, m), up to MAP_TABLE_LIMIT of them; `_exponent_table`, the monomial of
@@ -28,8 +30,8 @@ code with the other two; `build_Yh`, the special cell poset of a skew shape,
 takes skew Schur functions along it.  The orbit sums are also summed element
 by element, as the paper defines them, against the class sums: so the classes,
 their sizes and signs are checked, and only `equivariant.orbit_sum` is shared;
-the automorphisms of a weighted double poset are found among all n!
-permutations.
+the automorphisms of a double poset, those permutations that preserve <1, <2
+and w, are found among all n! permutations.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, 
 
 from .compositions import Composition
 from .equivariant import GroupAction, Permutation, orbit_sum, precompose, sign_of
-from .gamma import NotTertispecialError, WeightedDoublePoset
-from .poset import DoublePoset, Rel, index_pairs, is_special, is_tertispecial
+from .gamma import NotTertispecialError
+from .poset import DoublePoset, Rel, covers, index_pairs, is_special, is_tertispecial
 from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, linear_combination, monomial, product
 from .young import Cell, SkewShape, cell_poset
 
@@ -147,25 +149,24 @@ def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]
     return holds
 
 
-def _is_epartition_on(d: WeightedDoublePoset, rel: Rel, pi: Mapping[int, int]) -> bool:
-    indices = range(d.poset.size)
+def _is_epartition_on(d: DoublePoset, rel: Rel, pi: Mapping[int, int]) -> bool:
+    indices = range(d.size)
     if set(pi) != set(indices):
         raise ValueError("partition map must be total on the ground set")
-    return epartition_test(d.poset, rel)([pi[i] for i in indices])
+    return epartition_test(d, rel)([pi[i] for i in indices])
 
 
-def is_epartition(d: WeightedDoublePoset, pi: Mapping[int, int]) -> bool:
+def is_epartition(d: DoublePoset, pi: Mapping[int, int]) -> bool:
     """Weakly increasing along <1, strictly when the <2-reversal triggers; pi
     maps each declaration index to its value."""
-    return _is_epartition_on(d, d.poset.lt1, pi)
+    return _is_epartition_on(d, d.lt1, pi)
 
 
-def is_epartition_covers(d: WeightedDoublePoset, pi: Mapping[int, int]) -> bool:
+def is_epartition_covers(d: DoublePoset, pi: Mapping[int, int]) -> bool:
     """Cover-based E-partition test; valid only for tertispecial posets."""
-    p = d.poset
-    if not is_tertispecial(p):
+    if not is_tertispecial(d):
         raise NotTertispecialError("cover-based test requires a tertispecial poset")
-    return _is_epartition_on(d, p.covers(p.lt1), pi)
+    return _is_epartition_on(d, covers(d.lt1), pi)
 
 
 def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
@@ -181,7 +182,7 @@ def is_ssyt(shape: SkewShape, filling: Mapping[Cell, int]) -> bool:
     return True
 
 
-def build_Yh(shape: SkewShape) -> WeightedDoublePoset:
+def build_Yh(shape: SkewShape) -> DoublePoset:
     """The special variant of `young.build_Y`, a second route to the skew
     Schur function: same <1, but <2 is the total reading order
     (i,j) <h (i',j') iff i > i', or i = i' and j < j'."""
@@ -211,7 +212,7 @@ def _keep(vectors: Iterable[Tuple[int, ...]], i: int, j: int, strict: int) -> It
     return (v for v in vectors if v[i] + strict <= v[j])
 
 
-def _epartition_vectors(d: WeightedDoublePoset, m: int) -> Iterator[Tuple[int, ...]]:
+def _epartition_vectors(d: DoublePoset, m: int) -> Iterator[Tuple[int, ...]]:
     """All E-partitions with values in {1,...,m}, as value vectors over the
     declaration index: all maps, filtered by one pair of the definition after
     another, lazily, so that a streamed enumeration holds only what its
@@ -219,13 +220,13 @@ def _epartition_vectors(d: WeightedDoublePoset, m: int) -> Iterator[Tuple[int, .
     before the first map is built."""
     if m < 0:
         raise ValueError("q must be nonnegative")
-    vectors = _all_maps(d.poset.size, m)
-    for i, j, strict in _epartition_pairs(d.poset, d.poset.lt1):
+    vectors = _all_maps(d.size, m)
+    for i, j, strict in _epartition_pairs(d, d.lt1):
         vectors = _keep(vectors, i, j, strict)
     return vectors
 
 
-def epartitions_into(d: WeightedDoublePoset, m: int) -> List[Dict[int, int]]:
+def epartitions_into(d: DoublePoset, m: int) -> List[Dict[int, int]]:
     """All E-partitions with values in {1,...,m}, as maps from the
     declaration index, the index of the weights d.w."""
     return [dict(enumerate(values)) for values in _epartition_vectors(d, m)]
@@ -245,7 +246,7 @@ def _exponent_table(w: Tuple[int, ...], m: int) -> Dict[Tuple[int, ...], Tuple[i
     return {values: _exponents(w, m, values) for values in _map_table(len(w), m)}
 
 
-def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
+def gamma_truncated_bruteforce(d: DoublePoset, m: int) -> Poly:
     """The truncation of Gamma(E, w) to m variables, summed map by map."""
     w = d.w
     vectors = _epartition_vectors(d, m)
@@ -254,14 +255,14 @@ def gamma_truncated_bruteforce(d: WeightedDoublePoset, m: int) -> Poly:
     return dict(Counter(map(_exponent_table(w, m).__getitem__, vectors)))
 
 
-def gamma_truncation_matches(d: WeightedDoublePoset, f: QSymElem, m: int) -> bool:
+def gamma_truncation_matches(d: DoublePoset, f: QSymElem, m: int) -> bool:
     """True iff f, expanded in m variables, equals the brute-force truncation;
     the brute force, and so its bound, comes first."""
     truncation = gamma_truncated_bruteforce(d, m)
     return _expand(f, m) == truncation
 
 
-def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
+def gamma_linear_extensions(d: DoublePoset) -> QSymElem:
     """Gamma(E, w) of a special double poset (<2 total) by the fundamental
     expansion (Stanley's P-partition lemma; Gessel 1984): the E-partitions are
     the maps that weakly increase along a linear extension L of <1, strictly at
@@ -269,11 +270,10 @@ def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
     containing its descents, alpha the weights of L's blocks between the cuts
     (with unit weights, F_Des(L)).  L grows by removing <1-minimal elements.
     """
-    p = d.poset
-    if not is_special(p):
+    if not is_special(d):
         raise ValueError("the linear-extension expansion needs <2 to be total")
-    n, w = p.size, d.w
-    below = [sum(1 << i for i in range(n) if p.lt1[i] >> j & 1) for j in range(n)]
+    n, w = d.size, d.w
+    below = [sum(1 << i for i in range(n) if d.lt1[i] >> j & 1) for j in range(n)]
     runs: Dict[tuple, int] = {}  # (weights along L, descents of L) -> number of such L
     stack = [((), (), -1, (1 << n) - 1)]  # (weights, descents, last element, elements left)
     while stack:
@@ -283,7 +283,7 @@ def gamma_linear_extensions(d: WeightedDoublePoset) -> QSymElem:
         for j in range(n):
             if left >> j & 1 and not below[j] & left:
                 at = len(weights)
-                des = descents + (at,) if at and p.lt2[j] >> last & 1 else descents
+                des = descents + (at,) if at and d.lt2[j] >> last & 1 else descents
                 stack.append((weights + (w[j],), des, j, left & ~(1 << j)))
     terms: Dict[Tuple[int, ...], int] = {}
     for (weights, descents), count in runs.items():
@@ -352,14 +352,14 @@ def count_coeven_orbits_bruteforce(a: GroupAction, q: int) -> int:
     return _orbit_walk(a, q)[1]
 
 
-def automorphisms(d: WeightedDoublePoset) -> List[Permutation]:
+def automorphisms(d: DoublePoset) -> List[Permutation]:
     """Every permutation of the declaration indices that preserves <1, <2 and w,
     in lexicographic order: a bijection that maps each order into itself maps
     it onto itself, as the order is finite."""
-    p, w = d.poset, d.w
-    pairs = [(rel, i, j) for rel in (p.lt1, p.lt2) for i, j in index_pairs(rel)]
+    w = d.w
+    pairs = [(rel, i, j) for rel in (d.lt1, d.lt2) for i, j in index_pairs(rel)]
     return [
         perm
-        for perm in itertools.permutations(range(p.size))
-        if all(w[perm[i]] == w[i] for i in range(p.size)) and all(rel[perm[i]] >> perm[j] & 1 for rel, i, j in pairs)
+        for perm in itertools.permutations(range(d.size))
+        if all(w[perm[i]] == w[i] for i in range(d.size)) and all(rel[perm[i]] >> perm[j] & 1 for rel, i, j in pairs)
     ]

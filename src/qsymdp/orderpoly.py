@@ -7,11 +7,11 @@ from fractions import Fraction
 from typing import Tuple
 
 from .equivariant import GroupAction, opposite1_action, orbit_sum
-from .gamma import NotTertispecialError, WeightedDoublePoset
+from .gamma import NotTertispecialError
 # The brute-force counts live in oracles; both names stay bound here because
 # perfbench/checks.py imports them from qsymdp.orderpoly.
 from .oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
-from .poset import is_tertispecial
+from .poset import DoublePoset, is_tertispecial
 
 
 def binomial(q, k: int) -> Fraction:
@@ -60,8 +60,9 @@ def order_polynomial(a: GroupAction) -> OrderPolynomial:
     specialization (x_1 = ... = x_q = 1, the rest 0) of the equivariant
     generating function with w identically 1, which sends M_alpha to
     C(q, len(alpha)), so c_k sums the coefficients of the alpha with k parts."""
-    g = orbit_sum(WeightedDoublePoset(a.base.poset), a.order, a.classes)
-    n = a.base.poset.size
+    b = a.base
+    g = orbit_sum(DoublePoset(b.elements, b.lt1, b.lt2), a.order, a.classes)
+    n = b.size
     coeffs = [0] * (n + 1)
     for alpha, c in g.terms.items():
         coeffs[len(alpha)] += c
@@ -71,9 +72,9 @@ def order_polynomial(a: GroupAction) -> OrderPolynomial:
 def reciprocity_check(a: GroupAction, q: int) -> bool:
     """True iff Omega(-q) = (-1)^|E| * (number of E-coeven G-orbits of
     E-partitions of (E, >1, <2) into [q])."""
-    if not is_tertispecial(a.base.poset):
+    if not is_tertispecial(a.base):
         raise NotTertispecialError("reciprocity requires a tertispecial base poset")
     omega = order_polynomial(a)
     flipped = opposite1_action(a)
-    rhs = (-1) ** a.base.poset.size * count_coeven_orbits_bruteforce(flipped, q)
+    rhs = (-1) ** a.base.size * count_coeven_orbits_bruteforce(flipped, q)
     return omega(-q) == rhs

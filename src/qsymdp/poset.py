@@ -1,4 +1,5 @@
-"""Double posets: two strict partial orders on one finite ground set."""
+"""Double posets: two strict partial orders and a weight function on one
+finite ground set."""
 
 from __future__ import annotations
 
@@ -39,6 +40,14 @@ def transpose(rel: Rel) -> Rel:
     return tuple(out)
 
 
+def covers(rel: Rel) -> Rel:
+    """The cover relation of a (transitively closed) strict order."""
+    out = [0] * len(rel)
+    for i, j in index_pairs(rel):
+        out[i] |= rel[j]
+    return tuple(up & ~above for up, above in zip(rel, out))
+
+
 def transitive_closure(elements: Sequence, pairs: Iterable[Pair]) -> Rel:
     """Warshall closure on bitmasks; raises CycleError if any x < x appears."""
     elems = list(elements)
@@ -61,37 +70,43 @@ def transitive_closure(elements: Sequence, pairs: Iterable[Pair]) -> Rel:
 
 class DoublePoset:
     """Finite ground set with two strict partial orders, stored transitively
-    closed as bitmasks over the declaration index of the elements."""
+    closed as bitmasks over the declaration index of the elements, and a
+    positive integer weight per element, as a tuple over the same index; an
+    empty w weighs each 1."""
 
-    __slots__ = ("elements", "lt1", "lt2")
+    __slots__ = ("elements", "lt1", "lt2", "w")
 
-    def __init__(self, elements: Tuple[str, ...], lt1: Rel, lt2: Rel):
-        self.elements, self.lt1, self.lt2 = elements, lt1, lt2
+    def __init__(self, elements: Tuple[str, ...], lt1: Rel, lt2: Rel, w: Iterable[int] = ()):
+        if isinstance(w, dict) and w:
+            raise ValueError("weights are a sequence over the declaration index, not a map from the labels")
+        w = tuple(w)
+        if not w:  # all ones, valid by construction
+            w = (1,) * len(elements)
+        elif len(w) != len(elements):
+            raise ValueError("weight function must be total on the ground set")
+        elif not all(type(v) is int and v > 0 for v in w):  # no bool, no float
+            raise ValueError("weights must be positive integers")
+        self.elements, self.lt1, self.lt2, self.w = elements, lt1, lt2, w
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DoublePoset) and (self.elements, self.lt1, self.lt2) == (other.elements, other.lt1, other.lt2)
+        return isinstance(other, DoublePoset) and (self.elements, self.lt1, self.lt2, self.w) == (other.elements, other.lt1, other.lt2, other.w)
 
     def __hash__(self) -> int:
-        return hash((self.elements, self.lt1, self.lt2))
+        return hash((self.elements, self.lt1, self.lt2, self.w))
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def covers(self, rel: Rel) -> Rel:
-        """The cover relation of a (transitively closed) strict order."""
-        out = [0] * len(rel)
-        for i, j in index_pairs(rel):
-            out[i] |= rel[j]
-        return tuple(up & ~above for up, above in zip(rel, out))
 
 
 def build(
     elements: Sequence[str],
     lt1_generators: Iterable[Pair],
     lt2_generators: Iterable[Pair],
+    w: Iterable[int] = (),
 ) -> DoublePoset:
-    """Construct a double poset from order generators (closure computed here)."""
+    """Construct a double poset from order generators (closure computed here)
+    and weights over the declaration index (all ones if empty)."""
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
         raise ValueError("duplicate element labels")
@@ -99,6 +114,7 @@ def build(
         elements=elements,
         lt1=transitive_closure(elements, lt1_generators),
         lt2=transitive_closure(elements, lt2_generators),
+        w=w,
     )
 
 
@@ -118,12 +134,12 @@ def is_special(d: DoublePoset) -> bool:
 
 def is_tertispecial(d: DoublePoset) -> bool:
     """True iff every <1-cover pair is <2-comparable."""
-    return not any(a & b for a, b in zip(d.covers(d.lt1), _incomparable2(d)))
+    return not any(a & b for a, b in zip(covers(d.lt1), _incomparable2(d)))
 
 
 def opposite1(d: DoublePoset) -> DoublePoset:
-    """Replace <1 by its opposite relation, keeping <2."""
-    return DoublePoset(elements=d.elements, lt1=transpose(d.lt1), lt2=d.lt2)
+    """Replace <1 by its opposite relation, keeping <2 and w."""
+    return DoublePoset(elements=d.elements, lt1=transpose(d.lt1), lt2=d.lt2, w=d.w)
 
 
 def squeeze(rel: Rel, mask: int) -> Rel:
@@ -163,28 +179,6 @@ def down_sets(d: DoublePoset) -> List[int]:
                 nxt.append((chosen | bit, blocked))
         states = nxt
     return [chosen for chosen, _ in states]
-
-
-def from_dict(doc: Dict) -> DoublePoset:
-    """Poset JSON: {"elements": [labels], "lt1": [[a, b], ...], "lt2": [...]},
-    lt1 and lt2 optional; an error names the field at fault."""
-    elements = doc.get("elements") if isinstance(doc, dict) else None
-    if (
-        not isinstance(elements, list)
-        or not all(isinstance(e, str) for e in elements)
-        or len(set(elements)) != len(elements)
-    ):
-        raise ValueError("'elements' must be a list of distinct strings")
-    orders = []
-    for name in ("lt1", "lt2"):
-        pairs = doc.get(name, [])
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(x in elements for x in p)
-            for p in pairs
-        ):
-            raise ValueError(f"'{name}' must list pairs [a, b] of labels from 'elements'")
-        orders.append([tuple(p) for p in pairs])
-    return build(elements, *orders)
 
 
 def check_order_count(n: int) -> None:

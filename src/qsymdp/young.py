@@ -6,7 +6,7 @@ import re
 from typing import Iterable, Tuple
 
 from .compositions import parse_parts
-from .gamma import WeightedDoublePoset, gamma
+from .gamma import gamma
 from .poset import DoublePoset, Rel
 from .qsym import QSymElem, antipode_closed
 
@@ -76,7 +76,7 @@ def _cell_label(cell: Cell) -> str:
     return f"{cell[0]},{cell[1]}"
 
 
-def cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
+def cell_poset(shape: SkewShape, below2) -> DoublePoset:
     """The cells ordered by <1, (i,j) <1 (i',j') iff both coordinates weakly
     increase, and by <2, a <2 b iff below2(a, b); both are transitive as
     given, so no closure is taken."""
@@ -87,10 +87,10 @@ def cell_poset(shape: SkewShape, below2) -> WeightedDoublePoset:
 
     lt1 = rel(lambda a, b: a != b and a[0] <= b[0] and a[1] <= b[1])
     labels = tuple(_cell_label(c) for c in cells)
-    return WeightedDoublePoset(poset=DoublePoset(labels, lt1, rel(below2)))
+    return DoublePoset(labels, lt1, rel(below2))
 
 
-def build_Y(shape: SkewShape) -> WeightedDoublePoset:
+def build_Y(shape: SkewShape) -> DoublePoset:
     """The tertispecial double poset on the cells: (i,j) <1 (i',j') iff both
     coordinates weakly increase; (i,j) <2 (i',j') iff i >= i', j <= j'."""
     return cell_poset(shape, lambda a, b: a != b and a[0] >= b[0] and a[1] <= b[1])

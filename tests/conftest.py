@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qsymdp.equivariant import build_action, sign_of
-from qsymdp.gamma import WeightedDoublePoset, _chain_sum, gamma_of_orders, strict_pairs
+from qsymdp.gamma import _chain_sum, gamma_of_orders, strict_pairs
 from qsymdp.oracles import _epartition_vectors, automorphisms
 from qsymdp.poset import (
     DoublePoset,
@@ -24,18 +24,23 @@ def labels_for(n):
     return [chr(ord("a") + i) for i in range(n)]
 
 
-def antichain(n, w=None) -> WeightedDoublePoset:
+def antichain(n, w=None) -> DoublePoset:
     """The antichain on the first n labels; w defaults to all ones."""
-    return WeightedDoublePoset(poset=build(labels_for(n), [], []), w=w or ())
+    return build(labels_for(n), [], [], w=w or ())
 
 
-def chain(n, strict=False) -> WeightedDoublePoset:
+def chain(n, strict=False) -> DoublePoset:
     """The chain a <1 b <1 ... on the first n labels, with <2 = <1, or with <2
     the reverse of <1 if strict (then an E-partition increases strictly)."""
     labs = labels_for(n)
     gens = list(zip(labs, labs[1:]))
     lt2 = [(b, a) for a, b in gens] if strict else gens
-    return WeightedDoublePoset(poset=build(labs, gens, lt2), w={})
+    return build(labs, gens, lt2)
+
+
+def weighted(d: DoublePoset, w=()) -> DoublePoset:
+    """d with the weights w over its declaration index (all ones if empty)."""
+    return DoublePoset(elements=d.elements, lt1=d.lt1, lt2=d.lt2, w=w)
 
 
 def restrict(d: DoublePoset, mask: int) -> DoublePoset:
@@ -199,11 +204,11 @@ def isomorphism_class_representatives(n):
     return reps
 
 
-def subgroup_generators(d: WeightedDoublePoset):
+def subgroup_generators(d: DoublePoset):
     """Generators, as label maps, of every subgroup of Aut(d), one pair per
     subgroup: the closure of each pair of automorphisms.  For |E| <= 4 that is
     every subgroup, as every subgroup of S_4 is generated by two elements."""
-    labels = d.poset.elements
+    labels = d.elements
     seen, out = set(), []
     for pair in itertools.combinations_with_replacement(automorphisms(d), 2):
         gens = [{e: labels[i] for e, i in zip(labels, g)} for g in pair]
@@ -214,11 +219,11 @@ def subgroup_generators(d: WeightedDoublePoset):
     return out
 
 
-def aut_orbit_weight(d: WeightedDoublePoset):
+def aut_orbit_weight(d: DoublePoset):
     """A weight constant on each Aut(d)-orbit, 2 on the even-numbered orbits
     (by least member) and 1 on the others, so never 1 everywhere."""
     auts = automorphisms(d)
-    least = [min(g[i] for g in auts) for i in range(d.poset.size)]
+    least = [min(g[i] for g in auts) for i in range(d.size)]
     number = {m: k for k, m in enumerate(sorted(set(least)))}
     return tuple(2 - number[m] % 2 for m in least)
 

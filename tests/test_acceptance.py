@@ -16,14 +16,14 @@ from qsymdp.equivariant import (
     gamma_equivariant,
     gamma_plus,
 )
-from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check, gamma_product_check
+from qsymdp.gamma import antipode_theorem_check, gamma_product_check
 from qsymdp.oracles import _expand, count_orbits_bruteforce, is_epartition, is_ssyt
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import build
 from qsymdp.verify import SUITES
 from qsymdp.young import Partition, SkewShape, build_Y, schur_antipode_check, skew_schur
 
-from conftest import all_double_posets, antichain, orbit_tallies, random_tertispecial_posets
+from conftest import all_double_posets, antichain, orbit_tallies, random_tertispecial_posets, weighted
 
 
 def report(name, ok):
@@ -72,7 +72,7 @@ def test_criterion_5_antipode_theorem():
     rng = random.Random(11)
     for d in random_tertispecial_posets(4, 100):
         w = tuple(rng.randint(1, 2) for _ in d.elements)
-        ok = ok and antipode_theorem_check(WeightedDoublePoset(poset=d, w=w))
+        ok = ok and antipode_theorem_check(weighted(d, w))
     report("criterion-5 antipode-theorem", ok)
 
 
@@ -82,8 +82,8 @@ def test_criterion_6_coproduct_product_rules():
     pools = {n: all_double_posets(n) for n in range(4)}
     for n1, n2 in [(1, 1), (1, 2), (2, 2), (2, 3), (1, 3)]:
         for _ in range(6):
-            d1 = WeightedDoublePoset(poset=rng.choice(pools[n1]), w={})
-            d2 = WeightedDoublePoset(poset=rng.choice(pools[n2]), w={})
+            d1 = rng.choice(pools[n1])
+            d2 = rng.choice(pools[n2])
             ok = ok and gamma_product_check(d1, d2)
     report("criterion-6 coproduct-product-rules", ok)
 
@@ -98,7 +98,7 @@ def _chain_copies(k, length):
     gens = [
         (f"{i}.{j}", f"{i}.{j + 1}") for i in range(k) for j in range(length - 1)
     ]
-    return WeightedDoublePoset(poset=build(labs, gens, gens), w={})
+    return build(labs, gens, gens)
 
 
 def _component_permuting_actions(base, k, length):
@@ -122,7 +122,7 @@ def _component_permuting_actions(base, k, length):
 def _criterion7_actions():
     for n in (2, 3, 4):
         base = antichain(n)
-        labs = list(base.poset.elements)
+        labs = list(base.elements)
         swap = {e: e for e in labs}
         swap[labs[0]], swap[labs[1]] = labs[1], labs[0]
         cyc = {labs[i]: labs[(i + 1) % n] for i in range(n)}
@@ -138,7 +138,7 @@ def test_criterion_7_equivariant_theorem():
     ok = True
     for a in _criterion7_actions():
         ok = ok and equivariant_theorem_check(a)
-        m = min(4, a.base.poset.size + 1)
+        m = min(4, a.base.size + 1)
         all_counts, coeven_counts = orbit_tallies(a, m)
         ok = ok and _expand(gamma_equivariant(a), m) == all_counts
         ok = ok and _expand(gamma_plus(a), m) == coeven_counts

@@ -10,11 +10,11 @@ import pytest
 from qsymdp import cli, verify, young
 from qsymdp.cli import run
 from qsymdp.compositions import conjugate, sort_key
-from qsymdp.gamma import WeightedDoublePoset, gamma
+from qsymdp.gamma import gamma
 from qsymdp.poset import all_double_posets
 from qsymdp.qsym import ENUM_LIMIT, format_qsym, fundamental, monomial, product
 
-from conftest import to_dict
+from conftest import to_dict, weighted
 
 
 def invoke(capsys, *argv):
@@ -304,7 +304,7 @@ def test_coproduct_json_groups_the_table_by_left(capsys, tmp_path):
             for w in ({e: 1 for e in p.elements}, {e: 1 + i % 2 for i, e in enumerate(p.elements)}):
                 path = write_poset(tmp_path, "p.json", dict(to_dict(p), w=w))
                 rights = {}
-                for alpha, c in gamma(WeightedDoublePoset(p, [w[e] for e in p.elements])).sorted_terms():
+                for alpha, c in gamma(weighted(p, [w[e] for e in p.elements])).sorted_terms():
                     for k in range(len(alpha) + 1):
                         rights.setdefault(alpha[:k], []).append([str(c), list(alpha[k:])])
                 want = [[[["1", list(beta)]], rights[beta]] for beta in sorted(rights, key=sort_key)]

@@ -21,7 +21,7 @@ from qsymdp.equivariant import (
     sign_of,
 )
 from qsymdp.compositions import Composition
-from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset, gamma
+from qsymdp.gamma import NotTertispecialError, gamma
 from qsymdp.oracles import _expand, automorphisms, count_orbits_bruteforce, orbit_sum_by_elements
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import DoublePoset, all_double_posets, build, index_pairs, is_tertispecial
@@ -36,6 +36,7 @@ from conftest import (
     less2,
     orbit_tallies,
     subgroup_generators,
+    weighted,
 )
 
 
@@ -50,7 +51,7 @@ def cycle_gen(labs):
 
 
 def full_symmetric_action(base):
-    labs = list(base.poset.elements)
+    labs = list(base.elements)
     gens = []
     if len(labs) >= 2:
         gens.append(swap_gen(labs[0], labs[1], labs[2:]))
@@ -72,7 +73,7 @@ def test_build_action_rejects_non_bijection():
 
 
 def test_build_action_rejects_order_breaking():
-    base = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
+    base = build("ab", [("a", "b")], [])
     with pytest.raises(NotPreservingError):
         build_action(base, [swap_gen("a", "b")])
 
@@ -91,7 +92,7 @@ def test_build_action_cap():
 
 def full_symmetric_action_with_cap():
     base = antichain(5)
-    labs = list(base.poset.elements)
+    labs = list(base.elements)
     return build_action(base, [swap_gen(labs[0], labs[1], labs[2:]), cycle_gen(labs)], cap=100)
 
 
@@ -117,23 +118,22 @@ def test_orbit_sum_refuses_a_sum_that_the_group_order_does_not_divide():
 def test_quotient_of_swap():
     base = antichain(2)
     q = quotient_by((1, 0), base)
-    assert q.poset.elements == ("a",)
+    assert q.elements == ("a",)
     assert q.w == (2,)
 
 
 def test_quotient_relations_any_representative():
     # two 2-chains swapped componentwise: quotient is one 2-chain of orbit pairs
     c = build("ab", [("a", "b")], [("a", "b")])
-    base_poset = disjoint_union(c, c)
-    base = WeightedDoublePoset(poset=base_poset, w={})
+    base = disjoint_union(c, c)
     swap = {"0.a": "1.a", "1.a": "0.a", "0.b": "1.b", "1.b": "0.b"}
     a = build_action(base, [swap])
     assert a.order == 2
     g = next(p for p in a.elements if p != tuple(range(4)))
     q = quotient_by(g, base)
-    assert q.poset.size == 2
-    (u, v) = q.poset.elements
-    assert less1(q.poset, u, v) or less1(q.poset, v, u)
+    assert q.size == 2
+    (u, v) = q.elements
+    assert less1(q, u, v) or less1(q, v, u)
 
 
 def test_gamma_equivariant_trivial_group():
@@ -159,19 +159,19 @@ def test_equivariant_theorem_antichains():
         base = antichain(n)
         assert equivariant_theorem_check(full_symmetric_action(base))
         if n >= 3:
-            cyc = build_action(base, [cycle_gen(list(base.poset.elements))])
+            cyc = build_action(base, [cycle_gen(list(base.elements))])
             assert equivariant_theorem_check(cyc)
 
 
 def test_equivariant_theorem_component_swap():
     c = build("ab", [("a", "b")], [("a", "b")])
-    base = WeightedDoublePoset(poset=disjoint_union(c, c), w={})
+    base = disjoint_union(c, c)
     swap = {"0.a": "1.a", "1.a": "0.a", "0.b": "1.b", "1.b": "0.b"}
     assert equivariant_theorem_check(build_action(base, [swap]))
 
 
 def test_equivariant_theorem_requires_tertispecial():
-    base = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
+    base = build("ab", [("a", "b")], [])
     with pytest.raises(NotTertispecialError):
         equivariant_theorem_check(build_action(base, []))
 
@@ -179,7 +179,7 @@ def test_equivariant_theorem_requires_tertispecial():
 def test_orbit_stabilizer_sizes():
     # |orbit of e| * |stabilizer of e| = |G| for every ground-set element
     a = full_symmetric_action(antichain(4))
-    for i in range(a.base.poset.size):
+    for i in range(a.base.size):
         orbit = {perm[i] for perm in a.elements}
         stab = [perm for perm in a.elements if perm[i] == i]
         assert len(orbit) * len(stab) == a.order
@@ -223,7 +223,7 @@ def copies(component, k):
     )
     w = tuple(1 + j % 2 for c in range(k) for j in range(n))
     blocks = [poset.elements[c * n:(c + 1) * n] for c in range(k)]
-    return WeightedDoublePoset(poset=poset, w=w), blocks
+    return weighted(poset, w), blocks
 
 
 def is_connected(p):
@@ -267,7 +267,7 @@ def assert_class_sums_match_oracle(a):
 @pytest.mark.parametrize("weight", [1, 2])
 def test_class_sums_match_oracle_on_antichains(n, group, weight):
     base = antichain(n, w=(weight,) * n)
-    a = build_action(base, block_group([(e,) for e in base.poset.elements], group))
+    a = build_action(base, block_group([(e,) for e in base.elements], group))
     assert_class_sums_match_oracle(a)
 
 
@@ -287,7 +287,7 @@ def test_class_sums_match_oracle_on_component_copies(size, k):
 
 def test_class_sums_match_oracle_on_six_antichain_under_s6():
     base = antichain(6)
-    a = build_action(base, block_group([(e,) for e in base.poset.elements], "symmetric"))
+    a = build_action(base, block_group([(e,) for e in base.elements], "symmetric"))
     assert (a.order, len(a.classes)) == (720, 11)
     assert_class_sums_match_oracle(a)
 
@@ -318,14 +318,14 @@ def symmetric_weighted_posets(draw, max_size=4):
     drawn = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     least = {i: min(cycle) for cycle in orbits_of(sigma) for i in cycle}
     w = tuple(drawn[least[i]] for i in range(n))
-    return WeightedDoublePoset(poset=poset, w=w), sigma
+    return weighted(poset, w), sigma
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_class_sums_match_oracle_on_drawn_actions(data):
     base, sigma = data.draw(symmetric_weighted_posets())
-    labels = base.poset.elements
+    labels = base.elements
     auts = automorphisms(base)
     assert sigma in auts
     gens = [sigma] + data.draw(st.lists(st.sampled_from(auts), max_size=1))
@@ -334,7 +334,7 @@ def test_class_sums_match_oracle_on_drawn_actions(data):
     f, f_plus = assert_class_sums_match_oracle(a)
     # orbit_sum_by_elements goes through quotient_by too; the tallies do not.
     # No term of Gamma is longer than |E|, so |E| variables determine it.
-    m = base.poset.size
+    m = base.size
     all_counts, coeven_counts = orbit_tallies(a, m)
     assert _expand(f, m) == all_counts
     assert _expand(f_plus, m) == coeven_counts
@@ -344,13 +344,13 @@ def found_base_action():
     """b <1 c and d <1 a, weakly, with a <2 b and c <2 d, under (a c)(b d): a
     quotient that projected all of <2 would order the orbit {b, d} strictly
     below {a, c}, though no member pair is strict."""
-    base = WeightedDoublePoset(poset=build("abcd", [("b", "c"), ("d", "a")], [("a", "b"), ("c", "d")]), w={})
+    base = build("abcd", [("b", "c"), ("d", "a")], [("a", "b"), ("c", "d")])
     return build_action(base, [{"a": "c", "b": "d", "c": "a", "d": "b"}])
 
 
 def test_orbit_sums_of_a_non_tertispecial_base_count_orbits():
     a = found_base_action()
-    assert not is_tertispecial(a.base.poset)
+    assert not is_tertispecial(a.base)
     f, f_plus = gamma_equivariant(a), gamma_plus(a)
     assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
     assert f == orbit_sum_by_elements(a)
@@ -364,7 +364,7 @@ def test_orbit_sums_of_a_non_tertispecial_base_count_orbits():
 
 def test_quotient_keeps_only_the_lt2_pairs_that_reverse_lt1():
     a = found_base_action()
-    q = quotient_by((2, 3, 0, 1), a.base).poset
+    q = quotient_by((2, 3, 0, 1), a.base)
     assert q.elements == ("a", "b")
     assert (q.lt1, q.lt2) == ((0, 1), (0, 0))
 
@@ -374,24 +374,24 @@ def quotient_by_the_pair_definition(g, d):
     it, by labels: the orbits {i, g(i), g(g(i)), ...} ordered by their first
     member, u <1 v iff some a in u, b in v have a <1 b, u <2 v iff some have
     a <2 b and b <1 a."""
-    p, orbits, seen = d.poset, [], set()
-    for i in range(p.size):
+    orbits, seen = [], set()
+    for i in range(d.size):
         if i not in seen:
             orbit, j = [i], g[i]
             while j != i:
                 orbit.append(j)
                 j = g[j]
             seen.update(orbit)
-            orbits.append([p.elements[j] for j in sorted(orbit)])
+            orbits.append([d.elements[j] for j in sorted(orbit)])
     names = tuple(orbit[0] for orbit in orbits)
     pairs1, pairs2 = set(), set()
     for u, v in itertools.permutations(range(len(orbits)), 2):
         for a, b in itertools.product(orbits[u], orbits[v]):
-            if less1(p, a, b):
+            if less1(d, a, b):
                 pairs1.add((names[u], names[v]))
-            if less2(p, a, b) and less1(p, b, a):
+            if less2(d, a, b) and less1(d, b, a):
                 pairs2.add((names[u], names[v]))
-    w = tuple(sum(d.w[p.elements.index(a)] for a in orbit) for orbit in orbits)
+    w = tuple(sum(d.w[d.elements.index(a)] for a in orbit) for orbit in orbits)
     return names, pairs1, pairs2, w
 
 
@@ -399,13 +399,13 @@ def test_quotient_matches_its_pair_definition():
     for n in range(4):
         for p in all_double_posets(n):
             for weights in ((1, 1, 1), (1, 2, 1)):
-                d = WeightedDoublePoset(poset=p, w=weights[:n])
+                d = weighted(p, weights[:n])
                 for g in automorphisms(d):
                     q = quotient_by(g, d)
                     names, pairs1, pairs2, w = quotient_by_the_pair_definition(g, d)
-                    assert q.poset.elements == names
-                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less1(q.poset, u, v)} == pairs1
-                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less2(q.poset, u, v)} == pairs2
+                    assert q.elements == names
+                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less1(q, u, v)} == pairs1
+                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less2(q, u, v)} == pairs2
                     assert q.w == w
 
 
@@ -416,10 +416,9 @@ def is_strict_order(rel):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_quotient_lt2_is_a_strict_order_inside_the_projection(n):
     for p in isomorphism_class_representatives(n):
-        unit = WeightedDoublePoset(p)
-        for gens in subgroup_generators(unit):
-            for g, _ in build_action(unit, gens).classes:
-                q = quotient_by(g, unit).poset
+        for gens in subgroup_generators(p):
+            for g, _ in build_action(p, gens).classes:
+                q = quotient_by(g, p)
                 of = {i: k for k, cycle in enumerate(orbits_of(g)) for i in cycle}
                 projected = {(of[i], of[j]) for i, j in index_pairs(p.lt2)}
                 assert is_strict_order(q.lt2)
@@ -429,9 +428,9 @@ def test_quotient_lt2_is_a_strict_order_inside_the_projection(n):
 def test_automorphisms_by_brute_force():
     assert len(automorphisms(antichain(4))) == 24
     assert automorphisms(antichain(3, w=(1, 2, 1))) == [(0, 1, 2), (2, 1, 0)]
-    chain = WeightedDoublePoset(poset=build("abc", [("a", "b"), ("b", "c")], []), w={})
+    chain = build("abc", [("a", "b"), ("b", "c")], [])
     assert automorphisms(chain) == [(0, 1, 2)]
-    two_chains = WeightedDoublePoset(poset=build("abcd", [("a", "b"), ("c", "d")], [("b", "a")]), w={})
+    two_chains = build("abcd", [("a", "b"), ("c", "d")], [("b", "a")])
     assert automorphisms(two_chains) == [(0, 1, 2, 3)]
 
 
@@ -473,7 +472,7 @@ def reference_actions():
     for n in range(7):
         base = antichain(n)
         for group in ("cyclic", "dihedral", "symmetric"):
-            yield base, block_group([(e,) for e in base.poset.elements], group)
+            yield base, block_group([(e,) for e in base.elements], group)
     for size, k in ((2, 2), (2, 3), (3, 2)):
         for component in tertispecial_components(size):
             base, blocks = copies(component, k)
@@ -484,12 +483,12 @@ def reference_actions():
     for n in (0, 1):
         base = antichain(n)
         yield base, []
-        yield base, [{e: e for e in base.poset.elements}]
+        yield base, [{e: e for e in base.elements}]
 
 
 def symmetric_on_antichain(n):
     base = antichain(n)
-    return build_action(base, block_group([(e,) for e in base.poset.elements], "symmetric"))
+    return build_action(base, block_group([(e,) for e in base.elements], "symmetric"))
 
 
 @pytest.mark.parametrize("n, partitions", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
@@ -513,7 +512,7 @@ def test_classes_are_the_conjugacy_classes():
     group closed by left-composing generators, its classes found by
     conjugating with every element."""
     for base, gens in reference_actions():
-        labels = base.poset.elements
+        labels = base.elements
         group = closure_by_left_words([tuple(labels.index(g[e]) for e in labels) for g in gens], len(labels))
         a = build_action(base, gens)
         assert list(a.elements) == sorted(group)
@@ -554,10 +553,9 @@ def equivariant_gate_failures(n):
     pairs and the failed checks."""
     pairs, failures = 0, []
     for p in isomorphism_class_representatives(n):
-        unit = WeightedDoublePoset(p)
-        for gens in subgroup_generators(unit):
+        for gens in subgroup_generators(p):
             pairs += 1
-            for base in (unit, WeightedDoublePoset(p, aut_orbit_weight(unit))):
+            for base in (p, weighted(p, aut_orbit_weight(p))):
                 a = build_action(base, gens)
                 all_counts, coeven_counts = orbit_tallies(a, n)
                 omega = order_polynomial(a)

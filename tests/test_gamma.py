@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from qsymdp.compositions import Composition, compositions_of, conjugate, descent_set
 from qsymdp.gamma import (
     NotTertispecialError,
-    WeightedDoublePoset,
     antipode_theorem_check,
     antipode_theorem_sides,
     gamma,
@@ -40,11 +39,12 @@ from conftest import (
     random_double_poset,
     random_tertispecial_posets,
     restrict,
+    weighted,
 )
 
 
 def test_weight_defaults_to_all_ones():
-    d = WeightedDoublePoset(poset=build("ab", [], []), w={})
+    d = build("ab", [], [])
     assert d.w == (1, 1)
     assert sum(d.w) == 2
 
@@ -52,23 +52,23 @@ def test_weight_defaults_to_all_ones():
 def test_weight_validation():
     p = build("ab", [], [])
     with pytest.raises(ValueError):
-        WeightedDoublePoset(poset=p, w=(1,))
+        build("ab", [], [], w=(1,))
     with pytest.raises(ValueError):
-        WeightedDoublePoset(poset=p, w=(1, 0))
+        build("ab", [], [], w=(1, 0))
     for w in ((1.5, True), (1, True), (2.0, 1), (1, "2")):
         with pytest.raises(ValueError, match="^weights must be positive integers$"):
-            WeightedDoublePoset(poset=p, w=w)
+            DoublePoset(p.elements, p.lt1, p.lt2, w)
 
 
 def test_weights_are_a_tuple_over_the_declaration_index():
     p = build("ab", [], [])
     for w in ({"a": 1, "b": 2}, {1: 1, 2: 1}):  # not weighed by the keys
-        with pytest.raises(ValueError):
-            WeightedDoublePoset(poset=p, w=w)
+        with pytest.raises(ValueError, match="^weights are a sequence over the declaration index"):
+            build("ab", [], [], w=w)
     for w in ((1,), (1, 2, 3), [2, 1, 1]):
         with pytest.raises(ValueError, match="^weight function must be total on the ground set$"):
-            WeightedDoublePoset(poset=p, w=w)
-    assert WeightedDoublePoset(poset=p, w=[2, 1]).w == (2, 1)
+            DoublePoset(p.elements, p.lt1, p.lt2, w)
+    assert build("ab", [], [], w=[2, 1]).w == DoublePoset(p.elements, p.lt1, p.lt2, [2, 1]).w == (2, 1)
 
 
 def test_gamma_module_not_shadowed_by_function():
@@ -93,38 +93,37 @@ def test_covers_test_matches_full_test_on_tertispecial():
     for d in all_double_posets(3):
         if not is_tertispecial(d):
             continue
-        wd = WeightedDoublePoset(poset=d, w={})
         for values in itertools.product((1, 2, 3), repeat=3):
             pi = dict(enumerate(values))
-            assert is_epartition(wd, pi) == is_epartition_covers(wd, pi)
+            assert is_epartition(d, pi) == is_epartition_covers(d, pi)
 
 
 def test_covers_test_rejects_non_tertispecial():
-    d = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
+    d = build("ab", [("a", "b")], [])
     with pytest.raises(NotTertispecialError):
         is_epartition_covers(d, {0: 1, 1: 1})
 
 
 def test_gamma_antichain2():
-    d = WeightedDoublePoset(poset=build("ab", [], []), w={})
+    d = build("ab", [], [])
     # packed maps {a:1,b:1}, {a:1,b:2}, {a:2,b:1}
     assert gamma(d) == monomial(Composition([2])) + monomial(Composition([1, 1])).scale(2)
 
 
 def test_gamma_empty_poset_is_one():
-    d = WeightedDoublePoset(poset=build([], [], []), w={})
+    d = build([], [], [])
     assert gamma(d) == monomial(Composition())
 
 
 def test_gamma_weighted_antichain2():
-    d = WeightedDoublePoset(poset=build("ab", [], []), w=(2, 3))
+    d = build("ab", [], [], w=(2, 3))
     assert gamma(d) == (
         monomial(Composition([5])) + monomial(Composition([2, 3])) + monomial(Composition([3, 2]))
     )
 
 
 def test_gamma_antichain8_is_multinomial():
-    d = WeightedDoublePoset(poset=build("abcdefgh", [], []), w={})
+    d = build("abcdefgh", [], [])
     expected = {
         alpha: math.factorial(8) // math.prod(math.factorial(a) for a in alpha)
         for alpha in compositions_of(8)
@@ -135,7 +134,7 @@ def test_gamma_antichain8_is_multinomial():
 def test_gamma_natural_chain12_is_fundamental():
     labs = [f"e{i}" for i in range(12)]
     gens = list(zip(labs, labs[1:]))
-    d = WeightedDoublePoset(poset=build(labs, gens, gens), w={})
+    d = build(labs, gens, gens)
     assert gamma(d) == fundamental(Composition([12]))
 
 
@@ -146,9 +145,7 @@ def test_gamma_chain_is_single_monomial():
         labs = [f"e{i}" for i in range(len(alpha))]
         gens = list(zip(labs, labs[1:]))
         lt2 = [(b, a) for a, b in gens]
-        d = WeightedDoublePoset(
-            poset=build(labs, gens, lt2), w=alpha
-        )
+        d = build(labs, gens, lt2, w=alpha)
         assert gamma(d) == monomial(Composition(alpha))
 
 
@@ -159,7 +156,7 @@ def zigzag_chain(alpha):
     gens = list(zip(labs, labs[1:]))
     d = descent_set(alpha)
     lt2 = [(b, a) if d >> i & 1 else (a, b) for i, (a, b) in enumerate(gens, 1)]
-    return WeightedDoublePoset(poset=build(labs, gens, lt2), w={})
+    return build(labs, gens, lt2)
 
 
 def test_zigzag_chain_is_fundamental():
@@ -175,7 +172,7 @@ def test_antipode_theorem_on_zigzag_chain_is_conjugate_rule():
     for n in range(9):
         for alpha in compositions_of(n):
             d = zigzag_chain(alpha)
-            assert is_tertispecial(d.poset)
+            assert is_tertispecial(d)
             expected = fundamental(conjugate(alpha)).scale((-1) ** n)
             assert antipode_theorem_sides(d) == (expected, expected)
 
@@ -185,7 +182,7 @@ def test_gamma_matches_bruteforce_truncation():
     for n in range(4):
         for d in all_double_posets(n):
             for w in ((), tuple(rng.randint(1, 2) for _ in d.elements)):
-                wd = WeightedDoublePoset(poset=d, w=w)
+                wd = weighted(d, w)
                 assert gamma_truncation_matches(wd, gamma(wd), n + 1)
                 # each coefficient counts E-partitions, so the coproduct table's sums of products hold no zero
                 assert all(c > 0 for c in gamma(wd).terms.values())
@@ -193,12 +190,11 @@ def test_gamma_matches_bruteforce_truncation():
 
 def test_packed_count_matches_bruteforce_packed_filter():
     for d in all_double_posets(3):
-        wd = WeightedDoublePoset(poset=d, w={})
         brute = 0
-        for pi in epartitions_into(wd, 3):
+        for pi in epartitions_into(d, 3):
             image = sorted(set(pi.values()))
             brute += image == list(range(1, len(image) + 1))
-        assert sum(gamma(wd).terms.values()) == brute
+        assert sum(gamma(d).terms.values()) == brute
 
 
 @settings(max_examples=30, deadline=None)
@@ -206,7 +202,7 @@ def test_packed_count_matches_bruteforce_packed_filter():
 def test_gamma_matches_bruteforce_truncation_drawn(n, rng, data):
     d = random_double_poset(n, rng)
     weights = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
-    wd = WeightedDoublePoset(poset=d, w=weights)
+    wd = weighted(d, weights)
     assert gamma_truncation_matches(wd, gamma(wd), n + 1)
 
 
@@ -215,12 +211,12 @@ def test_antipode_theorem_true_on_tertispecial():
     rng = random.Random(7)
     for d in random_tertispecial_posets(4, 25):
         w = tuple(rng.randint(1, 2) for _ in d.elements)
-        assert antipode_theorem_check(WeightedDoublePoset(poset=d, w=w))
+        assert antipode_theorem_check(weighted(d, w))
 
 
 def test_antipode_theorem_fails_on_designated_example():
     # a <1 b with empty <2 is not tertispecial and the identity fails
-    d = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
+    d = build("ab", [("a", "b")], [])
     assert not antipode_theorem_check(d)
 
 
@@ -232,7 +228,7 @@ def test_antipode_theorem_holds_exactly_on_the_tertispecial_posets():
     assert (len(posets) - len(tert), len(tert)) == (176, 196)
     for d in posets:
         for w in ((), tuple(1 + i % 2 for i in range(d.size))):
-            assert antipode_theorem_check(WeightedDoublePoset(poset=d, w=w)) == is_tertispecial(d)
+            assert antipode_theorem_check(weighted(d, w)) == is_tertispecial(d)
 
 
 def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
@@ -247,7 +243,7 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
 
     monkeypatch.setattr(m, "gamma_of_orders", counted)
     # distinct weights give each subset of the 3-antichain its own key
-    assert gamma_coproduct_check(WeightedDoublePoset(poset=build("abc", [], []), w=(1, 2, 3)))
+    assert gamma_coproduct_check(build("abc", [], [], w=(1, 2, 3)))
     # the 8 subsets, each once, and E itself for the left side
     assert len(calls) == 9 and len(set(calls)) == 8
 
@@ -266,14 +262,14 @@ def test_strict_pairs_match_the_definition():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_index_routes_match_the_labelled_posets(n):
     # the coproduct check squeezes the strict pairs of E by mask; the antipode
-    # sides take the flipped Gamma from the orders of opposite1(E)
+    # sides take the flipped Gamma of opposite1(E), which must carry E's weights
     for p in all_double_posets(n):
         strict = strict_pairs(p)
         for mask in range(1 << n):
             assert squeeze(strict, mask) == strict_pairs(restrict(p, mask)), (p, mask)
         for w in ((), tuple(1 + i % 2 for i in range(p.size))):
-            d = WeightedDoublePoset(poset=p, w=w)
-            flipped = gamma(WeightedDoublePoset(poset=opposite1(p), w=d.w)).scale((-1) ** n)
+            d = weighted(p, w)
+            flipped = gamma(weighted(opposite1(p), d.w)).scale((-1) ** n)
             assert antipode_theorem_sides(d) == (antipode_closed(gamma(d)), flipped)
 
 
@@ -284,8 +280,8 @@ def test_reversing_both_orders_reverses_gamma(n):
     for p in all_double_posets(n):
         both = opposite1(opposite2(p))
         for w in ((), tuple(1 + i % 2 for i in range(p.size))):
-            reversed_terms = {alpha[::-1]: c for alpha, c in gamma(WeightedDoublePoset(poset=p, w=w)).terms.items()}
-            assert gamma(WeightedDoublePoset(poset=both, w=w)).terms == reversed_terms
+            reversed_terms = {alpha[::-1]: c for alpha, c in gamma(weighted(p, w)).terms.items()}
+            assert gamma(weighted(both, w)).terms == reversed_terms
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
@@ -314,7 +310,7 @@ def test_gamma_antichain12_takes_the_peel():
     import qsymdp.gamma as m
 
     m.gamma_of_orders.cache_clear()
-    d = WeightedDoublePoset(poset=build("abcdefghijkl", [], []), w={})
+    d = build("abcdefghijkl", [], [])
     start = time.perf_counter()
     terms = gamma(d).terms
     assert time.perf_counter() - start < 0.5  # the chain sum takes seconds
@@ -330,24 +326,24 @@ def test_gamma_is_memoised_on_orders_and_weights():
     cache = m.gamma_of_orders
     assert callable(cache.cache_clear) and 0 < cache.cache_info().maxsize < math.inf
     cache.cache_clear()
-    d = WeightedDoublePoset(poset=build("abc", [("a", "b")], [("b", "a")]), w=(1, 2, 1))
-    relabelled = WeightedDoublePoset(poset=build("xyz", [("x", "y")], [("y", "x")]), w=(1, 2, 1))
+    d = build("abc", [("a", "b")], [("b", "a")], w=(1, 2, 1))
+    relabelled = build("xyz", [("x", "y")], [("y", "x")], w=(1, 2, 1))
     first = gamma(d)
     assert cache.cache_info()[:2] == (0, 1)  # (hits, misses)
     assert gamma(relabelled) == first and cache.cache_info()[:2] == (1, 1)
-    reweighted = WeightedDoublePoset(poset=d.poset, w=(2, 1, 1))
+    reweighted = weighted(d, (2, 1, 1))
     assert gamma(reweighted) != first and cache.cache_info()[:2] == (1, 2)
     # <2 is read only on <1-comparable pairs: c <2 a and b <2 c change no strict pair
     w = d.w
-    same_strict = WeightedDoublePoset(poset=build("abc", [("a", "b")], [("b", "c"), ("c", "a")]), w=w)
+    same_strict = build("abc", [("a", "b")], [("b", "c"), ("c", "a")], w=w)
     assert gamma(same_strict) == first and cache.cache_info()[:2] == (2, 2)
     # a <2 b makes the pair a <1 b weak: a new key
-    weak = WeightedDoublePoset(poset=build("abc", [("a", "b")], [("a", "b")]), w=w)
+    weak = build("abc", [("a", "b")], [("a", "b")], w=w)
     assert gamma(weak) != first and cache.cache_info()[:2] == (2, 3)
 
 
 def test_refused_gamma_is_refused_again():
-    huge = WeightedDoublePoset(poset=build("a", [], []), w=(10**21,))
+    huge = build("a", [], [], w=(10**21,))
     for _ in range(2):
         with pytest.raises(BoundExceededError, match="2000000"):
             gamma(huge)
@@ -397,17 +393,17 @@ def test_gamma_product_rule_sampled():
         w1 = tuple(rng.randint(1, 2) for _ in d1.elements)
         w2 = tuple(rng.randint(1, 2) for _ in d2.elements)
         assert gamma_product_check(
-            WeightedDoublePoset(poset=d1, w=w1),
-            WeightedDoublePoset(poset=d2, w=w2),
+            weighted(d1, w1),
+            weighted(d2, w2),
         )
-    anti3 = WeightedDoublePoset(poset=build("abc", [], []), w=(3, 2, 3))
+    anti3 = build("abc", [], [], w=(3, 2, 3))
     assert gamma_product_check(anti3, anti3)
 
 
 def test_coefficients_stay_integers():
     # Gamma counts E-partitions, and product, coproduct and antipode do not divide
     readme = build("abc", [("a", "b"), ("a", "c")], [("a", "b"), ("c", "a")])
-    g = gamma(WeightedDoublePoset(poset=readme, w=(1, 2, 1)))
+    g = gamma(weighted(readme, (1, 2, 1)))
     tables = [f.terms for f in (g, product(g, g), antipode_closed(g), fundamental((2, 1, 3)))] + [coproduct(g)]
     assert all(tables)
     assert all(type(c) is int and c for table in tables for c in table.values())
@@ -434,7 +430,7 @@ def assert_linear_extensions_match(n):
     for d in all_double_posets(n):
         if is_special(d):
             for w in ((), tuple(1 + i % 3 for i in range(d.size))):
-                wd = WeightedDoublePoset(poset=d, w=w)
+                wd = weighted(d, w)
                 assert gamma_linear_extensions(wd) == gamma(wd)
 
 
@@ -442,7 +438,7 @@ def test_linear_extensions_match_gamma_exhaustive():
     for n in range(4):
         assert_linear_extensions_match(n)
     with pytest.raises(ValueError):  # <2 not total
-        gamma_linear_extensions(WeightedDoublePoset(poset=build("ab", [], []), w={}))
+        gamma_linear_extensions(build("ab", [], []))
 
 
 @pytest.mark.slow
@@ -459,7 +455,7 @@ def test_linear_extensions_match_gamma_drawn(n, rng, data):
     lt1 = [(a, b) for i, a in enumerate(along1) for b in along1[i + 1:] if rng.random() < density]
     weights = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
     d = build(labs, lt1, zip(along2, along2[1:]))
-    wd = WeightedDoublePoset(poset=d, w=weights)
+    wd = weighted(d, weights)
     assert gamma_linear_extensions(wd) == gamma(wd)
 
 
@@ -468,5 +464,5 @@ def test_gamma_truncation_exhaustive_size4():
     # every double poset with |E| = 4 (219^2 of them), two weightings
     for d in all_double_posets(4):
         for w in ((), tuple(1 + i % 2 for i in range(d.size))):
-            wd = WeightedDoublePoset(poset=d, w=w)
+            wd = weighted(d, w)
             assert gamma_truncation_matches(wd, gamma(wd), 4)

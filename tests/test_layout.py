@@ -12,12 +12,12 @@ import sys
 import pytest
 
 import qsymdp
-from qsymdp.gamma import WeightedDoublePoset, gamma
+from qsymdp.gamma import gamma
 from qsymdp.oracles import epartitions_into
 from qsymdp.poset import all_double_posets
 from qsymdp.qsym import BoundExceededError
 
-from conftest import antichain
+from conftest import antichain, weighted
 
 MOVED = {
     "_act",
@@ -103,7 +103,7 @@ def test_epartitions_into_sums_to_gamma_as_perfbench_reads_it():
     for n in range(4):
         for p in all_double_posets(n):
             for w in ((), (1, 2, 1)[:n]):
-                d = WeightedDoublePoset(p, w)
+                d = weighted(p, w)
                 for m in (1, 2, 3):
                     x = (2, 3, 5)[:m]
                     total = 0
@@ -125,8 +125,9 @@ def test_epartitions_into_limit():
 
 def test_no_admissible_pair_type():
     # a subset of E is a mask over declaration index; the P of the admissible
-    # pairs (P, Q) are poset.down_sets and Q is the complement
-    gone = {"AdmissiblePair", "admissible_pairs"}
+    # pairs (P, Q) are poset.down_sets and Q is the complement.  The weights are
+    # a field of DoublePoset, and gamma.weighted_from_dict is the one JSON reader
+    gone = {"AdmissiblePair", "admissible_pairs", "WeightedDoublePoset", "from_dict"}
     for info in pkgutil.iter_modules(qsymdp.__path__):
         module = importlib.import_module(f"qsymdp.{info.name}")
         assert gone & set(vars(module)) == set(), info.name

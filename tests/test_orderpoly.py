@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsymdp.equivariant import build_action, opposite1_action
-from qsymdp.gamma import NotTertispecialError, WeightedDoublePoset, gamma
+from qsymdp.gamma import NotTertispecialError, gamma
 from qsymdp.oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
 from qsymdp.orderpoly import OrderPolynomial, binomial, order_polynomial, reciprocity_check
 from qsymdp.poset import all_double_posets, build
@@ -26,7 +26,7 @@ def trivial_action(base):
 
 
 def swap_action(base):
-    labs = list(base.poset.elements)
+    labs = list(base.elements)
     gen = {labs[0]: labs[1], labs[1]: labs[0]}
     gen.update({e: e for e in labs[2:]})
     return build_action(base, [gen])
@@ -62,8 +62,7 @@ def test_ps1_examples():
         assert omega(q) == _ps1_by_substitution(gamma(strict), q)
     assert order_polynomial(trivial_action(antichain(0)))(7) == 1  # Gamma = ONE
     assert omega(3) == 3
-    for d in all_double_posets(3):
-        base = WeightedDoublePoset(d)
+    for base in all_double_posets(3):
         omega = order_polynomial(trivial_action(base))
         assert all(omega(q) == _ps1_by_substitution(gamma(base), q) for q in range(4))
 
@@ -120,7 +119,7 @@ def test_order_polynomial_antichain():
 
 
 def test_order_polynomial_ignores_weights():
-    base = WeightedDoublePoset(poset=build("ab", [], []), w=(2, 2))
+    base = build("ab", [], [], w=(2, 2))
     omega = order_polynomial(trivial_action(base))
     assert omega(3) == 9
 
@@ -168,7 +167,7 @@ def test_reciprocity_strict_weak_pairing():
 
 
 def test_reciprocity_requires_tertispecial():
-    base = WeightedDoublePoset(poset=build("ab", [("a", "b")], []), w={})
+    base = build("ab", [("a", "b")], [])
     with pytest.raises(NotTertispecialError):
         reciprocity_check(trivial_action(base), 2)
 
@@ -187,8 +186,7 @@ def walk_counts(a, q):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_orbit_walk_matches_the_element_by_element_counts(n):
     # every (isomorphism class, subgroup of Aut) pair, on (E, <1, <2) and (E, >1, <2)
-    for p in isomorphism_class_representatives(n):
-        base = WeightedDoublePoset(p)
+    for base in isomorphism_class_representatives(n):
         for gens in subgroup_generators(base):
             a = build_action(base, gens)
             for action in (a, opposite1_action(a)):

@@ -3,14 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsymdp.gamma import weighted_from_dict
 from qsymdp.poset import (
     STRICT_ORDER_COUNTS,
     CycleError,
     DoublePoset,
     all_strict_orders,
     build,
+    covers,
     down_sets,
-    from_dict,
     is_special,
     is_tertispecial,
     opposite1,
@@ -59,7 +60,22 @@ def test_build_rejects_duplicates_and_unknowns():
 
 def test_covers_of_chain():
     d = build("abc", [("a", "b"), ("b", "c")], [])
-    assert pairs(d, d.covers(d.lt1)) == [("a", "b"), ("b", "c")]
+    assert pairs(d, covers(d.lt1)) == [("a", "b"), ("b", "c")]
+
+
+def test_opposite1_keeps_the_weights():
+    d = build("abc", [("a", "b"), ("a", "c")], [("a", "b"), ("c", "a")], w=(1, 2, 1))
+    flipped = opposite1(d)
+    assert flipped.w == (1, 2, 1)
+    assert flipped != d and opposite1(flipped) == d
+
+
+def test_posets_that_differ_only_in_weights_are_unequal():
+    d, e = build("ab", [("a", "b")], [], w=(1, 2)), build("ab", [("a", "b")], [], w=(2, 1))
+    assert d != e and hash(d) != hash(e) and len({d, e}) == 2
+    assert d == build("ab", [("a", "b")], [], w=[1, 2]) and hash(d) == hash(build("ab", [("a", "b")], [], w=[1, 2]))
+    # an empty w is all ones
+    assert build("ab", [], []) == build("ab", [], [], w=(1, 1)) != build("ab", [], [], w=(1, 2))
 
 
 def test_specialness_hierarchy():
@@ -172,15 +188,15 @@ def test_admissible_pairs_count_antichain():
 
 def test_json_round_trip():
     d = build("abc", [("a", "b")], [("c", "b")])
-    assert from_dict(to_dict(d)) == d
+    assert weighted_from_dict(to_dict(d)) == d
     doc = {"elements": ["x", "y"], "lt1": [["x", "y"]], "lt2": []}
-    d2 = from_dict(doc)
+    d2 = weighted_from_dict(doc)
     assert less1(d2, "x", "y") and not less2(d2, "x", "y")
 
 
 def test_from_json_rejects_malformed():
     with pytest.raises(ValueError):
-        from_dict({"lt1": []})
+        weighted_from_dict({"lt1": []})
 
 
 def test_all_strict_orders_counts():
@@ -245,13 +261,13 @@ def test_mask_operations_match_label_pair_definitions(n, rng, data):
     for a, b in itertools.product(elems, repeat=2):
         assert less1(d, a, b) == ((a, b) in lt1)
         assert less2(d, a, b) == ((a, b) in lt2)
-    covers = covers_by_definition(elems, lt1)
-    assert set(pairs(d, d.covers(d.lt1))) == covers
+    cover_pairs = covers_by_definition(elems, lt1)
+    assert set(pairs(d, covers(d.lt1))) == cover_pairs
     assert is_special(d) == all(
         comparable(lt2, a, b) for a, b in itertools.combinations(elems, 2)
     )
     assert is_semispecial(d) == all(comparable(lt2, a, b) for a, b in lt1)
-    assert is_tertispecial(d) == all(comparable(lt2, a, b) for a, b in covers)
+    assert is_tertispecial(d) == all(comparable(lt2, a, b) for a, b in cover_pairs)
     op = opposite1(d)
     assert label_pairs(op, op.lt1) == {(b, a) for a, b in lt1}
     assert label_pairs(op, op.lt2) == lt2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_double_poset
+from conftest import random_double_poset, weighted
 from qsymdp import qsym
 from qsymdp.compositions import (
     Composition,
@@ -17,7 +17,7 @@ from qsymdp.compositions import (
     reverse,
     sort_key,
 )
-from qsymdp.gamma import WeightedDoublePoset, antipode_theorem_check, gamma
+from qsymdp.gamma import antipode_theorem_check, gamma
 from qsymdp.oracles import antipode_recursive, product_truncation_matches
 from qsymdp.poset import all_double_posets, build
 from qsymdp.qsym import (
@@ -130,7 +130,7 @@ def test_format_coproduct_on_gamma_of_every_small_double_poset():
     for n in range(4):
         for poset in all_double_posets(n):
             for w in ((), tuple(1 + i % 2 for i in range(poset.size))):
-                f = gamma(WeightedDoublePoset(poset, w))
+                f = gamma(weighted(poset, w))
                 assert format_coproduct(f) == coproduct_text_by_pairs(f)
                 assert_table_is_deconcatenation(f)
 
@@ -279,7 +279,7 @@ def dense_support(draw):
     whose OR cube has no more cells than the cubes of their masks together."""
     if draw(st.booleans()):
         p = random_double_poset(draw(st.integers(0, 5)), draw(st.randoms(use_true_random=False)))
-        return gamma(WeightedDoublePoset(p, [draw(st.integers(1, 3)) for _ in p.elements]))
+        return gamma(weighted(p, [draw(st.integers(1, 3)) for _ in p.elements]))
     every = list(compositions_of(draw(st.integers(0, 8))))
     chosen = draw(st.lists(st.sampled_from(every), min_size=len(every) // 2 + 1, unique=True))
     return QSymElem({alpha: draw(st.integers(-3, -1) | st.integers(1, 3)) for alpha in chosen})
@@ -357,5 +357,5 @@ def test_antipode_theorem_on_antichain_with_spread_weights(n):
     # weights 1, 2, 4, ...: the descent masks of Gamma spread over 2^n - 2
     # positions, too many for one cube over their union
     labels = "abcdef"[:n]
-    d = WeightedDoublePoset(poset=build(labels, [], []), w=tuple(2**i for i in range(n)))
+    d = build(labels, [], [], w=tuple(2**i for i in range(n)))
     assert antipode_theorem_check(d)

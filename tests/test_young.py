@@ -103,8 +103,8 @@ def test_conjugate_shape():
 
 def test_Y_is_tertispecial_and_Yh_is_special():
     for sh in (shape([2, 1]), shape([2, 2], [1]), shape([3, 1]), shape([1])):
-        assert is_tertispecial(build_Y(sh).poset)
-        assert is_special(build_Yh(sh).poset)
+        assert is_tertispecial(build_Y(sh))
+        assert is_special(build_Yh(sh))
 
 
 def test_ssyt_matches_epartitions():
@@ -207,5 +207,5 @@ def test_peeled_gamma_equals_the_chain_sum_on_every_skew_shape(n):
     assert len(shapes) == SKEW_SHAPE_COUNTS[n]
     for sh in shapes:
         d = build_Y(sh)
-        peeled, whole = peeled_and_whole(d.poset, [1] * sh.size)
+        peeled, whole = peeled_and_whole(d, [1] * sh.size)
         assert peeled == whole, sh
