@@ -76,9 +76,8 @@ def cube(n: int, low: int, top: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
     The sub-masks come in index order: bit j of the index selects the j-th lowest
     set bit of top, so index 0 is 0 and the last is top.  The compositions are
     built by walking the cuts of low | top from the lowest, starting from (n,):
-    a cut of top appends a copy of every composition so far with its last part
-    split there, and a run of cuts of low up to the next cut of top splits the
-    last part of every one in a single step, so no cell walks its mask bit by bit.
+    each cut splits the last part of every composition built so far, and a cut
+    of top appends the split copies, while a cut of low replaces the list with them.
     """
     subs, comps = [0], [(n,)] if n else [()]
     cuts = low | top
@@ -86,19 +85,12 @@ def cube(n: int, low: int, top: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
         bit = cuts & -cuts
         cuts ^= bit
         rest = n + 1 - bit.bit_length()  # the last part once split at this cut
+        split = [a[:-1] + (a[-1] - rest, rest) for a in comps]
         if bit & top:
             subs += [s | bit for s in subs]
-            comps += [a[:-1] + (a[-1] - rest, rest) for a in comps]
-            continue
-        tail = [rest]  # the parts after this cut once the cuts of low up to the next cut of top are made
-        while cuts & -cuts & low:
-            bit = cuts & -cuts
-            cuts ^= bit
-            last = n + 1 - bit.bit_length()
-            tail[-1] -= last
-            tail.append(last)
-        split = tuple(tail)
-        comps = [a[:-1] + (a[-1] - rest,) + split for a in comps]
+            comps += split
+        else:
+            comps = split
     return subs, comps
 
 

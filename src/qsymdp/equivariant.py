@@ -56,17 +56,15 @@ def precompose(g: Permutation) -> Callable[[tuple], tuple]:
     return itemgetter(*g) if len(g) > 1 else tuple
 
 
-def _perm_from_mapping(base: DoublePoset, mapping: Mapping[str, str]) -> Permutation:
+def _generator(base: DoublePoset, mapping: Mapping[str, str]) -> Permutation:
+    """The permutation that the label map makes, checked to be a bijection of
+    the ground set that preserves <1, <2 and w: raises on the first broken pair
+    of <1, then of <2, then the first broken weight, in declaration order."""
     labels = base.elements
-    idx = {e: i for i, e in enumerate(labels)}
     if set(mapping) != set(labels) or set(mapping.values()) != set(labels):
         raise ValueError(f"generator {dict(mapping)} is not a bijection of the ground set")
-    return tuple(idx[mapping[e]] for e in labels)
-
-
-def _validate_preserving(base: DoublePoset, perm: Permutation) -> None:
-    """Raise on the first broken pair or weight, in declaration order of the labels."""
-    labels = base.elements
+    idx = {e: i for i, e in enumerate(labels)}
+    perm = tuple(idx[mapping[e]] for e in labels)
     broken = [
         (name, (labels[i], labels[j]))
         for name, rel in (("lt1", base.lt1), ("lt2", base.lt2))
@@ -75,7 +73,8 @@ def _validate_preserving(base: DoublePoset, perm: Permutation) -> None:
     ]
     broken += [("w", labels[j]) for j, i in enumerate(perm) if base.w[i] != base.w[j]]
     if broken:
-        raise NotPreservingError({e: labels[i] for e, i in zip(labels, perm)}, broken[0])
+        raise NotPreservingError({e: mapping[e] for e in labels}, broken[0])
+    return perm
 
 
 def build_action(
@@ -90,11 +89,7 @@ def build_action(
     """
     n = base.size
     identity = tuple(range(n))
-    gens = []
-    for mapping in generators:
-        perm = _perm_from_mapping(base, mapping)
-        _validate_preserving(base, perm)
-        gens.append(perm)
+    gens = [_generator(base, mapping) for mapping in generators]
     rights = [precompose(g) for g in gens]  # x -> x o g generates the same group
     group = {identity}
     frontier = [identity]

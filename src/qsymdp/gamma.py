@@ -4,7 +4,7 @@ with its weights, and the reader of the poset JSON."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .compositions import _parts
 from .poset import (
@@ -154,16 +154,6 @@ def _times_part(f: QSymElem, a: int) -> QSymElem:
     return QSymElem(terms)
 
 
-def _tensor_table(pairs: List[Tuple[QSymElem, QSymElem]]) -> Dict[Tuple[tuple, tuple], int]:
-    table: Dict[Tuple[tuple, tuple], int] = {}
-    for left, right in pairs:
-        for a, ca in left.terms.items():
-            for b, cb in right.terms.items():
-                key = (a, b)
-                table[key] = table.get(key, 0) + ca * cb
-    return table
-
-
 def gamma_coproduct_check(d: DoublePoset) -> bool:
     """True iff the table of Delta(Gamma(E,w)) equals the summed table of the
     Gamma(E|P, w|P) (x) Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
@@ -185,8 +175,13 @@ def gamma_coproduct_check(d: DoublePoset) -> bool:
         return parts[mask]
 
     full = (1 << d.size) - 1
-    rhs_pairs = [(part(low), part(full ^ low)) for low in down_sets(d)]
-    return coproduct(gamma_of_orders(lt1, strict, w)) == _tensor_table(rhs_pairs)
+    rhs: Dict[Tuple[tuple, tuple], int] = {}
+    for low in down_sets(d):
+        left, right = part(low), part(full ^ low)
+        for a, ca in left.terms.items():
+            for b, cb in right.terms.items():
+                rhs[a, b] = rhs.get((a, b), 0) + ca * cb
+    return coproduct(gamma_of_orders(lt1, strict, w)) == rhs
 
 
 def antipode_theorem_sides(d: DoublePoset) -> Tuple[QSymElem, QSymElem]:

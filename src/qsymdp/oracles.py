@@ -8,13 +8,13 @@ quasi-shuffle, so that agreement is a genuine two-route check.  The
 E-partition definition and the semistandard-tableau test of a filling are the
 definitions the fast routes are gated against.  The E-partition definition is
 written once, as the (i, j, strict) list of `_epartition_pairs`:
-`epartition_test` applies it to one map, and `_epartition_vectors` filters all
-maps E -> [m] by it, one pair at a time; `epartitions_into` gives the result
-as maps from the declaration index, the index of the orders and of the
-weights d.w of the one `DoublePoset` it takes, and `is_epartition` takes
-such a map (`is_epartition_covers` applies the definition to the covers of
-<1 only, from `poset.covers`).  `_all_maps` is the one enumeration of all
-maps, and refuses more than ENUM_LIMIT of them before it builds one.  Three
+`is_epartition` applies it to one map from the declaration index, the index
+of the orders and of the weights d.w of the one `DoublePoset` it takes
+(`is_epartition_covers` applies it to the covers of <1 only, from
+`poset.covers`), and `_epartition_vectors` filters all maps E -> [m] by it,
+one pair at a time; `epartitions_into` gives the result as such maps.
+`_all_maps` is the one enumeration of all maps, and refuses more than
+ENUM_LIMIT of them before it builds one.  Three
 bounded tables hold what depends on no poset: `_map_table`, all maps per
 (|E|, m), up to MAP_TABLE_LIMIT of them; `_exponent_table`, the monomial of
 each of those maps per (weights, m); and `_monomial_exponents`, the monomials
@@ -40,7 +40,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .compositions import Composition
 from .equivariant import GroupAction, Permutation, orbit_sum, precompose, sign_of
@@ -135,25 +135,11 @@ def _epartition_pairs(p: DoublePoset, rel: Rel) -> List[Tuple[int, int, int]]:
     return [(i, j, p.lt2[j] >> i & 1) for i, j in index_pairs(rel)]
 
 
-def epartition_test(p: DoublePoset, rel: Rel) -> Callable[[Sequence[int]], bool]:
-    """The test of a vector of values over declaration index: it weakly
-    increases along each pair i < j of rel, strictly when j <2 i."""
-    checks = _epartition_pairs(p, rel)
-
-    def holds(values: Sequence[int]) -> bool:
-        for i, j, strict in checks:
-            if values[i] + strict > values[j]:
-                return False
-        return True
-
-    return holds
-
-
 def _is_epartition_on(d: DoublePoset, rel: Rel, pi: Mapping[int, int]) -> bool:
-    indices = range(d.size)
-    if set(pi) != set(indices):
+    """pi weakly increases along each pair i < j of rel, strictly when j <2 i."""
+    if set(pi) != set(range(d.size)):
         raise ValueError("partition map must be total on the ground set")
-    return epartition_test(d, rel)([pi[i] for i in indices])
+    return all(pi[i] + strict <= pi[j] for i, j, strict in _epartition_pairs(d, rel))
 
 
 def is_epartition(d: DoublePoset, pi: Mapping[int, int]) -> bool:

@@ -163,8 +163,8 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     and that cube fits the bound; otherwise it is one cube per maximal mask of the
     support, at most the 2^|D(rev alpha)| cells per term that the closed form visits,
     so a spread-out support never pays for its OR.  The bound, ENUM_LIMIT, is on the
-    cells of the cubes of all degrees, each counted once per 64-bit word of a
-    degree-n mask.
+    cells of the cubes of each degree on its own, each counted once per 64-bit word
+    of a degree-n mask.
     """
     by_degree: Dict[int, Dict[int, Coeff]] = {}
     for alpha, c in f.terms.items():
@@ -173,18 +173,16 @@ def antipode_closed(f: QSymElem) -> QSymElem:
             raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
         by_degree.setdefault(n, {})[descent_set(reverse(alpha))] = -c if len(alpha) & 1 else c
     terms: Dict[Comp, Coeff] = {}
-    cells = 0
     for n, values in by_degree.items():
         words = n // 64 + 1
         union = 0
         for mask in values:
             union |= mask
         size = 1 << union.bit_count()
-        if size <= sum(1 << mask.bit_count() for mask in values) and cells + size * words <= ENUM_LIMIT:
-            cells += size * words
+        if size <= sum(1 << mask.bit_count() for mask in values) and size * words <= ENUM_LIMIT:
             terms.update(_antipode_cube(n, union, values.get))
             continue
-        left = dict(values)  # each mask is popped into the first cube that holds it
+        left, cells = dict(values), 0  # each mask is popped into the first cube that holds it
         for mask in sorted(values, key=int.bit_count, reverse=True):
             if mask in left:
                 cells += (1 << mask.bit_count()) * words

@@ -72,10 +72,6 @@ def conjugate_shape(shape: SkewShape) -> SkewShape:
     )
 
 
-def _cell_label(cell: Cell) -> str:
-    return f"{cell[0]},{cell[1]}"
-
-
 def cell_poset(shape: SkewShape, below2) -> DoublePoset:
     """The cells ordered by <1, (i,j) <1 (i',j') iff both coordinates weakly
     increase, and by <2, a <2 b iff below2(a, b); both are transitive as
@@ -86,7 +82,7 @@ def cell_poset(shape: SkewShape, below2) -> DoublePoset:
         return tuple(sum(1 << j for j, b in enumerate(cells) if less(a, b)) for a in cells)
 
     lt1 = rel(lambda a, b: a != b and a[0] <= b[0] and a[1] <= b[1])
-    labels = tuple(_cell_label(c) for c in cells)
+    labels = tuple(f"{i},{j}" for i, j in cells)
     return DoublePoset(labels, lt1, rel(below2))
 
 

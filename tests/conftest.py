@@ -44,23 +44,25 @@ def weighted(d: DoublePoset, w=()) -> DoublePoset:
 
 
 def restrict(d: DoublePoset, mask: int) -> DoublePoset:
-    """The double poset induced on the elements whose declaration index is set in mask."""
+    """The weighted double poset induced on the elements whose declaration index is set in mask."""
     if mask < 0 or mask >> d.size:
         raise ValueError(f"mask {mask:#b} has bits outside the {d.size} elements")
     return DoublePoset(
         elements=tuple(e for i, e in enumerate(d.elements) if mask >> i & 1),
         lt1=squeeze(d.lt1, mask),
         lt2=squeeze(d.lt2, mask),
+        w=tuple(x for i, x in enumerate(d.w) if mask >> i & 1),
     )
 
 
 def disjoint_union(d1: DoublePoset, d2: DoublePoset) -> DoublePoset:
-    """Tagged disjoint union; labels become '0.x' and '1.y'."""
+    """Tagged disjoint union, with the weights of both; labels become '0.x' and '1.y'."""
     n = d1.size
     return DoublePoset(
         elements=tuple(f"0.{e}" for e in d1.elements) + tuple(f"1.{e}" for e in d2.elements),
         lt1=d1.lt1 + tuple(up << n for up in d2.lt1),
         lt2=d1.lt2 + tuple(up << n for up in d2.lt2),
+        w=d1.w + d2.w,
     )
 
 

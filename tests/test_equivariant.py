@@ -85,6 +85,15 @@ def test_build_action_rejects_weight_breaking():
     assert exc.value.witness == ("w", "a")  # the first label whose image weighs otherwise
 
 
+def test_build_action_reports_a_broken_lt2_pair_before_a_broken_weight():
+    # a <2 b only, weights 1, 2: the swap breaks both, and <2 is checked first
+    base = build("ab", [], [("a", "b")], w=(1, 2))
+    with pytest.raises(NotPreservingError) as exc:
+        build_action(base, [swap_gen("a", "b")])
+    assert exc.value.witness == ("lt2", ("a", "b"))
+    assert str(exc.value) == "permutation {'a': 'b', 'b': 'a'} does not preserve ('lt2', ('a', 'b'))"
+
+
 def test_build_action_cap():
     with pytest.raises(BoundExceededError):
         full_symmetric_action_with_cap()

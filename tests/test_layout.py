@@ -27,7 +27,6 @@ MOVED = {
     "count_coeven_orbits_bruteforce",
     "enumerate_partitions",
     "_epartition_vectors",
-    "epartition_test",
     "_is_epartition_on",
     "is_epartition",
     "is_epartition_covers",
@@ -126,8 +125,21 @@ def test_epartitions_into_limit():
 def test_no_admissible_pair_type():
     # a subset of E is a mask over declaration index; the P of the admissible
     # pairs (P, Q) are poset.down_sets and Q is the complement.  The weights are
-    # a field of DoublePoset, and gamma.weighted_from_dict is the one JSON reader
-    gone = {"AdmissiblePair", "admissible_pairs", "WeightedDoublePoset", "from_dict"}
+    # a field of DoublePoset, and gamma.weighted_from_dict is the one JSON reader.
+    # The one-caller helpers are inlined: oracles._is_epartition_on applies the
+    # definition, gamma_coproduct_check builds its own table, young.cell_poset
+    # writes its labels, and equivariant._generator checks a generator
+    gone = {
+        "AdmissiblePair",
+        "admissible_pairs",
+        "WeightedDoublePoset",
+        "from_dict",
+        "epartition_test",
+        "_tensor_table",
+        "_cell_label",
+        "_perm_from_mapping",
+        "_validate_preserving",
+    }
     for info in pkgutil.iter_modules(qsymdp.__path__):
         module = importlib.import_module(f"qsymdp.{info.name}")
         assert gone & set(vars(module)) == set(), info.name

@@ -21,6 +21,7 @@ from qsymdp.qsym import BoundExceededError
 
 from conftest import (
     all_double_posets,
+    chain,
     disjoint_union,
     is_semispecial,
     labels_for,
@@ -31,6 +32,7 @@ from conftest import (
     random_double_poset,
     restrict,
     to_dict,
+    weighted,
 )
 
 
@@ -120,6 +122,9 @@ def test_restrict():
     for out_of_range in (0b1000, 0b1101, -1):
         with pytest.raises(ValueError):
             restrict(d, out_of_range)
+    heavy = weighted(chain(3), (1, 2, 1))
+    assert restrict(heavy, 0b111) == heavy
+    assert restrict(heavy, 0b110).w == (2, 1)
 
 
 def test_disjoint_union_tags():
@@ -128,6 +133,8 @@ def test_disjoint_union_tags():
     u = disjoint_union(d1, d2)
     assert u.elements == ("0.a", "0.b", "1.a")
     assert pairs(u, u.lt1) == [("0.a", "0.b")]
+    assert u.w == (1, 1, 1)
+    assert disjoint_union(weighted(d1, (2, 3)), weighted(d2, (4,))).w == (2, 3, 4)
 
 
 def test_down_sets_of_chain():

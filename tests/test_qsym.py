@@ -345,6 +345,19 @@ def test_antipode_falls_back_to_the_maximal_masks_when_the_or_cube_is_over_the_l
         antipode_closed(g)
 
 
+def test_antipode_charges_each_degree_against_its_own_limit(monkeypatch):
+    # degree 10 takes the OR cube {1..7}, 128 cells; the 20 one-bit masks of
+    # degree 41 take a cube of 2 cells each, 40 in all: over 140 only if the
+    # degrees shared one bound
+    f = with_reversed_descents(10, [bits(1, 5), bits(2, 6), bits(3, 7), bits(1, 4), bits(2, 5)])
+    f = f + with_reversed_descents(41, [1 << d for d in range(1, 40, 2)])
+    monkeypatch.setattr(qsym, "ENUM_LIMIT", 140)
+    s = antipode_closed(f)
+    monkeypatch.undo()  # the recursive antipode's products need over 140 quasi-shuffles
+    assert len(s.terms) == 73
+    assert s == antipode_recursive(f)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_mixed_degree())
 def test_format_coproduct_matches_pair_by_pair_text(f):
