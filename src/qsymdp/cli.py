@@ -2,6 +2,9 @@
 
 A process runs one command, so at import only the layers under gamma load; a
 handler imports equivariant, orderpoly, young or verify when it is called.
+
+A handler returns a QSymElem, a verdict (bool) or its exit code; run alone
+prints the first two and picks the exit code: 0, 1 for FAIL, 2 for a refusal.
 """
 
 from __future__ import annotations
@@ -65,41 +68,24 @@ def _terms_json(terms: dict) -> list:
     return [[str(terms[a]), list(a)] for a in comps.in_sort_key_order(terms)]
 
 
-def _emit_qsym(f: qsym.QSymElem, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(_terms_json(f.terms)))
-    else:
-        print(qsym.format_qsym(f))
-
-
-def cmd_antipode_m(args) -> int:
-    alpha = _parse_comp(args.composition)
-    _emit_qsym(qsym.antipode_closed(qsym.monomial(alpha)), args.json)
-    return 0
+def cmd_antipode_m(args) -> qsym.QSymElem:
+    return qsym.antipode_closed(qsym.monomial(_parse_comp(args.composition)))
 
 
 def cmd_antipode_f(args) -> int:
     alpha = _parse_comp(args.composition)
     result = qsym.antipode_closed(qsym.fundamental(alpha))
+    conj = comps.conjugate(alpha)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "conjugate": list(comps.conjugate(alpha)),
-                    "terms": _terms_json(result.terms),
-                }
-            )
-        )
+        print(json.dumps({"conjugate": list(conj), "terms": _terms_json(result.terms)}))
     else:
-        print(f"conjugate: {comps.format_composition(comps.conjugate(alpha))}")
+        print(f"conjugate: {comps.format_composition(conj)}")
         print(qsym.format_qsym(result))
     return 0
 
 
-def cmd_gamma(args) -> int:
-    d = _load_weighted(args.poset)
-    _emit_qsym(gamma_of(d), args.json)
-    return 0
+def cmd_gamma(args) -> qsym.QSymElem:
+    return gamma_of(_load_weighted(args.poset))
 
 
 def cmd_coproduct(args) -> int:
@@ -113,81 +99,59 @@ def cmd_coproduct(args) -> int:
     return 0
 
 
-def cmd_product(args) -> int:
+def cmd_product(args) -> qsym.QSymElem:
     d1 = _load_weighted(args.poset1)
     d2 = _load_weighted(args.poset2)
-    _emit_qsym(qsym.product(gamma_of(d1), gamma_of(d2)), args.json)
-    return 0
+    return qsym.product(gamma_of(d1), gamma_of(d2))
 
 
-def cmd_verify_antipode(args) -> int:
+def cmd_verify_antipode(args) -> bool:
     lhs, rhs = antipode_theorem_sides(_load_weighted(args.poset))
     ok = lhs == rhs
     text = qsym.format_qsym(lhs)
     print(f"S(Gamma): {text}")
     print(f"(-1)^|E| Gamma(opposite): {text if ok else qsym.format_qsym(rhs)}")
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return ok
 
 
-def cmd_equivariant(args) -> int:
+def cmd_equivariant(args) -> qsym.QSymElem:
     from . import equivariant as equi
     a = _load_action(args)
-    f = equi.gamma_plus(a) if args.plus else equi.gamma_equivariant(a)
-    _emit_qsym(f, args.json)
-    return 0
+    return equi.gamma_plus(a) if args.plus else equi.gamma_equivariant(a)
 
 
-def cmd_verify_equivariant(args) -> int:
+def cmd_verify_equivariant(args) -> bool:
     from . import equivariant as equi
-    ok = equi.equivariant_theorem_check(_load_action(args))
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return equi.equivariant_theorem_check(_load_action(args))
 
 
 def cmd_order_poly(args) -> int:
     from . import orderpoly as opoly
     omega = opoly.order_polynomial(_load_action(args))
-    binom = " + ".join(
-        f"{c}*C(q,{k})" for k, c in enumerate(omega.binom_coeffs) if c != 0
-    ) or "0"
     power = omega.power_coeffs()
-    poly = " + ".join(
-        f"{c}*q^{j}" if j else str(c) for j, c in enumerate(power) if c != 0
-    ) or "0"
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "binomial": [str(c) for c in omega.binom_coeffs],
-                    "power": [str(c) for c in power],
-                }
-            )
-        )
+        print(json.dumps({"binomial": [str(c) for c in omega.binom_coeffs], "power": [str(c) for c in power]}))
     else:
-        print(f"binomial basis: {binom}")
-        print(f"power basis: {poly}")
+        binom = " + ".join(f"{c}*C(q,{k})" for k, c in enumerate(omega.binom_coeffs) if c != 0)
+        poly = " + ".join(f"{c}*q^{j}" if j else str(c) for j, c in enumerate(power) if c != 0)
+        print(f"binomial basis: {binom or 0}")
+        print(f"power basis: {poly or 0}")
     return 0
 
 
-def cmd_reciprocity(args) -> int:
+def cmd_reciprocity(args) -> bool:
     from . import orderpoly as opoly
-    ok = opoly.reciprocity_check(_load_action(args), args.q)
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return opoly.reciprocity_check(_load_action(args), args.q)
 
 
-def cmd_schur(args) -> int:
+def cmd_schur(args) -> qsym.QSymElem:
     from . import young
-    _emit_qsym(young.skew_schur(_load_shape(args)), args.json)
-    return 0
+    return young.skew_schur(_load_shape(args))
 
 
-def cmd_verify_schur(args) -> int:
+def cmd_verify_schur(args) -> bool:
     from . import young
-    ok = young.schur_antipode_check(_load_shape(args))
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return young.schur_antipode_check(_load_shape(args))
 
 
 def cmd_selftest(args) -> int:
@@ -283,10 +247,17 @@ def run(argv: list[str]) -> int:
     # Looked up at call time, so a rebound cmd_* (a tracer's wrapper) is the one called.
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        result = handler(args)
     except (InputError, NotTertispecialError, qsym.BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, bool):  # before any int test: True is an int
+        print("PASS" if result else "FAIL")
+        return 0 if result else 1
+    if isinstance(result, qsym.QSymElem):
+        print(json.dumps(_terms_json(result.terms)) if args.json else qsym.format_qsym(result))
+        return 0
+    return result
 
 
 def main() -> None:

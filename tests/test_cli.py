@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -460,6 +461,27 @@ def test_dispatch_looks_up_the_handler_when_called(capsys, monkeypatch, chain2):
     monkeypatch.setattr(cli, "cmd_gamma", stub)
     assert invoke(capsys, "gamma", chain2) == (0, "", "")
     assert seen == [chain2]
+
+
+M2_2M11 = monomial((2,)) + monomial((1, 1)).scale(2)
+
+
+@pytest.mark.parametrize(
+    "result, flags, want",
+    [
+        (True, [], (0, "PASS\n", "")),
+        (False, [], (1, "FAIL\n", "")),
+        (M2_2M11, [], (0, "M(2) + 2*M(1,1)\n", "")),
+        (M2_2M11, ["--json"], (0, '[["1", [2]], ["2", [1, 1]]]\n', "")),
+        (1, [], (1, "", "")),
+    ],
+    ids=["pass", "fail", "qsym", "qsym-json", "exit-code"],
+)
+def test_run_prints_the_handlers_verdict_or_qsym_value(capsys, monkeypatch, chain2, result, flags, want):
+    # a verdict is printed as PASS or FAIL and a QSymElem as text or a --json
+    # term list; any other result is the exit code, and run prints nothing
+    monkeypatch.setattr(cli, "cmd_gamma", lambda args: result)
+    assert invoke(capsys, *flags, "gamma", chain2) == want
 
 
 def test_every_subcommand_has_a_handler():
@@ -987,6 +1009,11 @@ GOLDEN = [
 ]
 
 
+def failed_a_verdict(out):
+    last = out.splitlines()[-1] if out else ""
+    return last == "FAIL" or last.startswith("selftest: FAIL")
+
+
 @pytest.mark.parametrize("argv, code, out, err", GOLDEN)
 def test_golden(capsys, tmp_path, argv, code, out, err):
     for name, doc in GOLDEN_FILES.items():
@@ -995,6 +1022,19 @@ def test_golden(capsys, tmp_path, argv, code, out, err):
     got_code, got_out, got_err = invoke(capsys, *argv)
     got_err = got_err.replace(str(tmp_path) + os.sep, "")
     assert (got_code, got_out, got_err) == (code, out, err)
+    assert (got_code == 1) == failed_a_verdict(got_out)  # exit 1 only after a verdict
+
+
+def test_verify_antipode_exits_1_only_after_a_failed_verdict(capsys, tmp_path):
+    seen = set()
+    for n in range(3):
+        for p in all_double_posets(n):
+            for w in itertools.product((1, 2), repeat=n):
+                path = write_poset(tmp_path, "p.json", dict(to_dict(p), w=dict(zip(p.elements, w))))
+                code, out, _ = invoke(capsys, "verify-antipode", path)
+                assert (code == 1) == failed_a_verdict(out), (p, w)
+                seen.add(code)
+    assert seen == {0, 1}
 
 
 def test_not_preserving_witness_independent_of_hash_seed(tmp_path):
