@@ -225,13 +225,26 @@ def _join_terms(pieces: List[str]) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
+class _PartTexts(dict):
+    """str(part) per part, built on its first lookup.  One table per rendering
+    call: a module-level one would outlive the call, which perfbench models as a
+    fresh process per op, and would grow without bound."""
+
+    def __missing__(self, part: int) -> str:
+        text = self[part] = str(part)
+        return text
+
+
 def format_qsym(f: QSymElem) -> str:
-    """Render as e.g. ``M(2) + 2*M(1,1) - 3*M(3)``; zero prints as ``0``."""
+    """Render as e.g. ``M(2) + 2*M(1,1) - 3*M(3)``; zero prints as ``0``.  A term is
+    its coefficient's head, built once per coefficient, and its parts' texts from
+    a _PartTexts table local to the call."""
     items = f.sorted_terms()
     if not items:
         return "0"
     heads = {c: _term_head(c) for c in set(f.terms.values())}
-    return _join_terms([heads[c] + ",".join(map(str, alpha)) + ")" for alpha, c in items])
+    part = _PartTexts().__getitem__
+    return _join_terms([heads[c] + ",".join(map(part, alpha)) + ")" for alpha, c in items])
 
 
 def format_coproduct(f: QSymElem) -> str:
@@ -240,17 +253,20 @@ def format_coproduct(f: QSymElem) -> str:
     its c M_gamma; empty for zero.  One pass over f's terms in sort_key order
     fills each right in order (beta is a common prefix of the alpha that reach
     it), and the text of each gamma in alpha = beta.gamma is a slice of alpha's
-    text "a1,...,al)", cut after its k-th comma for |beta| = k parts.
+    text "a1,...,al)", cut after its k-th comma for |beta| = k parts, and built
+    as in format_qsym.
     """
+    heads = {c: _term_head(c) for c in set(f.terms.values())}
+    part = _PartTexts().__getitem__
     rights: Dict[Comp, List[str]] = {}
     for alpha, c in f.sorted_terms():
-        head = _term_head(c)
-        text = ",".join(map(str, alpha)) + ")"
+        head = heads[c]
+        text = ",".join(map(part, alpha)) + ")"
         cut = 0
         for k in range(len(alpha)):
             rights.setdefault(alpha[:k], []).append(head + text[cut:])
             cut = text.find(",", cut) + 1
         rights.setdefault(alpha, []).append(head + ")")
     return "\n".join(
-        f"M({','.join(map(str, left))}) (x) {_join_terms(rights[left])}" for left in in_sort_key_order(rights)
+        f"M({','.join(map(part, left))}) (x) {_join_terms(rights[left])}" for left in in_sort_key_order(rights)
     )

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_double_poset, weighted
 from qsymdp import qsym
@@ -145,6 +145,7 @@ def test_format_coproduct_examples():
         "M(2) (x) 1/3*M() - 2*M(1)\n"
         "M(2,1) (x) -2*M()"
     )
+    assert format_coproduct(M(15) + M(12, 3)) == "M() (x) M(15) + M(12,3)\nM(12) (x) M(3)\nM(15) (x) M()\nM(12,3) (x) M()"
 
 
 def test_counit_axiom():
@@ -237,6 +238,7 @@ def test_format_qsym_examples():
     assert format_qsym(f) == "2*M() - M(2) + 3/2*M(1,1)"
     assert format_qsym(-f) == "-2*M() + M(2) - 3/2*M(1,1)"
     assert format_qsym(ZERO) == "0"
+    assert format_qsym(antipode_closed(monomial((10, 2)))) == "M(12) + M(2,10)"
 
 
 @settings(max_examples=30, deadline=None)
@@ -363,6 +365,56 @@ def test_antipode_charges_each_degree_against_its_own_limit(monkeypatch):
 def test_format_coproduct_matches_pair_by_pair_text(f):
     assert format_coproduct(f) == coproduct_text_by_pairs(f)
     assert_table_is_deconcatenation(f)
+
+
+def reference_qsym_text(terms):
+    """The text of the sum of c M_alpha over terms, one str per part and per term."""
+    text = ""
+    for alpha in sorted(terms, key=sort_key):
+        c = terms[alpha]
+        body = ("" if abs(c) == 1 else f"{abs(c)}*") + "M(" + ",".join(str(p) for p in alpha) + ")"
+        if text:
+            text += (" - " if c < 0 else " + ") + body
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
+
+
+def reference_coproduct_text(f):
+    """The lines M(beta) (x) right of the deconcatenations alpha = beta.gamma of f's terms."""
+    rights = {}
+    for alpha, c in f.terms.items():
+        for k in range(len(alpha) + 1):
+            rights.setdefault(alpha[:k], {})[alpha[k:]] = c
+    return "\n".join(
+        "M(" + ",".join(str(p) for p in beta) + ") (x) " + reference_qsym_text(rights[beta])
+        for beta in sorted(rights, key=sort_key)
+    )
+
+
+@st.composite
+def many_digit_parts(draw):
+    """0-6 terms of 0-5 parts from 1 to 5000 (some from a small pool, so that
+    parts repeat) with int or Fraction coefficients, +-1 among them; a term may
+    be drawn twice with opposite coefficients, so that it cancels."""
+    part = st.integers(1, 5000) | st.sampled_from([1, 9, 10, 99, 100, 4999, 5000])
+    coeff = st.sampled_from([1, -1, Fraction(1), Fraction(-1)]) | st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=12)
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(coeff)
+        alpha = Composition(draw(st.lists(part, max_size=5)))
+        pairs.append((c, monomial(alpha)))
+        if draw(st.booleans()):
+            pairs.append((-c, monomial(alpha)))
+    return linear_combination(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(many_digit_parts())
+@example(M(10, 2).scale(-1) + M(5000, 10, 10).scale(Fraction(-7, 3)) + ONE.scale(12))
+def test_format_matches_reference_renderer_on_many_digit_parts(f):
+    assert format_qsym(f) == reference_qsym_text(f.terms)
+    assert format_coproduct(f) == reference_coproduct_text(f)
 
 
 @pytest.mark.parametrize("n", [5, 6])
