@@ -24,13 +24,12 @@ class NotTertispecialError(ValueError):
     """Raised when an operation requires a tertispecial double poset."""
 
 
-# Bound of gamma_of_orders.  The coproduct rule takes Gamma of restrictions that
-# recur across posets: `selftest --max-size 4` makes 771023 calls (each part of
-# the coproduct check one, straight from its squeezed orders) on 6616 distinct
-# (<1, strict pairs, weights) keys, all of which 8192 entries keep; its peak RSS
-# goes from 25.1 MB (1024 entries keyed on <2) to 30.2 MB.
-# It is a module-level lru_cache, so clearing the package's caches starts it
-# cold, as a fresh process does.
+# Bound of gamma_of_orders, and of the bool verdicts of the coproduct and
+# antipode checks, each memoised on the orders it reads.  `selftest --max-size 4`
+# makes 142649 Gamma calls on 6616 (<1, strict pairs, weights) keys, and checks
+# its 48333 posets on 3307 coproduct and 3890 antipode keys (86 and 93 for the
+# 372 at size 3); all fit.  Module-level lru_caches: clearing the package's
+# caches (perfbench does so per op) starts them cold, as a fresh process does.
 GAMMA_CACHE_SIZE = 8192
 
 
@@ -157,6 +156,14 @@ def _times_part(f: QSymElem, a: int) -> QSymElem:
 def gamma_coproduct_check(d: DoublePoset) -> bool:
     """True iff the table of Delta(Gamma(E,w)) equals the summed table of the
     Gamma(E|P, w|P) (x) Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
+    Like Gamma, the verdict reads only <1, the strict pairs and w, so it is
+    memoised on them in `coproduct_check_of_orders`."""
+    return coproduct_check_of_orders(d.lt1, strict_pairs(d), d.w)
+
+
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
+def coproduct_check_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> bool:
+    """The coproduct rule on the double poset with these orders and weights.
 
     Both sides are read from the orders over the declaration index, with no
     labelled poset built per subset.  The left side is the chain sum of E; each
@@ -164,7 +171,6 @@ def gamma_coproduct_check(d: DoublePoset) -> bool:
     the weights of E squeezed to the subset's mask.  Both orders of E|P are
     induced from E, so the strict pairs of E|P are those of E restricted to P.
     """
-    lt1, strict, w = d.lt1, strict_pairs(d), d.w
     parts: Dict[int, QSymElem] = {}  # a subset can be the P of one pair and the Q of another
 
     def part(mask):
@@ -174,9 +180,9 @@ def gamma_coproduct_check(d: DoublePoset) -> bool:
             )
         return parts[mask]
 
-    full = (1 << d.size) - 1
+    full = (1 << len(w)) - 1
     rhs: Dict[Tuple[tuple, tuple], int] = {}
-    for low in down_sets(d):
+    for low in down_sets(DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt1)):
         left, right = part(low), part(full ^ low)
         for a, ca in left.terms.items():
             for b, cb in right.terms.items():
@@ -186,15 +192,28 @@ def gamma_coproduct_check(d: DoublePoset) -> bool:
 
 def antipode_theorem_sides(d: DoublePoset) -> Tuple[QSymElem, QSymElem]:
     """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w)."""
-    return antipode_closed(gamma(d)), gamma(opposite1(d)).scale((-1) ** d.size)
+    return _antipode_sides(d.lt1, strict_pairs(d), strict_pairs(opposite1(d)), d.w)
+
+
+def _antipode_sides(lt1: Rel, strict: Rel, flipped_strict: Rel, w: Tuple[int, ...]) -> Tuple[QSymElem, QSymElem]:
+    """The two sides from the orders: Gamma(opposite1(E)) has order >1, the
+    strict pairs flipped_strict of `strict_pairs(opposite1(E))`, and w."""
+    flipped = gamma_of_orders(transpose(lt1), flipped_strict, w)
+    return antipode_closed(gamma_of_orders(lt1, strict, w)), flipped.scale((-1) ** len(w))
 
 
 def antipode_theorem_check(d: DoublePoset) -> bool:
     """True iff the two sides of :func:`antipode_theorem_sides` are equal.
 
     Guaranteed true for tertispecial posets; reported (not required) otherwise.
+    The verdict is memoised on the orders the sides read, and w.
     """
-    lhs, rhs = antipode_theorem_sides(d)
+    return antipode_check_of_orders(d.lt1, strict_pairs(d), strict_pairs(opposite1(d)), d.w)
+
+
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
+def antipode_check_of_orders(lt1: Rel, strict: Rel, flipped_strict: Rel, w: Tuple[int, ...]) -> bool:
+    lhs, rhs = _antipode_sides(lt1, strict, flipped_strict, w)
     return lhs == rhs
 
 

@@ -4,6 +4,7 @@ finite ground set."""
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .qsym import ENUM_LIMIT, BoundExceededError
@@ -220,12 +221,13 @@ def check_double_poset_count(n: int) -> None:
         raise BoundExceededError(f"{count}^2 double posets on {n} elements exceed ENUM_LIMIT {ENUM_LIMIT}")
 
 
-def all_double_posets(n: int) -> List[DoublePoset]:
+@lru_cache(maxsize=len(STRICT_ORDER_COUNTS))  # each suite of a selftest reads them; n past the table is refused
+def all_double_posets(n: int) -> Tuple[DoublePoset, ...]:
     """All double posets on the labels a, b, c, ... (n of them), in a fixed order;
     more than ENUM_LIMIT of them are refused before any order is enumerated."""
     check_double_poset_count(n)
     labels = tuple(chr(ord("a") + i) for i in range(n))
     orders = all_strict_orders(labels)
-    return [
+    return tuple(
         DoublePoset(elements=labels, lt1=lt1, lt2=lt2) for lt1 in orders for lt2 in orders
-    ]
+    )

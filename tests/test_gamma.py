@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -242,6 +243,7 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
         return memo(*key)
 
     monkeypatch.setattr(m, "gamma_of_orders", counted)
+    m.coproduct_check_of_orders.cache_clear()  # a memoised verdict would call nothing
     # distinct weights give each subset of the 3-antichain its own key
     assert gamma_coproduct_check(build("abc", [], [], w=(1, 2, 3)))
     # the 8 subsets, each once, and E itself for the left side
@@ -340,6 +342,48 @@ def test_gamma_is_memoised_on_orders_and_weights():
     # a <2 b makes the pair a <1 b weak: a new key
     weak = build("abc", [("a", "b")], [("a", "b")], w=w)
     assert gamma(weak) != first and cache.cache_info()[:2] == (2, 3)
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qsymdp."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def test_memoised_check_verdicts_equal_the_cold_ones():
+    # a memo key that left out something a check reads would hand a poset the
+    # verdict of an earlier poset with the same key; a verdict computed with
+    # every cache cleared cannot
+    import qsymdp.gamma as m
+
+    for cache in (m.coproduct_check_of_orders, m.antipode_check_of_orders):
+        assert cache.cache_info().maxsize == m.GAMMA_CACHE_SIZE
+    posets = [
+        weighted(p, w) for n in range(4) for p in all_double_posets(n) for w in ((), tuple(1 + i % 2 for i in range(n)))
+    ]
+    _clear_package_caches()
+    warm = [(gamma_coproduct_check(d), antipode_theorem_check(d)) for d in posets]
+    for d, verdicts in zip(posets, warm):
+        _clear_package_caches()
+        coproduct_rule = gamma_coproduct_check(d)
+        _clear_package_caches()
+        assert (coproduct_rule, antipode_theorem_check(d)) == verdicts, d
+    assert {v for _, v in warm} == {False, True}
+
+
+def test_antipode_verdict_is_keyed_on_the_flipped_strict_pairs():
+    # a <1 b with a <2 b is tertispecial and the theorem holds; with no <2 it
+    # fails.  The two share <1, the strict pairs and w, and differ only in the
+    # strict pairs of opposite1, which the memo key must therefore hold
+    holds = build("ab", [("a", "b")], [("a", "b")])
+    fails = build("ab", [("a", "b")], [])
+    assert (holds.lt1, strict_pairs(holds), holds.w) == (fails.lt1, strict_pairs(fails), fails.w)
+    assert strict_pairs(opposite1(holds)) != strict_pairs(opposite1(fails))
+    for first, second in ((holds, fails), (fails, holds)):
+        _clear_package_caches()
+        assert [antipode_theorem_check(first), antipode_theorem_check(second)] == [first is holds, second is holds]
 
 
 def test_refused_gamma_is_refused_again():

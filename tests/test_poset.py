@@ -238,6 +238,25 @@ def test_enumerations_refuse_above_the_enumeration_limit(monkeypatch):
         m.all_double_posets(6)
 
 
+def test_selftest_enumerates_each_size_once(monkeypatch):
+    # the three poset suites share the memoised all_double_posets
+    import qsymdp.poset as m
+    from qsymdp import verify
+
+    sizes = []
+    orders = m.all_strict_orders
+
+    def counted(labels):
+        sizes.append(len(labels))
+        return orders(labels)
+
+    monkeypatch.setattr(m, "all_strict_orders", counted)
+    m.all_double_posets.cache_clear()
+    for name in ("gamma-truncation", "antipode-theorem", "coproduct-product-rules"):
+        assert all(verify.SUITES[name](2))
+    assert sizes == [0, 1, 2]
+
+
 def label_pairs(d, rel):
     """The relation rel of d as a set of label pairs: rel[i] has bit j iff i < j."""
     e = d.elements
