@@ -20,11 +20,15 @@ bounded tables hold what depends on no poset: `_map_table`, all maps per
 each of those maps per (weights, m); and `_monomial_exponents`, the monomials
 of M_alpha per (alpha, m).  The brute force is still brute force: every call
 tests every map against the definition, and only the list of maps and their
-monomials are reused.  The G-orbits (and E-coeven G-orbits) of E-partitions
-into [q] are counted by walking that enumeration along the group's generators,
-with a parity per vector to find the odd stabilisers, for the order polynomial
-and reciprocity.  The recursive antipode solves m(S x id)Delta = u eps,
-independently of the closed form.  The fundamental expansion of Gamma over
+monomials are reused.  `gamma_truncations_match` enumerates a poset's
+E-partitions into [m] once and counts one truncation of Gamma per claimed
+(weights, Gamma) pair, so a gate of several weightings tests each map once per
+poset and keeps nothing past the call; with no claimed term of more than |E|
+parts, m = |E| variables decide Gamma exactly.  The G-orbits (and E-coeven
+G-orbits) of E-partitions into [q] are counted by walking that enumeration
+along the group's generators, with a parity per vector to find the odd
+stabilisers, for the order polynomial and reciprocity.  The recursive
+antipode solves m(S x id)Delta = u eps, independently of the closed form.  The fundamental expansion of Gamma over
 linear extensions is a third route, for special double posets, that shares no
 code with the other two; `build_Yh`, the special cell poset of a skew shape,
 takes skew Schur functions along it.  The orbit sums are also summed element
@@ -52,9 +56,9 @@ from .young import Cell, SkewShape, cell_poset
 Poly = Dict[Tuple[int, ...], Coeff]
 
 
-# Bound of each oracle table.  `selftest --max-size 4` reads 19 tables of all
+# Bound of each oracle table.  `selftest --max-size 4` reads 18 tables of all
 # maps per (|E|, m), 8 of their monomials per (weights, m) and 48 of the
-# monomials of M_alpha per (alpha, m), about 96700, 96700 and 851000 times; 64
+# monomials of M_alpha per (alpha, m), about 48400, 96700 and 851000 times; 64
 # entries keep them all.
 ORACLE_CACHE_SIZE = 64
 # The most maps E -> [m] kept as a table.  selftest and the tests reuse a few
@@ -232,20 +236,40 @@ def _exponent_table(w: Tuple[int, ...], m: int) -> Dict[Tuple[int, ...], Tuple[i
     return {values: _exponents(w, m, values) for values in _map_table(len(w), m)}
 
 
-def gamma_truncated_bruteforce(d: DoublePoset, m: int) -> Poly:
-    """The truncation of Gamma(E, w) to m variables, summed map by map."""
-    w = d.w
+def gamma_truncations_match(d: DoublePoset, claims: Iterable[Tuple[Tuple[int, ...], QSymElem]], m: int) -> List[bool]:
+    """One verdict per claim (w, f), that f is Gamma(E, w) of d's orders with the
+    weights w over the declaration index: f has no term of more than |E| parts,
+    as no E-partition takes more than |E| values, and f expanded in m variables
+    equals the truncation of Gamma(E, w) to m variables, summed map by map.
+
+    The E-partitions into [m] are enumerated once, every map tested against
+    the definition, and each is counted into one truncation per claim; d.w is
+    not read.  Tabulated maps are kept as a tuple of E-partitions for the
+    claims, streamed ones are counted as they come.  The brute force, and so
+    its bound, comes before any f is read.
+    """
+    claims, n = list(claims), d.size
+    if any(len(w) != n for w, _ in claims):
+        raise ValueError("weight function must be total on the ground set")
+    counts = [Counter() for _ in claims]
     vectors = _epartition_vectors(d, m)
-    if m ** len(w) > MAP_TABLE_LIMIT:  # the maps were not tabulated
-        return dict(Counter(_exponents(w, m, values) for values in vectors))
-    return dict(Counter(map(_exponent_table(w, m).__getitem__, vectors)))
+    if m ** n > MAP_TABLE_LIMIT:  # the maps were not tabulated
+        for values in vectors:
+            for count, (w, _) in zip(counts, claims):
+                count[_exponents(w, m, values)] += 1
+    else:
+        vectors = tuple(vectors)
+        for count, (w, _) in zip(counts, claims):
+            count.update(map(_exponent_table(w, m).__getitem__, vectors))
+    return [
+        max(map(len, f.terms), default=0) <= n and _expand(f, m) == count
+        for count, (_, f) in zip(counts, claims)
+    ]
 
 
 def gamma_truncation_matches(d: DoublePoset, f: QSymElem, m: int) -> bool:
-    """True iff f, expanded in m variables, equals the brute-force truncation;
-    the brute force, and so its bound, comes first."""
-    truncation = gamma_truncated_bruteforce(d, m)
-    return _expand(f, m) == truncation
+    """`gamma_truncations_match` of the one claim (d.w, f): exact for m >= |E|."""
+    return gamma_truncations_match(d, [(d.w, f)], m)[0]
 
 
 def gamma_linear_extensions(d: DoublePoset) -> QSymElem:

@@ -157,8 +157,9 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     """S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma, extended linearly.
 
     In degree n, S(f)[G] = sum over E >= G of c'[E], with c'[D(rev alpha)] = (-1)^l c_alpha:
-    a superset-sum, run by Yates's passes on sub-cubes of masks that cover the
-    degree's support.  The cover is one cube over the OR u of the support's masks
+    a superset-sum.  A degree with one mask E needs no pass: every sub-mask of E
+    sums to c'[E].  Otherwise it is run by Yates's passes on sub-cubes of masks that
+    cover the degree's support.  The cover is one cube over the OR u of the support's masks
     when 2^|u| <= sum over the support of 2^|m| (a dense support, such as a Gamma's)
     and that cube fits the bound; otherwise it is one cube per maximal mask of the
     support, at most the 2^|D(rev alpha)| cells per term that the closed form visits,
@@ -175,6 +176,12 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     terms: Dict[Comp, Coeff] = {}
     for n, values in by_degree.items():
         words = n // 64 + 1
+        if len(values) == 1:  # every sub-mask of the one mask sums to its value
+            (mask, v), = values.items()
+            if (1 << mask.bit_count()) * words > ENUM_LIMIT:
+                raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
+            terms.update(dict.fromkeys(compositions_between(n, 0, mask), v))
+            continue
         union = 0
         for mask in values:
             union |= mask

@@ -70,11 +70,23 @@ def antipode_consistency(size: int) -> Iterator[bool]:
 
 
 def gamma_truncation(size: int) -> Iterator[bool]:
-    """Per poset: Gamma against the all-maps oracle, with weights all 1 and 1, 2, 1, ..."""
+    """Per poset: Gamma against the all-maps oracle, with weights all 1 and 1, 2, 1, ...
+
+    The comparison is in |E| variables, with no term of more than |E| parts,
+    and that decides Gamma exactly.  In k variables an M_alpha of at most k
+    parts keeps the monomial x_1^alpha_1 ... x_l^alpha_l, which no other M_beta
+    has, so those M_alpha stay independent, while one of more parts expands to
+    0.  Gamma has no term of more than |E| parts, one part per value of an
+    E-partition, and the bound refuses an f that has one.  In |E| + 1 variables
+    without the bound, a wrong term of |E| + 2 or more parts would pass.  The
+    oracle enumerates each poset's E-partitions once for both weightings, whose
+    Gammas are read from the orders with one `strict_pairs` per poset.
+    """
     for poset in _all_posets(size):
-        for w in ((), tuple(1 + i % 2 for i in range(poset.size))):
-            d = pos.DoublePoset(poset.elements, poset.lt1, poset.lt2, w)
-            yield oracles.gamma_truncation_matches(d, gm.gamma(d), poset.size + 1)
+        n, strict = poset.size, gm.strict_pairs(poset)
+        weightings = ((1,) * n, tuple(1 + i % 2 for i in range(n)))
+        claims = [(w, gm.gamma_of_orders(poset.lt1, strict, w)) for w in weightings]
+        yield from oracles.gamma_truncations_match(poset, claims, n)
 
 
 def antipode_theorem(size: int) -> Iterator[bool]:

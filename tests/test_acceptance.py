@@ -60,7 +60,9 @@ def test_criterion_4_weighs_each_poset_by_ones_then_by_1_2_1(monkeypatch):
     import qsymdp.oracles
 
     seen = []
-    monkeypatch.setattr(qsymdp.oracles, "gamma_truncation_matches", lambda d, f, m: seen.append(d.w) or True)
+    monkeypatch.setattr(
+        qsymdp.oracles, "gamma_truncations_match", lambda d, claims, m: [seen.append(w) or True for w, _ in claims]
+    )
     assert all(SUITES["gamma-truncation"](3))
     assert len(seen) == 2 * sum(len(all_double_posets(n)) for n in range(4))
     assert seen[0::2] == [(1,) * len(w) for w in seen[0::2]]

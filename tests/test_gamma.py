@@ -8,7 +8,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymdp.compositions import Composition, compositions_of, conjugate, descent_set
+from qsymdp import oracles
+from qsymdp.compositions import Composition, compositions_of, conjugate, descent_set, in_sort_key_order
 from qsymdp.gamma import (
     NotTertispecialError,
     antipode_theorem_check,
@@ -23,6 +24,7 @@ from qsymdp.oracles import (
     epartitions_into,
     gamma_linear_extensions,
     gamma_truncation_matches,
+    gamma_truncations_match,
     is_epartition,
     is_epartition_covers,
     product_truncation_matches,
@@ -187,6 +189,61 @@ def test_gamma_matches_bruteforce_truncation():
                 assert gamma_truncation_matches(wd, gamma(wd), n + 1)
                 # each coefficient counts E-partitions, so the coproduct table's sums of products hold no zero
                 assert all(c > 0 for c in gamma(wd).terms.values())
+
+
+def truncation_mutants(f, n):
+    """Gamma with the coefficient of its first term in sort_key order one too
+    large, and Gamma plus M_(1^(n+1)), a term of more parts than |E| = n."""
+    first = in_sort_key_order(f.terms)[0]
+    return f + monomial(first), f + monomial((1,) * (n + 1))
+
+
+# the antipode demo's tertispecial V with weights 1, 2, 1
+VEE = build("abc", [("a", "b"), ("a", "c")], [("a", "b"), ("c", "a")], w=(1, 2, 1))
+
+
+def test_gate_refuses_gamma_with_one_coefficient_off_by_one():
+    f = gamma(VEE)
+    off, _ = truncation_mutants(f, 3)
+    assert gamma_truncations_match(VEE, [(VEE.w, f), (VEE.w, off)], 3) == [True, False]
+
+
+def test_gate_refuses_a_term_of_more_parts_than_E_by_the_bound_alone():
+    f = gamma(VEE)
+    _, extra = truncation_mutants(f, 3)
+    # in |E| = 3 variables M_(1,1,1,1) expands to 0, so the truncations agree
+    assert oracles._expand(extra, 3) == oracles._expand(f, 3)
+    assert gamma_truncations_match(VEE, [(VEE.w, f), (VEE.w, extra)], 3) == [True, False]
+
+
+def test_gate_in_E_variables_agrees_with_the_truncation_in_one_more():
+    # both weightings of every double poset with |E| <= 3, six claims per
+    # enumeration, against one call per claim in |E| + 1 variables
+    for n in range(4):
+        for d in all_double_posets(n):
+            claims = []
+            for w in ((1,) * n, tuple(1 + i % 2 for i in range(n))):
+                f = gamma(weighted(d, w))
+                claims += [(w, g) for g in (f, *truncation_mutants(f, n))]
+            verdicts = gamma_truncations_match(d, claims, n)
+            assert verdicts == [True, False, False] * 2
+            assert verdicts == [gamma_truncation_matches(weighted(d, w), g, n + 1) for w, g in claims]
+
+
+def test_gate_counts_a_streamed_enumeration_for_every_claim():
+    # 17^3 maps are above MAP_TABLE_LIMIT: counted as they come, for each claim
+    d = chain(3)
+    tables = (oracles._map_table, oracles._exponent_table)
+    before = [t.cache_info().currsize for t in tables]
+    assert 17**3 > oracles.MAP_TABLE_LIMIT
+    claims = []
+    for w in ((1, 1, 1), (1, 2, 1)):
+        f = gamma(weighted(d, w))
+        claims += [(w, g) for g in (f, *truncation_mutants(f, 3))]
+    assert gamma_truncations_match(d, claims, 17) == [True, False, False] * 2
+    assert [t.cache_info().currsize for t in tables] == before
+    with pytest.raises(ValueError, match="total"):
+        gamma_truncations_match(d, [((1, 1), gamma(d))], 3)
 
 
 def test_packed_count_matches_bruteforce_packed_filter():
@@ -505,8 +562,8 @@ def test_linear_extensions_match_gamma_drawn(n, rng, data):
 
 @pytest.mark.slow
 def test_gamma_truncation_exhaustive_size4():
-    # every double poset with |E| = 4 (219^2 of them), two weightings
+    # every double poset with |E| = 4 (219^2 of them), two weightings, in 4
+    # variables with no term of more than 4 parts
     for d in all_double_posets(4):
-        for w in ((), tuple(1 + i % 2 for i in range(d.size))):
-            wd = weighted(d, w)
-            assert gamma_truncation_matches(wd, gamma(wd), 4)
+        claims = [(w, gamma(weighted(d, w))) for w in ((1, 1, 1, 1), (1, 2, 1, 2))]
+        assert gamma_truncations_match(d, claims, 4) == [True, True]

@@ -347,6 +347,29 @@ def test_antipode_falls_back_to_the_maximal_masks_when_the_or_cube_is_over_the_l
         antipode_closed(g)
 
 
+def test_antipode_of_one_mask_per_degree_fills_its_cube_without_a_pass(monkeypatch):
+    # one term per degree: every sub-mask of its mask sums to its value, so no
+    # Yates cube is built; checked against the recursion for every alpha of n <= 8
+    monkeypatch.setattr(qsym, "_antipode_cube", None)
+    for n in range(9):
+        for alpha in compositions_of(n):
+            f = M(*alpha)
+            assert antipode_closed(f) == antipode_recursive(f)
+            assert antipode_closed(f.scale(-3)) == antipode_recursive(f).scale(-3)
+    f = M(2, 1).scale(5) + M(1, 1, 1, 1).scale(-2) + M(3, 1, 2)
+    assert antipode_closed(f) == antipode_recursive(f)
+
+
+def test_antipode_of_one_mask_is_refused_at_the_same_bound(monkeypatch):
+    # D(rev alpha) = {1..6} has 64 cells and {1..7} 128; the limit is 100
+    f = with_reversed_descents(10, [bits(1, 6)])
+    expected = antipode_recursive(f)  # its products need over 100 quasi-shuffles
+    monkeypatch.setattr(qsym, "ENUM_LIMIT", 100)
+    assert antipode_closed(f) == expected
+    with pytest.raises(BoundExceededError, match="^antipode in degree 10 needs over 100 cell words$"):
+        antipode_closed(with_reversed_descents(10, [bits(1, 7)]))
+
+
 def test_antipode_charges_each_degree_against_its_own_limit(monkeypatch):
     # degree 10 takes the OR cube {1..7}, 128 cells; the 20 one-bit masks of
     # degree 41 take a cube of 2 cells each, 40 in all: over 140 only if the
