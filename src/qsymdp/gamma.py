@@ -24,12 +24,10 @@ class NotTertispecialError(ValueError):
     """Raised when an operation requires a tertispecial double poset."""
 
 
-# Bound of gamma_of_orders, and of the bool verdicts of the coproduct and
-# antipode checks, each memoised on the orders it reads.  `selftest --max-size 4`
-# makes 142649 Gamma calls on 6616 (<1, strict pairs, weights) keys, and checks
-# its 48333 posets on 3307 coproduct and 3890 antipode keys (86 and 93 for the
-# 372 at size 3); all fit.  Module-level lru_caches: clearing the package's
-# caches (perfbench does so per op) starts them cold, as a fresh process does.
+# Bound of gamma_of_orders, the one memo of the package's Gamma layer.
+# `selftest --max-size 4` makes 142649 Gamma calls on 6616 (<1, strict pairs,
+# weights) keys; all fit.  A module-level lru_cache: clearing the package's
+# caches (perfbench does so per op) starts it cold, as a fresh process does.
 GAMMA_CACHE_SIZE = 8192
 
 
@@ -84,13 +82,18 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
         return _chain_sum(lt1, strict, w)
     f = ONE
     if related:
-        f = _chain_sum(
-            squeeze(lt1, related), squeeze(strict, related), tuple(x for i, x in enumerate(w) if related >> i & 1)
-        )
+        f = _chain_sum(*_restrict(lt1, strict, w, related))
     for i, part in enumerate(w):
         if not related >> i & 1:
             f = _times_part(f, part)
     return f
+
+
+def _restrict(lt1: Rel, strict: Rel, w: Tuple[int, ...], mask: int) -> Tuple[Rel, Rel, Tuple[int, ...]]:
+    """<1, the strict pairs and the weights induced on the indices in mask and
+    renumbered.  Both orders of E|mask are induced from E, so the strict pairs
+    of E|mask are those of E restricted to mask."""
+    return squeeze(lt1, mask), squeeze(strict, mask), tuple(x for i, x in enumerate(w) if mask >> i & 1)
 
 
 def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
@@ -156,33 +159,21 @@ def _times_part(f: QSymElem, a: int) -> QSymElem:
 def gamma_coproduct_check(d: DoublePoset) -> bool:
     """True iff the table of Delta(Gamma(E,w)) equals the summed table of the
     Gamma(E|P, w|P) (x) Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
-    Like Gamma, the verdict reads only <1, the strict pairs and w, so it is
-    memoised on them in `coproduct_check_of_orders`."""
-    return coproduct_check_of_orders(d.lt1, strict_pairs(d), d.w)
 
-
-@lru_cache(maxsize=GAMMA_CACHE_SIZE)
-def coproduct_check_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> bool:
-    """The coproduct rule on the double poset with these orders and weights.
-
-    Both sides are read from the orders over the declaration index, with no
-    labelled poset built per subset.  The left side is the chain sum of E; each
-    part is its own memoised `gamma_of_orders` call on <1, the strict pairs and
-    the weights of E squeezed to the subset's mask.  Both orders of E|P are
-    induced from E, so the strict pairs of E|P are those of E restricted to P.
+    Each part is one `gamma_of_orders` call on the orders and weights of E
+    restricted to the subset's mask, with no labelled poset built per subset.
     """
-    parts: Dict[int, QSymElem] = {}  # a subset can be the P of one pair and the Q of another
+    lt1, strict, w = d.lt1, strict_pairs(d), d.w
+    parts: Dict[int, QSymElem] = {}  # on an antichain every subset is both a P and a Q
 
     def part(mask):
         if mask not in parts:
-            parts[mask] = gamma_of_orders(
-                squeeze(lt1, mask), squeeze(strict, mask), tuple(x for i, x in enumerate(w) if mask >> i & 1)
-            )
+            parts[mask] = gamma_of_orders(*_restrict(lt1, strict, w, mask))
         return parts[mask]
 
-    full = (1 << len(w)) - 1
+    full = (1 << d.size) - 1
     rhs: Dict[Tuple[tuple, tuple], int] = {}
-    for low in down_sets(DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt1)):
+    for low in down_sets(d):
         left, right = part(low), part(full ^ low)
         for a, ca in left.terms.items():
             for b, cb in right.terms.items():
@@ -191,29 +182,17 @@ def coproduct_check_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> bool
 
 
 def antipode_theorem_sides(d: DoublePoset) -> Tuple[QSymElem, QSymElem]:
-    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w)."""
-    return _antipode_sides(d.lt1, strict_pairs(d), strict_pairs(opposite1(d)), d.w)
-
-
-def _antipode_sides(lt1: Rel, strict: Rel, flipped_strict: Rel, w: Tuple[int, ...]) -> Tuple[QSymElem, QSymElem]:
-    """The two sides from the orders: Gamma(opposite1(E)) has order >1, the
-    strict pairs flipped_strict of `strict_pairs(opposite1(E))`, and w."""
-    flipped = gamma_of_orders(transpose(lt1), flipped_strict, w)
-    return antipode_closed(gamma_of_orders(lt1, strict, w)), flipped.scale((-1) ** len(w))
+    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w);
+    opposite1 keeps w, so the flipped side carries the weights of E."""
+    return antipode_closed(gamma(d)), gamma(opposite1(d)).scale((-1) ** d.size)
 
 
 def antipode_theorem_check(d: DoublePoset) -> bool:
     """True iff the two sides of :func:`antipode_theorem_sides` are equal.
 
     Guaranteed true for tertispecial posets; reported (not required) otherwise.
-    The verdict is memoised on the orders the sides read, and w.
     """
-    return antipode_check_of_orders(d.lt1, strict_pairs(d), strict_pairs(opposite1(d)), d.w)
-
-
-@lru_cache(maxsize=GAMMA_CACHE_SIZE)
-def antipode_check_of_orders(lt1: Rel, strict: Rel, flipped_strict: Rel, w: Tuple[int, ...]) -> bool:
-    lhs, rhs = _antipode_sides(lt1, strict, flipped_strict, w)
+    lhs, rhs = antipode_theorem_sides(d)
     return lhs == rhs
 
 

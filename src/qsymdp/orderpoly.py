@@ -14,13 +14,14 @@ from .oracles import count_coeven_orbits_bruteforce, count_orbits_bruteforce
 from .poset import DoublePoset, is_tertispecial
 
 
-def binomial(q, k: int) -> Fraction:
-    """Generalized binomial C(q, k) = q(q-1)...(q-k+1)/k!, valid for negative
-    and rational q: the falling product, then one exact division."""
-    num = 1
+def binomial(q: int, k: int) -> int:
+    """Generalized binomial C(q, k) = q(q-1)...(q-k+1)/k! for any integer q,
+    negative ones included: the falling product of k consecutive integers is
+    divisible by k!, so one floor division is exact."""
+    falling = 1
     for i in range(k):
-        num *= q - i
-    return Fraction(num, math.factorial(k))
+        falling *= q - i
+    return falling // math.factorial(k)
 
 
 class OrderPolynomial:
@@ -31,11 +32,8 @@ class OrderPolynomial:
     def __init__(self, binom_coeffs: Tuple[int, ...]):
         self.binom_coeffs = binom_coeffs
 
-    def __call__(self, q) -> Fraction:
-        return sum(
-            (c * binomial(q, k) for k, c in enumerate(self.binom_coeffs)),
-            Fraction(0),
-        )
+    def __call__(self, q: int) -> int:
+        return sum(c * binomial(q, k) for k, c in enumerate(self.binom_coeffs))
 
     def power_coeffs(self) -> Tuple[Fraction, ...]:
         """Coefficients in the power basis, constant term first: with n the

@@ -90,17 +90,32 @@ def gamma_truncation(size: int) -> Iterator[bool]:
 
 
 def antipode_theorem(size: int) -> Iterator[bool]:
-    """Per poset: the antipode theorem, if tertispecial; then its failure on a <1 b."""
+    """Per poset: the antipode theorem, if tertispecial; then its failure on a <1 b.
+    A verdict is reused within the call by every poset with the same <1, strict
+    pairs of E and of opposite1(E), and w: all that the two sides read."""
+    verdicts: Dict[tuple, bool] = {}
     for poset in _all_posets(size):
-        yield not pos.is_tertispecial(poset) or gm.antipode_theorem_check(poset)
+        if not pos.is_tertispecial(poset):
+            yield True
+            continue
+        key = (poset.lt1, gm.strict_pairs(poset), gm.strict_pairs(pos.opposite1(poset)), poset.w)
+        if key not in verdicts:
+            verdicts[key] = gm.antipode_theorem_check(poset)
+        yield verdicts[key]
     yield not gm.antipode_theorem_check(pos.build(["a", "b"], [("a", "b")], []))
 
 
 def coproduct_product_rules(size: int) -> Iterator[bool]:
-    """Per poset: the coproduct rule; then the product rule on pairs of a sample of four."""
+    """Per poset: the coproduct rule; then the product rule on pairs of a sample of four.
+    A verdict is reused within the call by every poset with the same <1, strict
+    pairs and w: all that the rule reads."""
+    verdicts: Dict[tuple, bool] = {}
     sample = []
     for i, poset in enumerate(_all_posets(size)):
-        yield gm.gamma_coproduct_check(poset)
+        key = (poset.lt1, gm.strict_pairs(poset), poset.w)
+        if key not in verdicts:
+            verdicts[key] = gm.gamma_coproduct_check(poset)
+        yield verdicts[key]
         if i % 37 == 0 and poset.size <= 2:
             sample.append(poset)
     for d1, d2 in itertools.product(sample[:4], repeat=2):

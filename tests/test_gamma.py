@@ -2,8 +2,8 @@ import inspect
 import itertools
 import math
 import random
-import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,7 +300,6 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
         return memo(*key)
 
     monkeypatch.setattr(m, "gamma_of_orders", counted)
-    m.coproduct_check_of_orders.cache_clear()  # a memoised verdict would call nothing
     # distinct weights give each subset of the 3-antichain its own key
     assert gamma_coproduct_check(build("abc", [], [], w=(1, 2, 3)))
     # the 8 subsets, each once, and E itself for the left side
@@ -401,46 +400,63 @@ def test_gamma_is_memoised_on_orders_and_weights():
     assert gamma(weak) != first and cache.cache_info()[:2] == (2, 3)
 
 
-def _clear_package_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qsymdp."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+def _suite_verdicts(monkeypatch, suite, posets):
+    # the suite run on the given posets alone, each taken as tertispecial
+    import qsymdp.verify as v
+
+    monkeypatch.setattr(v, "_all_posets", lambda size: posets)
+    monkeypatch.setattr(v.pos, "is_tertispecial", lambda d: True)
+    return list(suite(0))[: len(posets)]
 
 
-def test_memoised_check_verdicts_equal_the_cold_ones():
-    # a memo key that left out something a check reads would hand a poset the
-    # verdict of an earlier poset with the same key; a verdict computed with
-    # every cache cleared cannot
-    import qsymdp.gamma as m
-
-    for cache in (m.coproduct_check_of_orders, m.antipode_check_of_orders):
-        assert cache.cache_info().maxsize == m.GAMMA_CACHE_SIZE
-    posets = [
-        weighted(p, w) for n in range(4) for p in all_double_posets(n) for w in ((), tuple(1 + i % 2 for i in range(n)))
-    ]
-    _clear_package_caches()
-    warm = [(gamma_coproduct_check(d), antipode_theorem_check(d)) for d in posets]
-    for d, verdicts in zip(posets, warm):
-        _clear_package_caches()
-        coproduct_rule = gamma_coproduct_check(d)
-        _clear_package_caches()
-        assert (coproduct_rule, antipode_theorem_check(d)) == verdicts, d
-    assert {v for _, v in warm} == {False, True}
-
-
-def test_antipode_verdict_is_keyed_on_the_flipped_strict_pairs():
+def test_antipode_suite_keys_its_verdicts_on_the_flipped_strict_pairs(monkeypatch):
     # a <1 b with a <2 b is tertispecial and the theorem holds; with no <2 it
     # fails.  The two share <1, the strict pairs and w, and differ only in the
-    # strict pairs of opposite1, which the memo key must therefore hold
+    # strict pairs of opposite1, which the suite's key must therefore hold
+    import qsymdp.verify as v
+
     holds = build("ab", [("a", "b")], [("a", "b")])
     fails = build("ab", [("a", "b")], [])
     assert (holds.lt1, strict_pairs(holds), holds.w) == (fails.lt1, strict_pairs(fails), fails.w)
     assert strict_pairs(opposite1(holds)) != strict_pairs(opposite1(fails))
-    for first, second in ((holds, fails), (fails, holds)):
-        _clear_package_caches()
-        assert [antipode_theorem_check(first), antipode_theorem_check(second)] == [first is holds, second is holds]
+    for posets in ([holds, fails], [fails, holds]):
+        verdicts = _suite_verdicts(monkeypatch, v.antipode_theorem, posets)
+        assert verdicts == [d is holds for d in posets]
+
+
+def test_coproduct_suite_keys_its_verdicts_on_the_strict_pairs(monkeypatch):
+    # the rule holds on every double poset, so a stand-in check that reads the
+    # strict pairs shows whether two posets that differ only there share a verdict
+    import qsymdp.verify as v
+
+    strict = build("ab", [("a", "b")], [("b", "a")])
+    weak = build("ab", [("a", "b")], [])
+    monkeypatch.setattr(v.gm, "gamma_coproduct_check", lambda d: any(strict_pairs(d)))
+    for posets in ([strict, weak], [weak, strict]):
+        assert _suite_verdicts(monkeypatch, v.coproduct_product_rules, posets) == [d is strict for d in posets]
+
+
+def test_suites_reuse_verdicts_within_a_call_only(monkeypatch):
+    # the 372 double posets with |E| <= 3 have 86 coproduct keys, and their 196
+    # tertispecial ones 92 antipode keys, plus the closing a <1 b; a second run
+    # makes every call again, as no verdict outlives the suite call
+    import qsymdp.verify as v
+
+    calls = Counter()
+
+    def counted(name, check):
+        def wrapper(d):
+            calls[name] += 1
+            return check(d)
+
+        return wrapper
+
+    monkeypatch.setattr(v.gm, "gamma_coproduct_check", counted("coproduct", gamma_coproduct_check))
+    monkeypatch.setattr(v.gm, "antipode_theorem_check", counted("antipode", antipode_theorem_check))
+    for _ in range(2):
+        calls.clear()
+        assert all(v.coproduct_product_rules(3)) and all(v.antipode_theorem(3))
+        assert calls == {"coproduct": 86, "antipode": 93}
 
 
 def test_refused_gamma_is_refused_again():

@@ -141,6 +141,9 @@ def test_no_admissible_pair_type():
         "_perm_from_mapping",
         "_validate_preserving",
         "_emit_qsym",
+        "coproduct_check_of_orders",
+        "antipode_check_of_orders",
+        "_antipode_sides",
     }
     for info in pkgutil.iter_modules(qsymdp.__path__):
         module = importlib.import_module(f"qsymdp.{info.name}")
