@@ -3,8 +3,10 @@
 Every orbit sum is one `orbit_sum` call.  The class sums pass one pair per
 conjugacy class: E^(k g k^-1) is isomorphic to E^g as a weighted double poset
 (k maps the orbits of g onto those of k g k^-1 and preserves <1, <2 and w),
-and sign is a class function, so one quotient and one Gamma per class,
-weighted by the class size, give the sum over all of G.
+and sign is a class function, so one Gamma per class, weighted by the class
+size, gives the sum over all of G.  Classes with the same orbits (such as
+those of g and g^-1 in a cyclic group) share one Gamma, read from the
+base's index relations with no quotient poset built.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .gamma import NotTertispecialError, gamma, strict_pairs
-from .poset import DoublePoset, index_pairs, is_tertispecial, opposite1, transpose
+from .gamma import NotTertispecialError, gamma_of_orders, strict_pairs
+from .poset import DoublePoset, Rel, index_pairs, is_tertispecial, opposite1, transpose
 from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
@@ -155,16 +157,15 @@ def orbits_of(perm: Permutation) -> List[Tuple[int, ...]]:
     return out
 
 
-def quotient_by(g: Permutation, base: DoublePoset) -> DoublePoset:
-    """Quotient E^g, for g preserving <1 and <2: u <1 v iff some a in u, b in v
-    have a <1 b, and u <2 v iff some have a <2 b and b <1 a, as Gamma reads <2
-    only where it reverses <1.  So the E^g-partitions are the g-fixed
-    E-partitions, and both relations are orders (<1 and <2 & >1 are transitive
-    and g-invariant).  Each orbit is named by the label of its first member in
-    declaration order and weighs the sum of its members' weights."""
-    labels = base.elements
-    cycles = orbits_of(g)
-    of = [0] * len(labels)  # element -> orbit
+def _quotient_orders(
+    cycles: List[Tuple[int, ...]], lt1: Rel, strict: Rel, w: Tuple[int, ...]
+) -> Tuple[Rel, Rel, Tuple[int, ...]]:
+    """<1, the strict pairs and the weights of E^g, from those of E (strict as
+    from `strict_pairs`) and the orbits of g: u < v wherever some a in u,
+    b in v have a < b, and u weighs its members' weights.  The strict pairs of
+    E^g are the projected strict pairs of E: they lie inside <1, and the
+    projection commutes with transposing."""
+    of = [0] * len(w)  # element -> orbit
     for k, cycle in enumerate(cycles):
         for i in cycle:
             of[i] = k
@@ -184,10 +185,21 @@ def quotient_by(g: Permutation, base: DoublePoset) -> DoublePoset:
             out.append(row)
         return tuple(out)
 
-    reversing = transpose(strict_pairs(base))  # the i <2 j with j <1 i
-    names = tuple(labels[cycle[0]] for cycle in cycles)
-    w = tuple(sum(base.w[i] for i in cycle) for cycle in cycles)
-    return DoublePoset(elements=names, lt1=project(base.lt1), lt2=project(reversing), w=w)
+    return project(lt1), project(strict), tuple(sum(w[i] for i in cycle) for cycle in cycles)
+
+
+def quotient_by(g: Permutation, base: DoublePoset) -> DoublePoset:
+    """Quotient E^g, for g preserving <1 and <2: u <1 v iff some a in u, b in v
+    have a <1 b, and u <2 v iff some have a <2 b and b <1 a, as Gamma reads <2
+    only where it reverses <1.  So the E^g-partitions are the g-fixed
+    E-partitions, and both relations are orders (<1 and <2 & >1 are transitive
+    and g-invariant).  Each orbit is named by the label of its first member in
+    declaration order and weighs the sum of its members' weights.  `orbit_sum`
+    reads the same orders straight from `_quotient_orders`."""
+    cycles = orbits_of(g)
+    lt1, strict, w = _quotient_orders(cycles, base.lt1, strict_pairs(base), base.w)
+    names = tuple(base.elements[cycle[0]] for cycle in cycles)
+    return DoublePoset(elements=names, lt1=lt1, lt2=transpose(strict), w=w)
 
 
 def sign_of(g: Permutation) -> int:
@@ -201,9 +213,20 @@ def orbit_sum(base: DoublePoset, order: int, weighted: Iterable[Tuple[Permutatio
     with c = 1 or sign(g), times the class size.  Gamma(E^g, w^g) sums over the
     g-fixed E-partitions, so by Burnside the sum counts orbits and |G| divides
     it exactly, on every base.
+
+    E^g depends on g only through its orbits, and so does sign(g), so the c
+    are summed per orbit partition first: g and g^-1 share one Gamma.  Each
+    Gamma is one `gamma_of_orders` call on the orders of `_quotient_orders`,
+    projected from the strict pairs of E, taken once; no quotient is built.
     """
-    # a list, so that each Gamma is called from here (perfbench's layer tracer counts them)
-    total = linear_combination([(c, gamma(quotient_by(g, base))) for g, c in weighted])
+    by_orbits: Dict[Tuple[Tuple[int, ...], ...], int] = {}
+    for g, c in weighted:
+        cycles = tuple(orbits_of(g))
+        by_orbits[cycles] = by_orbits.get(cycles, 0) + c
+    lt1, strict, w = base.lt1, strict_pairs(base), base.w
+    total = linear_combination(
+        (c, gamma_of_orders(*_quotient_orders(cycles, lt1, strict, w))) for cycles, c in by_orbits.items()
+    )
     if any(c % order for c in total.terms.values()):
         raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {order}")
     return QSymElem({alpha: c // order for alpha, c in total.terms.items()})

@@ -17,7 +17,7 @@ from .poset import (
     transitive_closure,
     transpose,
 )
-from .qsym import ENUM_LIMIT, ONE, BoundExceededError, QSymElem, antipode_closed, coproduct, product
+from .qsym import ENUM_LIMIT, BoundExceededError, QSymElem, antipode_closed, coproduct, product
 
 
 class NotTertispecialError(ValueError):
@@ -68,7 +68,8 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
     By the product rule, Gamma of a disjoint union is the product of the
     Gammas, so a <1-isolated element e contributes the one factor M_(w_e):
     the isolated elements are taken out, the rest goes through `_chain_sum`,
-    and each factor is multiplied in by `_times_part`.  A degree past one
+    and each factor is multiplied in by `_times_part`.  Both work on descent
+    masks, which become compositions once, at the end.  A degree past one
     64-bit word per down-set is refused first, as the chain sum would.
     """
     n = sum(w)
@@ -79,14 +80,15 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
         if up:
             related |= up | 1 << i
     if related.bit_count() == len(w):
-        return _chain_sum(lt1, strict, w)
-    f = ONE
-    if related:
-        f = _chain_sum(*_restrict(lt1, strict, w, related))
+        n, masks = _chain_sum(lt1, strict, w)
+    elif related:
+        n, masks = _chain_sum(*_restrict(lt1, strict, w, related))
+    else:
+        n, masks = 0, {0: 1}  # ONE
     for i, part in enumerate(w):
         if not related >> i & 1:
-            f = _times_part(f, part)
-    return f
+            n, masks = _times_part(n, masks, part)
+    return QSymElem({_parts(n, mask): c for mask, c in masks.items()})
 
 
 def _restrict(lt1: Rel, strict: Rel, w: Tuple[int, ...], mask: int) -> Tuple[Rel, Rel, Tuple[int, ...]]:
@@ -96,8 +98,10 @@ def _restrict(lt1: Rel, strict: Rel, w: Tuple[int, ...], mask: int) -> Tuple[Rel
     return squeeze(lt1, mask), squeeze(strict, mask), tuple(x for i, x in enumerate(w) if mask >> i & 1)
 
 
-def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
-    """Gamma summed over the chains of <1-down-sets, as `gamma` describes.
+def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
+    """Gamma summed over the chains of <1-down-sets, as `gamma` describes, as
+    (n, {descent mask: count}): a mask holds the start 0, w(D_1), ... of each
+    part of a degree-n composition, as `_parts` reads it.
 
     The chain dicts are bounded as the down-sets are: before chains[low] is
     merged into a new dict, the entries stored so far, those of the new dict
@@ -135,25 +139,36 @@ def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
                     into[key] = into.get(key, 0) + c
         chains[top] = into
         stored += len(into)
-    return QSymElem({_parts(n, mask): c for mask, c in chains[downs[-1]].items()})
+    return n, chains[downs[-1]]
 
 
-def _times_part(f: QSymElem, a: int) -> QSymElem:
-    """f * M_(a), the quasi-shuffle with one part: a goes into each gap of
-    alpha, or is added to each part.  It makes at most 2 len(alpha) + 1 terms
-    per term alpha, and more than ENUM_LIMIT in all are refused before any is."""
-    longest = max(map(len, f.terms), default=0)
-    if len(f.terms) * (2 * longest + 1) > ENUM_LIMIT:
+def _times_part(n: int, masks: Dict[int, int], a: int) -> Tuple[int, Dict[int, int]]:
+    """(n, masks) times M_(a), the quasi-shuffle with one part, on the masks of
+    degree-n compositions that `_chain_sum` returns: a goes into each gap of
+    alpha, or is added to each part.  For the start b of a part, with low the
+    starts below it and hi the rest moved up by a, the insert before that part
+    is low | b | hi and the add to it low | b | (hi without b moved up); the
+    append starts a part at n.  It makes at most 2 len(alpha) + 1 terms per
+    term alpha, and more than ENUM_LIMIT in all are refused before any is."""
+    longest = max(map(int.bit_count, masks), default=0)
+    if len(masks) * (2 * longest + 1) > ENUM_LIMIT:
         raise BoundExceededError(f"Gamma times M({a}) needs over {ENUM_LIMIT} terms")
-    terms: Dict[Tuple[int, ...], int] = {}
-    for alpha, c in f.terms.items():
-        for k in range(len(alpha) + 1):
-            key = alpha[:k] + (a,) + alpha[k:]
-            terms[key] = terms.get(key, 0) + c
-        for k, part in enumerate(alpha):
-            key = alpha[:k] + (part + a,) + alpha[k + 1:]
-            terms[key] = terms.get(key, 0) + c
-    return QSymElem(terms)
+    out: Dict[int, int] = {}
+    end = 1 << n
+    for mask, c in masks.items():
+        starts = mask
+        while starts:
+            b = starts & -starts
+            starts ^= b
+            low = mask & (b - 1)
+            hi = (mask ^ low) << a
+            key = low | b | hi
+            out[key] = out.get(key, 0) + c
+            key ^= b << a
+            out[key] = out.get(key, 0) + c
+        key = mask | end
+        out[key] = out.get(key, 0) + c
+    return n + a, out
 
 
 def gamma_coproduct_check(d: DoublePoset) -> bool:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsymdp.compositions import _parts
 from qsymdp.equivariant import build_action, sign_of
 from qsymdp.gamma import _chain_sum, gamma_of_orders, strict_pairs
 from qsymdp.oracles import _epartition_vectors, automorphisms
@@ -17,6 +18,7 @@ from qsymdp.poset import (
     squeeze,
     transpose,
 )
+from qsymdp.qsym import QSymElem
 from qsymdp.young import Partition, SkewShape
 
 
@@ -233,9 +235,11 @@ def aut_orbit_weight(d: DoublePoset):
 def peeled_and_whole(p: DoublePoset, w):
     """Gamma of p with weights w (over the declaration index) as the memoised
     `gamma_of_orders`, which takes the <1-isolated elements out of the chain
-    sum, and as the bare chain sum over the whole poset."""
+    sum, and as the bare chain sum over the whole poset, its descent masks
+    read as compositions."""
     key = (p.lt1, strict_pairs(p), tuple(w))
-    return gamma_of_orders(*key), _chain_sum(*key)
+    n, masks = _chain_sum(*key)
+    return gamma_of_orders(*key), QSymElem({_parts(n, mask): c for mask, c in masks.items()})
 
 
 def skew_shapes(n):

@@ -9,6 +9,7 @@ from qsymdp.equivariant import (
     BoundExceededError,
     GroupAction,
     NotPreservingError,
+    _quotient_orders,
     action_from_dict,
     build_action,
     equivariant_theorem_check,
@@ -21,7 +22,7 @@ from qsymdp.equivariant import (
     sign_of,
 )
 from qsymdp.compositions import Composition
-from qsymdp.gamma import NotTertispecialError, gamma
+from qsymdp.gamma import NotTertispecialError, gamma, strict_pairs
 from qsymdp.oracles import _expand, automorphisms, count_orbits_bruteforce, orbit_sum_by_elements
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import DoublePoset, all_double_posets, build, index_pairs, is_tertispecial
@@ -341,7 +342,7 @@ def test_class_sums_match_oracle_on_drawn_actions(data):
     a = build_action(base, [{e: labels[i] for e, i in zip(labels, g)} for g in gens])
     assert set(a.elements) <= set(auts)
     f, f_plus = assert_class_sums_match_oracle(a)
-    # orbit_sum_by_elements goes through quotient_by too; the tallies do not.
+    # orbit_sum_by_elements goes through the same projected orders; the tallies do not.
     # No term of Gamma is longer than |E|, so |E| variables determine it.
     m = base.size
     all_counts, coeven_counts = orbit_tallies(a, m)
@@ -416,6 +417,49 @@ def test_quotient_matches_its_pair_definition():
                     assert {(u, v) for u, v in itertools.product(names, repeat=2) if less1(q, u, v)} == pairs1
                     assert {(u, v) for u, v in itertools.product(names, repeat=2) if less2(q, u, v)} == pairs2
                     assert q.w == w
+
+
+def test_projected_orders_are_those_of_the_quotient():
+    # orbit_sum reads (<1, strict pairs, w) of E^g projected from E's, with no
+    # quotient built; they must be those of quotient_by's labelled E^g
+    found = found_base_action()
+    cases = [(found.base, [found.elements])]
+    for n in range(4):
+        for p in all_double_posets(n):
+            for weights in ((1, 1, 1), (1, 2, 1)):
+                d = weighted(p, weights[:n])
+                cases.append((d, [build_action(d, gens).elements for gens in subgroup_generators(d)]))
+    for d, groups in cases:
+        strict = strict_pairs(d)
+        for g in {g for elements in groups for g in elements}:
+            q = quotient_by(g, d)
+            assert _quotient_orders(orbits_of(g), d.lt1, strict, d.w) == (q.lt1, strict_pairs(q), q.w), (d, g)
+
+
+@pytest.mark.parametrize("n, distinct", [(3, 2), (6, 4)])
+def test_orbit_sum_takes_one_gamma_per_orbit_partition(monkeypatch, n, distinct):
+    # C_n on the n-antichain: r^k and r^(n-k) have the same orbits, so C3 has
+    # 2 orbit partitions (1, r = r^2) and C6 has 4 (1, r = r^5, r^2 = r^4, r^3)
+    import qsymdp.equivariant as m
+
+    calls = []
+    memo = m.gamma_of_orders
+
+    def counted(*key):
+        calls.append(key)
+        return memo(*key)
+
+    monkeypatch.setattr(m, "gamma_of_orders", counted)
+    base = antichain(n)
+    a = build_action(base, [cycle_gen(base.elements)])
+    assert (a.order, len(a.classes)) == (n, n)
+    for plus in (False, True):
+        memo.cache_clear()
+        calls.clear()
+        f = gamma_plus(a) if plus else gamma_equivariant(a)
+        assert len(calls) == memo.cache_info().misses == distinct
+        assert f == orbit_sum_by_elements(a, plus=plus)
+        assert _expand(f, n) == orbit_tallies(a, n)[plus]
 
 
 def is_strict_order(rel):

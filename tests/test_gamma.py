@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsymdp import oracles
-from qsymdp.compositions import Composition, compositions_of, conjugate, descent_set, in_sort_key_order
+from qsymdp.compositions import Composition, _parts, compositions_of, conjugate, descent_set, in_sort_key_order
 from qsymdp.gamma import (
     NotTertispecialError,
+    _times_part,
     antipode_theorem_check,
     antipode_theorem_sides,
     gamma,
@@ -30,7 +31,7 @@ from qsymdp.oracles import (
     product_truncation_matches,
 )
 from qsymdp.poset import DoublePoset, build, is_special, is_tertispecial, opposite1, squeeze
-from qsymdp.qsym import BoundExceededError, antipode_closed, coproduct, fundamental, monomial, product
+from qsymdp.qsym import BoundExceededError, QSymElem, antipode_closed, coproduct, fundamental, monomial, product
 
 from conftest import (
     all_double_posets,
@@ -362,6 +363,58 @@ def test_peeled_gamma_equals_the_chain_sum_drawn(n, rng, data):
     w = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
     peeled, whole = peeled_and_whole(DoublePoset(d.elements, lt1, d.lt2), w)
     assert peeled == whole
+
+
+@st.composite
+def masks_of_one_degree(draw):
+    """(n, {descent mask: count}) as `_chain_sum` returns it: each mask holds
+    the start 0 of the first part (for n > 0) and the other cut points of a
+    composition of n.  Parts reach 70, so the masks pass 64 bits."""
+    n = draw(st.integers(0, 210))
+    masks = {}
+    for cuts in draw(st.lists(st.sets(st.integers(1, n - 1), max_size=6) if n > 1 else st.just(set()), max_size=5)):
+        mask = sum(1 << cut for cut in cuts) | (1 if n else 0)
+        masks[mask] = masks.get(mask, 0) + draw(st.integers(1, 5))
+    return n, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_of_one_degree(), st.integers(1, 70))
+def test_mask_peel_is_the_product_by_one_part(degree_and_masks, a):
+    n, masks = degree_and_masks
+    f = QSymElem({_parts(n, mask): c for mask, c in masks.items()})
+    m, out = _times_part(n, masks, a)
+    assert m == n + a
+    assert QSymElem({_parts(m, mask): c for mask, c in out.items()}) == product(f, monomial((a,)))
+
+
+class UnbuiltMasks(dict):
+    """A mask dict that fails the test if a term is read from it."""
+
+    def items(self):
+        raise AssertionError("a term was built before the bound was checked")
+
+
+def test_mask_peel_is_refused_above_its_term_count_before_any_term(monkeypatch):
+    import qsymdp.gamma as m
+
+    # (1,2,1) and (2,2): at most 2 * 3 + 1 and 2 * 2 + 1 terms, charged 7 per mask at the longest
+    masks = {0b1011: 1, 0b101: 2}
+    expected = _times_part(4, masks, 3)
+    monkeypatch.setattr(m, "ENUM_LIMIT", 14)
+    assert _times_part(4, masks, 3) == expected
+    monkeypatch.setattr(m, "ENUM_LIMIT", 13)
+    with pytest.raises(BoundExceededError, match="^Gamma times M\\(3\\) needs over 13 terms$"):
+        _times_part(4, UnbuiltMasks(masks), 3)
+    # the 3-antichain: its third point multiplies 2 masks of up to 2 parts, 10 terms at most
+    m.gamma_of_orders.cache_clear()
+    monkeypatch.setattr(m, "ENUM_LIMIT", 9)
+    with pytest.raises(BoundExceededError, match="^Gamma times M\\(1\\) needs over 9 terms$"):
+        gamma(build("abc", [], []))
+    assert m.gamma_of_orders.cache_info().currsize == 0  # a refused Gamma is not cached
+    monkeypatch.setattr(m, "ENUM_LIMIT", 10)
+    M = lambda *alpha: monomial(alpha)
+    assert gamma(build("abc", [], [])) == M(3) + M(1, 2).scale(3) + M(2, 1).scale(3) + M(1, 1, 1).scale(6)
 
 
 def test_gamma_antichain12_takes_the_peel():
