@@ -117,7 +117,7 @@ def cmd_verify_antipode(args) -> bool:
 def cmd_equivariant(args) -> qsym.QSymElem:
     from . import equivariant as equi
     a = _load_action(args)
-    return equi.gamma_plus(a) if args.plus else equi.gamma_equivariant(a)
+    return equi.gamma_equivariant(a, args.plus)
 
 
 def cmd_verify_equivariant(args) -> bool:

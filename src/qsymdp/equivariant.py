@@ -6,7 +6,9 @@ conjugacy class: E^(k g k^-1) is isomorphic to E^g as a weighted double poset
 and sign is a class function, so one Gamma per class, weighted by the class
 size, gives the sum over all of G.  Classes with the same orbits (such as
 those of g and g^-1 in a cyclic group) share one Gamma, read from the
-base's index relations with no quotient poset built.
+base's index relations with no quotient poset built.  Gamma+ is the same sum
+with ``plus`` set: each term's sign is read from the cycles of g that the
+sum walks anyway.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from .gamma import NotTertispecialError, gamma_of_orders, strict_pairs
-from .poset import DoublePoset, Rel, index_pairs, is_tertispecial, opposite1, transpose
+from .poset import DoublePoset, Rel, index_pairs, is_tertispecial, opposite1
 from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
@@ -160,11 +162,14 @@ def orbits_of(perm: Permutation) -> List[Tuple[int, ...]]:
 def _quotient_orders(
     cycles: List[Tuple[int, ...]], lt1: Rel, strict: Rel, w: Tuple[int, ...]
 ) -> Tuple[Rel, Rel, Tuple[int, ...]]:
-    """<1, the strict pairs and the weights of E^g, from those of E (strict as
-    from `strict_pairs`) and the orbits of g: u < v wherever some a in u,
-    b in v have a < b, and u weighs its members' weights.  The strict pairs of
-    E^g are the projected strict pairs of E: they lie inside <1, and the
-    projection commutes with transposing."""
+    """<1, the strict pairs and the weights of the quotient E^g, for g
+    preserving <1 and <2, from those of E (strict as from `strict_pairs`) and
+    the orbits of g, indexed in the order of ``cycles``: u <1 v iff some a in
+    u, b in v have a <1 b, u <2 v iff some have a <2 b and b <1 a (Gamma reads
+    <2 only where it reverses <1), and u weighs its members' weights.  So the
+    E^g-partitions are the g-fixed E-partitions.  The strict pairs of E^g are
+    the projected strict pairs of E: they lie inside <1, and the projection
+    commutes with transposing."""
     of = [0] * len(w)  # element -> orbit
     for k, cycle in enumerate(cycles):
         for i in cycle:
@@ -188,40 +193,33 @@ def _quotient_orders(
     return project(lt1), project(strict), tuple(sum(w[i] for i in cycle) for cycle in cycles)
 
 
-def quotient_by(g: Permutation, base: DoublePoset) -> DoublePoset:
-    """Quotient E^g, for g preserving <1 and <2: u <1 v iff some a in u, b in v
-    have a <1 b, and u <2 v iff some have a <2 b and b <1 a, as Gamma reads <2
-    only where it reverses <1.  So the E^g-partitions are the g-fixed
-    E-partitions, and both relations are orders (<1 and <2 & >1 are transitive
-    and g-invariant).  Each orbit is named by the label of its first member in
-    declaration order and weighs the sum of its members' weights.  `orbit_sum`
-    reads the same orders straight from `_quotient_orders`."""
-    cycles = orbits_of(g)
-    lt1, strict, w = _quotient_orders(cycles, base.lt1, strict_pairs(base), base.w)
-    names = tuple(base.elements[cycle[0]] for cycle in cycles)
-    return DoublePoset(elements=names, lt1=lt1, lt2=transpose(strict), w=w)
-
-
 def sign_of(g: Permutation) -> int:
     """Permutation sign, as (-1)^(|E| - number of cycles)."""
     return -1 if (len(g) - len(orbits_of(g))) % 2 else 1
 
 
-def orbit_sum(base: DoublePoset, order: int, weighted: Iterable[Tuple[Permutation, int]]) -> QSymElem:
-    """(1/|G|) sum of c Gamma(E^g, w^g) over the pairs (g, c), in ints, for
-    |G| = ``order``: the pairs are G's elements or its class representatives,
-    with c = 1 or sign(g), times the class size.  Gamma(E^g, w^g) sums over the
-    g-fixed E-partitions, so by Burnside the sum counts orbits and |G| divides
-    it exactly, on every base.
+def orbit_sum(
+    base: DoublePoset, order: int, weighted: Iterable[Tuple[Permutation, int]], plus: bool = False
+) -> QSymElem:
+    """(1/|G|) sum of c Gamma(E^g, w^g) over the pairs (g, c), each term times
+    sign(g) if ``plus``, in ints, for |G| = ``order``: the pairs are G's
+    elements with c = 1, or its class representatives with c the class size.
+    Gamma(E^g, w^g) sums over the g-fixed E-partitions, so by Burnside the sum
+    counts orbits (E-coeven orbits if ``plus``) and |G| divides it exactly, on
+    every base.
 
-    E^g depends on g only through its orbits, and so does sign(g), so the c
-    are summed per orbit partition first: g and g^-1 share one Gamma.  Each
-    Gamma is one `gamma_of_orders` call on the orders of `_quotient_orders`,
-    projected from the strict pairs of E, taken once; no quotient is built.
+    E^g depends on g only through its orbits, and so does sign(g) =
+    (-1)^(|E| - number of cycles), read from the same walk of g's cycles, so
+    the signed c are summed per orbit partition first: g and g^-1 share one
+    Gamma.  Each Gamma is one `gamma_of_orders` call on the orders of
+    `_quotient_orders`, projected from the strict pairs of E, taken once; no
+    quotient is built.
     """
     by_orbits: Dict[Tuple[Tuple[int, ...], ...], int] = {}
     for g, c in weighted:
         cycles = tuple(orbits_of(g))
+        if plus and (len(g) - len(cycles)) % 2:
+            c = -c
         by_orbits[cycles] = by_orbits.get(cycles, 0) + c
     lt1, strict, w = base.lt1, strict_pairs(base), base.w
     total = linear_combination(
@@ -232,19 +230,13 @@ def orbit_sum(base: DoublePoset, order: int, weighted: Iterable[Tuple[Permutatio
     return QSymElem({alpha: c // order for alpha, c in total.terms.items()})
 
 
-def gamma_equivariant(a: GroupAction) -> QSymElem:
+def gamma_equivariant(a: GroupAction, plus: bool = False) -> QSymElem:
     """Gamma(E, w, G) = (1/|G|) sum over g of Gamma(E^g, w^g): the sum over
     the G-orbits of E-partitions pi of x^(w pi) (Burnside), so in integers.
+    If ``plus``, Gamma+(E, w, G), the same sum with each term times sign(g):
+    the sum over the E-coeven G-orbits (no odd g fixes their members).
     Summed over the conjugacy classes, each weighted by its size."""
-    return orbit_sum(a.base, a.order, a.classes)
-
-
-def gamma_plus(a: GroupAction) -> QSymElem:
-    """Gamma+(E, w, G) = (1/|G|) sum over g of sign(g) Gamma(E^g, w^g): the
-    sum over the E-coeven G-orbits (no odd g fixes their members) of
-    x^(w pi), so in integers.  Summed over the conjugacy classes, each
-    weighted by its size and sign."""
-    return orbit_sum(a.base, a.order, ((g, size * sign_of(g)) for g, size in a.classes))
+    return orbit_sum(a.base, a.order, a.classes, plus)
 
 
 def opposite1_action(a: GroupAction) -> GroupAction:
@@ -257,7 +249,7 @@ def equivariant_theorem_check(a: GroupAction) -> bool:
     if not is_tertispecial(a.base):
         raise NotTertispecialError("equivariant antipode theorem requires tertispecial base")
     lhs = antipode_closed(gamma_equivariant(a))
-    rhs = gamma_plus(opposite1_action(a)).scale((-1) ** a.base.size)
+    rhs = gamma_equivariant(opposite1_action(a), plus=True).scale((-1) ** a.base.size)
     return lhs == rhs
 
 

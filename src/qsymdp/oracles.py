@@ -32,10 +32,12 @@ antipode solves m(S x id)Delta = u eps, independently of the closed form.  The f
 linear extensions is a third route, for special double posets, that shares no
 code with the other two; `build_Yh`, the special cell poset of a skew shape,
 takes skew Schur functions along it.  The orbit sums are also summed element
-by element, as the paper defines them, against the class sums: so the classes,
-their sizes and signs are checked, and only `equivariant.orbit_sum` is shared;
-the automorphisms of a double poset, those permutations that preserve <1, <2
-and w, are found among all n! permutations.
+by element, as the paper defines them, against the class sums: so the classes
+and their sizes are checked, and only `equivariant.orbit_sum`, with the sign it
+reads from each g's cycles, is shared; the signs are checked by the orbit
+walk, which takes each generator's parity from `sign_of`; the automorphisms
+of a double poset, those permutations that preserve <1, <2 and w, are found
+among all n! permutations.
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     """Gamma(E, w, G), or Gamma+(E, w, G) if ``plus``: (1/|G|) sum over every
     g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``, as the
     paper defines them, with no reduction to conjugacy classes."""
-    return orbit_sum(a.base, a.order, ((g, sign_of(g) if plus else 1) for g in a.elements))
+    return orbit_sum(a.base, a.order, ((g, 1) for g in a.elements), plus)
 
 
 def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:

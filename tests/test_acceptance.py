@@ -14,7 +14,6 @@ from qsymdp.equivariant import (
     build_action,
     equivariant_theorem_check,
     gamma_equivariant,
-    gamma_plus,
 )
 from qsymdp.gamma import antipode_theorem_check, gamma_product_check
 from qsymdp.oracles import _expand, count_orbits_bruteforce, is_epartition, is_ssyt
@@ -143,7 +142,7 @@ def test_criterion_7_equivariant_theorem():
         m = min(4, a.base.size + 1)
         all_counts, coeven_counts = orbit_tallies(a, m)
         ok = ok and _expand(gamma_equivariant(a), m) == all_counts
-        ok = ok and _expand(gamma_plus(a), m) == coeven_counts
+        ok = ok and _expand(gamma_equivariant(a, plus=True), m) == coeven_counts
     report("criterion-7 equivariant-theorem", ok)
 
 

@@ -14,18 +14,16 @@ from qsymdp.equivariant import (
     build_action,
     equivariant_theorem_check,
     gamma_equivariant,
-    gamma_plus,
     opposite1_action,
     orbit_sum,
     orbits_of,
-    quotient_by,
     sign_of,
 )
 from qsymdp.compositions import Composition
 from qsymdp.gamma import NotTertispecialError, gamma, strict_pairs
 from qsymdp.oracles import _expand, automorphisms, count_orbits_bruteforce, orbit_sum_by_elements
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
-from qsymdp.poset import DoublePoset, all_double_posets, build, index_pairs, is_tertispecial
+from qsymdp.poset import DoublePoset, all_double_posets, build, index_pairs, is_tertispecial, transpose
 from qsymdp.qsym import linear_combination, monomial
 
 from conftest import (
@@ -125,11 +123,15 @@ def test_orbit_sum_refuses_a_sum_that_the_group_order_does_not_divide():
         orbit_sum(antichain(1), 2, [((0,), 1)])
 
 
+def quotient_of(g, d):
+    """(<1, strict pairs, w) of E^g, as `orbit_sum` reads them from E."""
+    return _quotient_orders(orbits_of(g), d.lt1, strict_pairs(d), d.w)
+
+
 def test_quotient_of_swap():
     base = antichain(2)
-    q = quotient_by((1, 0), base)
-    assert q.elements == ("a",)
-    assert q.w == (2,)
+    assert orbits_of((1, 0)) == [(0, 1)]
+    assert quotient_of((1, 0), base) == ((0,), (0,), (2,))
 
 
 def test_quotient_relations_any_representative():
@@ -140,17 +142,15 @@ def test_quotient_relations_any_representative():
     a = build_action(base, [swap])
     assert a.order == 2
     g = next(p for p in a.elements if p != tuple(range(4)))
-    q = quotient_by(g, base)
-    assert q.size == 2
-    (u, v) = q.elements
-    assert less1(q, u, v) or less1(q, v, u)
+    assert orbits_of(g) == [(0, 2), (1, 3)]
+    assert quotient_of(g, base) == ((0b10, 0), (0, 0), (2, 2))
 
 
 def test_gamma_equivariant_trivial_group():
     base = antichain(2)
     a = build_action(base, [])
     assert gamma_equivariant(a) == gamma(base)
-    assert gamma_plus(a) == gamma(base)
+    assert gamma_equivariant(a, plus=True) == gamma(base)
 
 
 def test_gamma_equivariant_swap_on_antichain():
@@ -161,7 +161,7 @@ def test_gamma_equivariant_swap_on_antichain():
     expected = (M(2) + M(1, 1).scale(2) + M(2)).scale(Fraction(1, 2))
     assert gamma_equivariant(a) == expected
     expected_plus = linear_combination([(1, M(2) + M(1, 1).scale(2)), (-1, M(2))]).scale(Fraction(1, 2))
-    assert gamma_plus(a) == expected_plus
+    assert gamma_equivariant(a, plus=True) == expected_plus
 
 
 def test_equivariant_theorem_antichains():
@@ -265,7 +265,7 @@ def tertispecial_components(n):
 
 
 def assert_class_sums_match_oracle(a):
-    f, f_plus = gamma_equivariant(a), gamma_plus(a)
+    f, f_plus = gamma_equivariant(a), gamma_equivariant(a, plus=True)
     assert f == orbit_sum_by_elements(a)
     assert f_plus == orbit_sum_by_elements(a, plus=True)
     assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
@@ -361,7 +361,7 @@ def found_base_action():
 def test_orbit_sums_of_a_non_tertispecial_base_count_orbits():
     a = found_base_action()
     assert not is_tertispecial(a.base)
-    f, f_plus = gamma_equivariant(a), gamma_plus(a)
+    f, f_plus = gamma_equivariant(a), gamma_equivariant(a, plus=True)
     assert all(type(c) is int for c in (*f.terms.values(), *f_plus.terms.values()))
     assert f == orbit_sum_by_elements(a)
     assert f_plus == orbit_sum_by_elements(a, plus=True)
@@ -374,16 +374,16 @@ def test_orbit_sums_of_a_non_tertispecial_base_count_orbits():
 
 def test_quotient_keeps_only_the_lt2_pairs_that_reverse_lt1():
     a = found_base_action()
-    q = quotient_by((2, 3, 0, 1), a.base)
-    assert q.elements == ("a", "b")
-    assert (q.lt1, q.lt2) == ((0, 1), (0, 0))
+    assert orbits_of((2, 3, 0, 1)) == [(0, 2), (1, 3)]
+    assert quotient_of((2, 3, 0, 1), a.base) == ((0, 1), (0, 0), (2, 2))
 
 
 def quotient_by_the_pair_definition(g, d):
-    """(names, <1 pairs, <2 pairs, w) of E^g as quotient_by's docstring defines
-    it, by labels: the orbits {i, g(i), g(g(i)), ...} ordered by their first
+    """(orbits, <1, strict pairs, w) of E^g by the pair definition, as index
+    relations: the orbits {i, g(i), g(g(i)), ...} ordered by their least
     member, u <1 v iff some a in u, b in v have a <1 b, u <2 v iff some have
-    a <2 b and b <1 a."""
+    a <2 b and b <1 a, the strict pairs the transpose of that <2, and u
+    weighing its members' weights."""
     orbits, seen = [], set()
     for i in range(d.size):
         if i not in seen:
@@ -392,48 +392,39 @@ def quotient_by_the_pair_definition(g, d):
                 orbit.append(j)
                 j = g[j]
             seen.update(orbit)
-            orbits.append([d.elements[j] for j in sorted(orbit)])
-    names = tuple(orbit[0] for orbit in orbits)
+            orbits.append(tuple(sorted(orbit)))
+    labels = d.elements
     pairs1, pairs2 = set(), set()
     for u, v in itertools.permutations(range(len(orbits)), 2):
         for a, b in itertools.product(orbits[u], orbits[v]):
-            if less1(d, a, b):
-                pairs1.add((names[u], names[v]))
-            if less2(d, a, b) and less1(d, b, a):
-                pairs2.add((names[u], names[v]))
-    w = tuple(sum(d.w[d.elements.index(a)] for a in orbit) for orbit in orbits)
-    return names, pairs1, pairs2, w
+            if less1(d, labels[a], labels[b]):
+                pairs1.add((u, v))
+            if less2(d, labels[a], labels[b]) and less1(d, labels[b], labels[a]):
+                pairs2.add((u, v))
+
+    def rows(pairs):
+        out = [0] * len(orbits)
+        for u, v in pairs:
+            out[u] |= 1 << v
+        return tuple(out)
+
+    w = tuple(sum(d.w[i] for i in orbit) for orbit in orbits)
+    return orbits, rows(pairs1), rows({(v, u) for u, v in pairs2}), w
 
 
 def test_quotient_matches_its_pair_definition():
-    for n in range(4):
-        for p in all_double_posets(n):
-            for weights in ((1, 1, 1), (1, 2, 1)):
-                d = weighted(p, weights[:n])
-                for g in automorphisms(d):
-                    q = quotient_by(g, d)
-                    names, pairs1, pairs2, w = quotient_by_the_pair_definition(g, d)
-                    assert q.elements == names
-                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less1(q, u, v)} == pairs1
-                    assert {(u, v) for u, v in itertools.product(names, repeat=2) if less2(q, u, v)} == pairs2
-                    assert q.w == w
-
-
-def test_projected_orders_are_those_of_the_quotient():
-    # orbit_sum reads (<1, strict pairs, w) of E^g projected from E's, with no
-    # quotient built; they must be those of quotient_by's labelled E^g
     found = found_base_action()
-    cases = [(found.base, [found.elements])]
+    cases = [(found.base, found.elements)]
     for n in range(4):
         for p in all_double_posets(n):
             for weights in ((1, 1, 1), (1, 2, 1)):
                 d = weighted(p, weights[:n])
-                cases.append((d, [build_action(d, gens).elements for gens in subgroup_generators(d)]))
-    for d, groups in cases:
-        strict = strict_pairs(d)
-        for g in {g for elements in groups for g in elements}:
-            q = quotient_by(g, d)
-            assert _quotient_orders(orbits_of(g), d.lt1, strict, d.w) == (q.lt1, strict_pairs(q), q.w), (d, g)
+                cases.append((d, automorphisms(d)))
+    for d, group in cases:
+        for g in group:
+            orbits, lt1, strict, w = quotient_by_the_pair_definition(g, d)
+            assert orbits_of(g) == orbits
+            assert quotient_of(g, d) == (lt1, strict, w), (d, g)
 
 
 @pytest.mark.parametrize("n, distinct", [(3, 2), (6, 4)])
@@ -456,10 +447,33 @@ def test_orbit_sum_takes_one_gamma_per_orbit_partition(monkeypatch, n, distinct)
     for plus in (False, True):
         memo.cache_clear()
         calls.clear()
-        f = gamma_plus(a) if plus else gamma_equivariant(a)
+        f = gamma_equivariant(a, plus)
         assert len(calls) == memo.cache_info().misses == distinct
         assert f == orbit_sum_by_elements(a, plus=plus)
         assert _expand(f, n) == orbit_tallies(a, n)[plus]
+
+
+@pytest.mark.parametrize("n, group", [(4, "symmetric"), (6, "cyclic")])
+def test_orbit_sum_walks_each_class_once(monkeypatch, n, group):
+    # Gamma+ reads each sign from the cycles that orbit_sum walks to group the
+    # classes: one orbits_of call per class, none for a separate sign
+    import qsymdp.equivariant as m
+
+    base = antichain(n)
+    a = build_action(base, block_group([(e,) for e in base.elements], group))
+    assert len(a.classes) == {4: 5, 6: 6}[n]
+    calls = []
+    walk = m.orbits_of
+
+    def counted(g):
+        calls.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(m, "orbits_of", counted)
+    f = gamma_equivariant(a, plus=True)
+    assert len(calls) == len(a.classes)
+    assert f == orbit_sum_by_elements(a, plus=True)
+    assert _expand(f, n) == orbit_tallies(a, n)[1]
 
 
 def is_strict_order(rel):
@@ -471,11 +485,11 @@ def test_quotient_lt2_is_a_strict_order_inside_the_projection(n):
     for p in isomorphism_class_representatives(n):
         for gens in subgroup_generators(p):
             for g, _ in build_action(p, gens).classes:
-                q = quotient_by(g, p)
+                lt2 = transpose(quotient_of(g, p)[1])
                 of = {i: k for k, cycle in enumerate(orbits_of(g)) for i in cycle}
                 projected = {(of[i], of[j]) for i, j in index_pairs(p.lt2)}
-                assert is_strict_order(q.lt2)
-                assert set(index_pairs(q.lt2)) <= projected
+                assert is_strict_order(lt2)
+                assert set(index_pairs(lt2)) <= projected
 
 
 def test_automorphisms_by_brute_force():
@@ -581,7 +595,7 @@ def test_class_sizes_of_one_fail_the_gate():
         unweighted = GroupAction(a.base, a.elements, tuple((g, 1) for g, _ in a.classes), a.generators)
         for plus in (False, True):
             try:
-                wrong = (gamma_plus if plus else gamma_equivariant)(unweighted)
+                wrong = gamma_equivariant(unweighted, plus)
             except AssertionError:
                 continue  # the sum was not even divisible by |G|
             assert wrong != orbit_sum_by_elements(a, plus=plus)
@@ -614,7 +628,7 @@ def equivariant_gate_failures(n):
                 omega = order_polynomial(a)
                 checks = {
                     "orbit tallies": _expand(gamma_equivariant(a), n) == all_counts,
-                    "coeven tallies": _expand(gamma_plus(a), n) == coeven_counts,
+                    "coeven tallies": _expand(gamma_equivariant(a, plus=True), n) == coeven_counts,
                 }
                 for q in range(3):
                     checks[f"order polynomial at {q}"] = omega(q) == count_orbits_bruteforce(a, q)

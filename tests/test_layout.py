@@ -129,7 +129,8 @@ def test_no_admissible_pair_type():
     # The one-caller helpers are inlined: oracles._is_epartition_on applies the
     # definition, gamma_coproduct_check builds its own table, young.cell_poset
     # writes its labels, and equivariant._generator checks a generator.
-    # cli.run prints a handler's QSymElem itself
+    # cli.run prints a handler's QSymElem itself.  The orbit sums read E^g as
+    # projected index relations and Gamma+ is gamma_equivariant's plus flag
     gone = {
         "AdmissiblePair",
         "admissible_pairs",
@@ -144,6 +145,8 @@ def test_no_admissible_pair_type():
         "coproduct_check_of_orders",
         "antipode_check_of_orders",
         "_antipode_sides",
+        "quotient_by",
+        "gamma_plus",
     }
     for info in pkgutil.iter_modules(qsymdp.__path__):
         module = importlib.import_module(f"qsymdp.{info.name}")
