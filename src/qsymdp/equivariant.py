@@ -176,13 +176,14 @@ def _quotient_orders(
             of[i] = k
 
     def project(rel):
-        """Each orbit's rows ORed, then one walk of their set bits.  No pair
-        lies inside an orbit: i < g^m(i) would give i < g^m(i) < ... < i."""
+        """The row of one member of each orbit, one walk of its set bits.  g
+        preserves rel, so i < j gives g^m(i) < g^m(j), with g^m(j) in j's
+        orbit: every member's row reaches the same orbits, and one row is the
+        union of them all.  No pair lies inside an orbit: i < g^m(i) would
+        give i < g^m(i) < ... < i."""
         out = []
         for cycle in cycles:
-            up, row = 0, 0
-            for i in cycle:
-                up |= rel[i]
+            up, row = rel[cycle[0]], 0
             while up:
                 low = up & -up
                 row |= 1 << of[low.bit_length() - 1]

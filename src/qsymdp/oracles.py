@@ -23,11 +23,14 @@ tests every map against the definition, and only the list of maps and their
 monomials are reused.  `gamma_truncations_match` enumerates a poset's
 E-partitions into [m] once and counts one truncation of Gamma per claimed
 (weights, Gamma) pair, so a gate of several weightings tests each map once per
-poset and keeps nothing past the call; with no claimed term of more than |E|
-parts, m = |E| variables decide Gamma exactly.  The G-orbits (and E-coeven
-G-orbits) of E-partitions into [q] are counted by walking that enumeration
-along the group's generators, with a parity per vector to find the odd
-stabilisers, for the order polynomial and reciprocity.  The recursive
+call and keeps nothing past the call; with no claimed term of more than |E|
+parts, m = |E| variables decide Gamma exactly.  `verify.gamma_truncation`
+calls it once per distinct (<1, strict pairs, `_epartition_pairs` list) of
+the posets it gates, and gives that call's verdicts to every poset of the
+key.  The G-orbits (and E-coeven G-orbits) of E-partitions into [q] are
+counted by walking that enumeration along the group's generators, with a
+parity per vector to find the odd stabilisers, for the order polynomial and
+reciprocity.  The recursive
 antipode solves m(S x id)Delta = u eps, independently of the closed form.  The fundamental expansion of Gamma over
 linear extensions is a third route, for special double posets, that shares no
 code with the other two; `build_Yh`, the special cell poset of a skew shape,

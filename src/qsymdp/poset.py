@@ -12,6 +12,13 @@ from .qsym import ENUM_LIMIT, BoundExceededError
 Pair = Tuple[str, str]
 Rel = Tuple[int, ...]  # rel[i]: bitmask of the j with i < j, over declaration index
 
+# The number of strict partial orders on n labelled elements, n = 0..5 (OEIS A001035).
+STRICT_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231)
+# Bound of the `transpose` and `covers` memos: one entry per order that
+# `all_double_posets` can enumerate, so a selftest, which calls each on a few
+# hundred distinct relations up to hundreds of thousands of times, fits.
+RELATION_CACHE_SIZE = sum(STRICT_ORDER_COUNTS)
+
 
 class CycleError(ValueError):
     """Raised when transitive closure of order generators yields x < x."""
@@ -33,6 +40,7 @@ def index_pairs(rel: Rel) -> List[Tuple[int, int]]:
     return pairs
 
 
+@lru_cache(maxsize=RELATION_CACHE_SIZE)
 def transpose(rel: Rel) -> Rel:
     """The opposite relation: j < i in the result wherever i < j in rel."""
     out = [0] * len(rel)
@@ -41,6 +49,7 @@ def transpose(rel: Rel) -> Rel:
     return tuple(out)
 
 
+@lru_cache(maxsize=RELATION_CACHE_SIZE)
 def covers(rel: Rel) -> Rel:
     """The cover relation of a (transitively closed) strict order."""
     out = [0] * len(rel)
@@ -206,10 +215,6 @@ def all_strict_orders(elements: Sequence[str]) -> List[Rel]:
         if all(rel[j] & ~rel[i] == 0 for i, j in index_pairs(rel)):
             orders.append(tuple(rel))
     return orders
-
-
-# The number of strict partial orders on n labelled elements, n = 0..5 (OEIS A001035).
-STRICT_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231)
 
 
 def check_double_poset_count(n: int) -> None:

@@ -11,7 +11,7 @@ names (perfbench's layer tracer) see them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator
+from typing import Callable, Dict, Iterator, List
 
 from . import compositions as comps
 from . import equivariant as equi
@@ -78,15 +78,24 @@ def gamma_truncation(size: int) -> Iterator[bool]:
     has, so those M_alpha stay independent, while one of more parts expands to
     0.  Gamma has no term of more than |E| parts, one part per value of an
     E-partition, and the bound refuses an f that has one.  In |E| + 1 variables
-    without the bound, a wrong term of |E| + 2 or more parts would pass.  The
-    oracle enumerates each poset's E-partitions once for both weightings, whose
-    Gammas are read from the orders with one `strict_pairs` per poset.
+    without the bound, a wrong term of |E| + 2 or more parts would pass.
+
+    The two verdicts are reused within the call by every poset with the same
+    <1, strict pairs and E-partition definition: all that the two sides read,
+    as the weightings depend on |E| alone.  The definition is the oracle's own
+    (i, j, strict) list, so posets that the oracle tells apart never share a
+    verdict, however `strict_pairs` reads them.  The oracle is called once per
+    key, and enumerates its E-partitions once for both weightings.
     """
+    verdicts: Dict[tuple, List[bool]] = {}
     for poset in _all_posets(size):
         n, strict = poset.size, gm.strict_pairs(poset)
-        weightings = ((1,) * n, tuple(1 + i % 2 for i in range(n)))
-        claims = [(w, gm.gamma_of_orders(poset.lt1, strict, w)) for w in weightings]
-        yield from oracles.gamma_truncations_match(poset, claims, n)
+        key = (poset.lt1, strict, tuple(oracles._epartition_pairs(poset, poset.lt1)))
+        if key not in verdicts:
+            weightings = ((1,) * n, tuple(1 + i % 2 for i in range(n)))
+            claims = [(w, gm.gamma_of_orders(poset.lt1, strict, w)) for w in weightings]
+            verdicts[key] = oracles.gamma_truncations_match(poset, claims, n)
+        yield from verdicts[key]
 
 
 def antipode_theorem(size: int) -> Iterator[bool]:

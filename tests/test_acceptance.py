@@ -15,8 +15,8 @@ from qsymdp.equivariant import (
     equivariant_theorem_check,
     gamma_equivariant,
 )
-from qsymdp.gamma import antipode_theorem_check, gamma_product_check
-from qsymdp.oracles import _expand, count_orbits_bruteforce, is_epartition, is_ssyt
+from qsymdp.gamma import antipode_theorem_check, gamma_product_check, strict_pairs
+from qsymdp.oracles import _epartition_pairs, _expand, count_orbits_bruteforce, is_epartition, is_ssyt
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
 from qsymdp.poset import build
 from qsymdp.verify import SUITES
@@ -55,17 +55,49 @@ def test_criterion_4_gamma_bruteforce():
     report("criterion-4 gamma-bruteforce", passes("gamma-truncation", 3))  # |E| <= 3
 
 
+def truncation_key(d):
+    """All that either side of gamma-truncation reads of d: <1, the strict
+    pairs and the oracle's E-partition definition."""
+    return (d.lt1, strict_pairs(d), tuple(_epartition_pairs(d, d.lt1)))
+
+
 def test_criterion_4_weighs_each_poset_by_ones_then_by_1_2_1(monkeypatch):
+    # one oracle call per distinct key, with both weightings; two verdicts per poset
     import qsymdp.oracles
 
-    seen = []
-    monkeypatch.setattr(
-        qsymdp.oracles, "gamma_truncations_match", lambda d, claims, m: [seen.append(w) or True for w, _ in claims]
-    )
-    assert all(SUITES["gamma-truncation"](3))
-    assert len(seen) == 2 * sum(len(all_double_posets(n)) for n in range(4))
-    assert seen[0::2] == [(1,) * len(w) for w in seen[0::2]]
-    assert seen[1::2] == [(1, 2, 1)[: len(w)] for w in seen[1::2]]
+    keys, seen = [], []
+
+    def claimed(d, claims, m):
+        keys.append(truncation_key(d))
+        seen.append([w for w, _ in claims])
+        return [True for _ in claims]
+
+    monkeypatch.setattr(qsymdp.oracles, "gamma_truncations_match", claimed)
+    posets = [p for n in range(4) for p in all_double_posets(n)]
+    verdicts = list(SUITES["gamma-truncation"](3))
+    assert len(verdicts) == 2 * len(posets) == 744 and all(verdicts)
+    assert len(keys) == len(set(keys)) == 86
+    assert set(keys) == {truncation_key(p) for p in posets}
+    assert seen == [[(1,) * len(key[0]), (1, 2, 1)[: len(key[0])]] for key in keys]
+
+
+def test_criterion_4_tells_apart_posets_that_strict_pairs_merges(monkeypatch):
+    # a <1 b with b <2 a, its strict pair dropped, shares <1 and the strict
+    # pairs with a <1 b alone, which comes first and passes; the oracle's
+    # definition in the key keeps the two apart, so the wrong Gamma is caught
+    import qsymdp.verify
+
+    honest = qsymdp.verify.gm.strict_pairs
+    reversed_chain = build(["a", "b"], [("a", "b")], [("b", "a")])
+    assert honest(reversed_chain) != (0, 0)
+
+    def dropped(d):
+        if (d.lt1, d.lt2) == (reversed_chain.lt1, reversed_chain.lt2):
+            return (0, 0)
+        return honest(d)
+
+    monkeypatch.setattr(qsymdp.verify.gm, "strict_pairs", dropped)
+    assert not all(SUITES["gamma-truncation"](2))
 
 
 def test_criterion_5_antipode_theorem():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from qsymdp.poset import (
     is_tertispecial,
     opposite1,
     transitive_closure,
+    transpose,
 )
 from qsymdp.qsym import BoundExceededError
 
@@ -63,6 +65,19 @@ def test_build_rejects_duplicates_and_unknowns():
 def test_covers_of_chain():
     d = build("abc", [("a", "b"), ("b", "c")], [])
     assert pairs(d, covers(d.lt1)) == [("a", "b"), ("b", "c")]
+
+
+@pytest.mark.parametrize("memo", [transpose, covers])
+def test_relation_memos_are_bounded_and_survive_a_clear(memo):
+    # every order on at most 5 elements fits; a cleared memo recomputes the same
+    assert 0 < memo.cache_info().maxsize < math.inf
+    assert memo.cache_info().maxsize >= sum(STRICT_ORDER_COUNTS)
+    orders = all_strict_orders("abc")
+    first = [memo(rel) for rel in orders]
+    memo.cache_clear()
+    assert memo.cache_info().currsize == 0
+    assert [memo(rel) for rel in orders] == first
+    assert memo.cache_info()[:2] == (0, len(orders))  # (hits, misses)
 
 
 def test_opposite1_keeps_the_weights():
