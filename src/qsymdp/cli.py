@@ -106,11 +106,13 @@ def cmd_product(args) -> qsym.QSymElem:
 
 
 def cmd_verify_antipode(args) -> bool:
-    lhs, rhs = antipode_theorem_sides(_load_weighted(args.poset))
+    """The two sides are compared in descent masks; compositions are built for
+    the printed text alone, the right side's only when the sides differ."""
+    n, lhs, rhs = antipode_theorem_sides(_load_weighted(args.poset))
     ok = lhs == rhs
-    text = qsym.format_qsym(lhs)
+    text = qsym.format_qsym(qsym.from_masks(n, lhs))
     print(f"S(Gamma): {text}")
-    print(f"(-1)^|E| Gamma(opposite): {text if ok else qsym.format_qsym(rhs)}")
+    print(f"(-1)^|E| Gamma(opposite): {text if ok else qsym.format_qsym(qsym.from_masks(n, rhs))}")
     return ok
 
 

@@ -8,7 +8,8 @@ size, gives the sum over all of G.  Classes with the same orbits (such as
 those of g and g^-1 in a cyclic group) share one Gamma, read from the
 base's index relations with no quotient poset built.  Gamma+ is the same sum
 with ``plus`` set: each term's sign is read from the cycles of g that the
-sum walks anyway.
+sum walks anyway.  The sum is taken in descent masks, and only
+`gamma_equivariant` builds compositions.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .gamma import NotTertispecialError, gamma_of_orders, strict_pairs
+from .gamma import NotTertispecialError, gamma_masks, strict_pairs
 from .poset import DoublePoset, Rel, index_pairs, is_tertispecial, opposite1
-from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, QSymElem, antipode_closed, linear_combination
+from .qsym import DEFAULT_GROUP_CAP, BoundExceededError, Masks, QSymElem, antipode_masks, from_masks
 
 Permutation = Tuple[int, ...]  # image indices over declaration order
 
@@ -201,18 +202,20 @@ def sign_of(g: Permutation) -> int:
 
 def orbit_sum(
     base: DoublePoset, order: int, weighted: Iterable[Tuple[Permutation, int]], plus: bool = False
-) -> QSymElem:
+) -> Tuple[int, Masks]:
     """(1/|G|) sum of c Gamma(E^g, w^g) over the pairs (g, c), each term times
     sign(g) if ``plus``, in ints, for |G| = ``order``: the pairs are G's
     elements with c = 1, or its class representatives with c the class size.
     Gamma(E^g, w^g) sums over the g-fixed E-partitions, so by Burnside the sum
     counts orbits (E-coeven orbits if ``plus``) and |G| divides it exactly, on
-    every base.
+    every base.  The sum is returned as (n, {descent mask: c}), as
+    `gamma_masks` returns a Gamma, with no zero c: every E^g weighs n = sum(w),
+    so the masks of all the terms are of one degree and are added as ints.
 
     E^g depends on g only through its orbits, and so does sign(g) =
     (-1)^(|E| - number of cycles), read from the same walk of g's cycles, so
     the signed c are summed per orbit partition first: g and g^-1 share one
-    Gamma.  Each Gamma is one `gamma_of_orders` call on the orders of
+    Gamma.  Each Gamma is one `gamma_masks` call on the orders of
     `_quotient_orders`, projected from the strict pairs of E, taken once; no
     quotient is built.
     """
@@ -223,12 +226,13 @@ def orbit_sum(
             c = -c
         by_orbits[cycles] = by_orbits.get(cycles, 0) + c
     lt1, strict, w = base.lt1, strict_pairs(base), base.w
-    total = linear_combination(
-        (c, gamma_of_orders(*_quotient_orders(cycles, lt1, strict, w))) for cycles, c in by_orbits.items()
-    )
-    if any(c % order for c in total.terms.values()):
+    total: Masks = {}
+    for cycles, c in by_orbits.items():
+        for mask, v in gamma_masks(*_quotient_orders(cycles, lt1, strict, w))[1].items():
+            total[mask] = total.get(mask, 0) + c * v
+    if any(c % order for c in total.values()):
         raise AssertionError(f"an orbit sum coefficient is not divisible by |G| = {order}")
-    return QSymElem({alpha: c // order for alpha, c in total.terms.items()})
+    return sum(w), {mask: c // order for mask, c in total.items() if c}
 
 
 def gamma_equivariant(a: GroupAction, plus: bool = False) -> QSymElem:
@@ -237,7 +241,7 @@ def gamma_equivariant(a: GroupAction, plus: bool = False) -> QSymElem:
     If ``plus``, Gamma+(E, w, G), the same sum with each term times sign(g):
     the sum over the E-coeven G-orbits (no odd g fixes their members).
     Summed over the conjugacy classes, each weighted by its size."""
-    return orbit_sum(a.base, a.order, a.classes, plus)
+    return from_masks(*orbit_sum(a.base, a.order, a.classes, plus))
 
 
 def opposite1_action(a: GroupAction) -> GroupAction:
@@ -246,12 +250,14 @@ def opposite1_action(a: GroupAction) -> GroupAction:
 
 
 def equivariant_theorem_check(a: GroupAction) -> bool:
-    """True iff S(Gamma(E,w,G)) = (-1)^|E| Gamma+((E,>1,<2),w,G)."""
+    """True iff S(Gamma(E,w,G)) = (-1)^|E| Gamma+((E,>1,<2),w,G), both sides
+    in descent masks."""
     if not is_tertispecial(a.base):
         raise NotTertispecialError("equivariant antipode theorem requires tertispecial base")
-    lhs = antipode_closed(gamma_equivariant(a))
-    rhs = gamma_equivariant(opposite1_action(a), plus=True).scale((-1) ** a.base.size)
-    return lhs == rhs
+    n, masks = orbit_sum(a.base, a.order, a.classes)
+    sign = (-1) ** a.base.size
+    rhs = {mask: sign * c for mask, c in orbit_sum(opposite1(a.base), a.order, a.classes, plus=True)[1].items()}
+    return antipode_masks(n, masks) == rhs
 
 
 def action_from_dict(base: DoublePoset, doc: Dict, cap: int = DEFAULT_GROUP_CAP) -> GroupAction:

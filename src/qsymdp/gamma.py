@@ -6,25 +6,25 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .compositions import _parts
 from .poset import (
     DoublePoset,
     Rel,
     down_sets,
     index_pairs,
     opposite1,
+    order_down_sets,
     squeeze,
     transitive_closure,
     transpose,
 )
-from .qsym import ENUM_LIMIT, BoundExceededError, QSymElem, antipode_closed, coproduct, product
+from .qsym import ENUM_LIMIT, BoundExceededError, Masks, QSymElem, antipode_masks, coproduct_masks, from_masks, product
 
 
 class NotTertispecialError(ValueError):
     """Raised when an operation requires a tertispecial double poset."""
 
 
-# Bound of gamma_of_orders, the one memo of the package's Gamma layer.
+# Bound of gamma_masks, the one memo of the package's Gamma layer.
 # `selftest --max-size 4` makes 142649 Gamma calls on 6616 (<1, strict pairs,
 # weights) keys; all fit.  A module-level lru_cache: clearing the package's
 # caches (perfbench does so per op) starts it cold, as a fresh process does.
@@ -51,25 +51,33 @@ def gamma(d: DoublePoset) -> QSymElem:
     is multiplied in as the factor M_(w_e) (the product rule).
 
     Gamma depends on neither the labels nor the <2 relations outside <1, so it
-    is memoised, in the bounded `gamma_of_orders`, on (<1, the strict pairs of
-    `strict_pairs`, the weights in declaration order): relabelled copies, and
-    posets that differ in <2 only on <1-incomparable pairs, share one result.
-    The returned QSymElem is shared between callers; no caller may mutate its
-    terms.  A refused Gamma is not cached.
+    is memoised, in descent masks, in the bounded `gamma_masks`, on (<1, the
+    strict pairs of `strict_pairs`, the weights in declaration order):
+    relabelled copies, and posets that differ in <2 only on <1-incomparable
+    pairs, share one result.  Each call builds its QSymElem from the masks.  A
+    refused Gamma is not cached.
     """
     return gamma_of_orders(d.lt1, strict_pairs(d), d.w)
 
 
-@lru_cache(maxsize=GAMMA_CACHE_SIZE)
 def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
     """Gamma of the double poset with order lt1, strict pairs strict (as from
-    `strict_pairs`) and weights w over the declaration index.
+    `strict_pairs`) and weights w over the declaration index, as a QSymElem
+    built from the memoised masks of `gamma_masks`."""
+    return from_masks(*gamma_masks(lt1, strict, w))
+
+
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
+def gamma_masks(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> Tuple[int, Masks]:
+    """Gamma of `gamma_of_orders` as (n, {descent mask: count}), n = sum(w), each
+    mask holding the start of each part of a composition of n, as
+    `compositions._parts` reads it.  The dict is shared between callers; no
+    caller may mutate it.
 
     By the product rule, Gamma of a disjoint union is the product of the
     Gammas, so a <1-isolated element e contributes the one factor M_(w_e):
     the isolated elements are taken out, the rest goes through `_chain_sum`,
-    and each factor is multiplied in by `_times_part`.  Both work on descent
-    masks, which become compositions once, at the end.  A degree past one
+    and each factor is multiplied in by `_times_part`.  A degree past one
     64-bit word per down-set is refused first, as the chain sum would.
     """
     n = sum(w)
@@ -88,7 +96,7 @@ def gamma_of_orders(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> QSymElem:
     for i, part in enumerate(w):
         if not related >> i & 1:
             n, masks = _times_part(n, masks, part)
-    return QSymElem({_parts(n, mask): c for mask, c in masks.items()})
+    return n, masks
 
 
 def _restrict(lt1: Rel, strict: Rel, w: Tuple[int, ...], mask: int) -> Tuple[Rel, Rel, Tuple[int, ...]]:
@@ -101,7 +109,7 @@ def _restrict(lt1: Rel, strict: Rel, w: Tuple[int, ...], mask: int) -> Tuple[Rel
 def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> Tuple[int, Dict[int, int]]:
     """Gamma summed over the chains of <1-down-sets, as `gamma` describes, as
     (n, {descent mask: count}): a mask holds the start 0, w(D_1), ... of each
-    part of a degree-n composition, as `_parts` reads it.
+    part of a degree-n composition, as `compositions._parts` reads it.
 
     The chain dicts are bounded as the down-sets are: before chains[low] is
     merged into a new dict, the entries stored so far, those of the new dict
@@ -110,8 +118,7 @@ def _chain_sum(lt1: Rel, strict: Rel, w: Tuple[int, ...]) -> Tuple[int, Dict[int
     """
     n = sum(w)
     reversed_pairs = [1 << i | 1 << j for i, j in index_pairs(strict)]
-    order = DoublePoset(elements=tuple(map(str, range(len(w)))), lt1=lt1, lt2=lt1)  # down_sets reads only <1
-    downs = sorted(down_sets(order), key=int.bit_count)
+    downs = sorted(order_down_sets(lt1), key=int.bit_count)
     if len(downs) * (n // 64 + 1) > ENUM_LIMIT:
         raise BoundExceededError(f"Gamma in degree {n} needs over {ENUM_LIMIT} down-set words")
     weight = {s: sum(w[i] for i in range(len(w)) if s >> i & 1) for s in downs}
@@ -171,43 +178,61 @@ def _times_part(n: int, masks: Dict[int, int], a: int) -> Tuple[int, Dict[int, i
     return n + a, out
 
 
-def gamma_coproduct_check(d: DoublePoset) -> bool:
+def gamma_coproduct_check(d: DoublePoset, strict: Rel | None = None) -> bool:
     """True iff the table of Delta(Gamma(E,w)) equals the summed table of the
     Gamma(E|P, w|P) (x) Gamma(E|Q, w|Q): P a <1-down-set, Q its complement.
+    strict, the strict pairs of E, is taken from d unless given.
 
-    Each part is one `gamma_of_orders` call on the orders and weights of E
-    restricted to the subset's mask, with no labelled poset built per subset.
+    Both tables are in descent masks, keyed (p, m) as `coproduct_masks` keys
+    them, so the pair of terms m_P, m_Q of the parts is the key
+    (w(P), m_P | m_Q << w(P)).  Each part is one `gamma_masks` call on the
+    orders and weights of E restricted to the subset's mask, with no labelled
+    poset built per subset.
     """
-    lt1, strict, w = d.lt1, strict_pairs(d), d.w
-    parts: Dict[int, QSymElem] = {}  # on an antichain every subset is both a P and a Q
+    lt1, w = d.lt1, d.w
+    if strict is None:
+        strict = strict_pairs(d)
+    parts: Dict[int, Tuple[int, Masks]] = {}  # on an antichain every subset is both a P and a Q
 
     def part(mask):
         if mask not in parts:
-            parts[mask] = gamma_of_orders(*_restrict(lt1, strict, w, mask))
+            parts[mask] = gamma_masks(*_restrict(lt1, strict, w, mask))
         return parts[mask]
 
     full = (1 << d.size) - 1
-    rhs: Dict[Tuple[tuple, tuple], int] = {}
+    rhs: Dict[Tuple[int, int], int] = {}
     for low in down_sets(d):
-        left, right = part(low), part(full ^ low)
-        for a, ca in left.terms.items():
-            for b, cb in right.terms.items():
-                rhs[a, b] = rhs.get((a, b), 0) + ca * cb
-    return coproduct(gamma_of_orders(lt1, strict, w)) == rhs
+        (p, left), (_, right) = part(low), part(full ^ low)
+        for a, ca in left.items():
+            for b, cb in right.items():
+                key = (p, a | b << p)
+                rhs[key] = rhs.get(key, 0) + ca * cb
+    return coproduct_masks(*gamma_masks(lt1, strict, w)) == rhs
 
 
-def antipode_theorem_sides(d: DoublePoset) -> Tuple[QSymElem, QSymElem]:
-    """The two sides S(Gamma((E,<1,<2),w)) and (-1)^|E| Gamma((E,>1,<2),w);
-    opposite1 keeps w, so the flipped side carries the weights of E."""
-    return antipode_closed(gamma(d)), gamma(opposite1(d)).scale((-1) ** d.size)
+def antipode_theorem_sides(
+    d: DoublePoset, strict: Rel | None = None, flipped: Rel | None = None
+) -> Tuple[int, Masks, Masks]:
+    """(n, S(Gamma((E,<1,<2),w)), (-1)^|E| Gamma((E,>1,<2),w)), both sides of
+    degree n = sum(w) in descent masks as `gamma_masks` returns them.  strict and
+    flipped, the strict pairs of E and of opposite1(E), are taken from d unless
+    given; the flipped side carries the weights of E."""
+    if strict is None:
+        strict = strict_pairs(d)
+    if flipped is None:
+        flipped = strict_pairs(opposite1(d))
+    n, masks = gamma_masks(d.lt1, strict, d.w)
+    sign = (-1) ** d.size
+    rhs = {mask: sign * c for mask, c in gamma_masks(transpose(d.lt1), flipped, d.w)[1].items()}
+    return n, antipode_masks(n, masks), rhs
 
 
-def antipode_theorem_check(d: DoublePoset) -> bool:
+def antipode_theorem_check(d: DoublePoset, strict: Rel | None = None, flipped: Rel | None = None) -> bool:
     """True iff the two sides of :func:`antipode_theorem_sides` are equal.
 
     Guaranteed true for tertispecial posets; reported (not required) otherwise.
     """
-    lhs, rhs = antipode_theorem_sides(d)
+    _, lhs, rhs = antipode_theorem_sides(d, strict, flipped)
     return lhs == rhs
 
 

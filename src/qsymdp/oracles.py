@@ -55,7 +55,7 @@ from .compositions import Composition
 from .equivariant import GroupAction, Permutation, orbit_sum, precompose, sign_of
 from .gamma import NotTertispecialError
 from .poset import DoublePoset, Rel, covers, index_pairs, is_special, is_tertispecial
-from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, linear_combination, monomial, product
+from .qsym import ENUM_LIMIT, ONE, ZERO, BoundExceededError, Coeff, QSymElem, from_masks, linear_combination, monomial, product
 from .young import Cell, SkewShape, cell_poset
 
 Poly = Dict[Tuple[int, ...], Coeff]
@@ -316,7 +316,7 @@ def orbit_sum_by_elements(a: GroupAction, plus: bool = False) -> QSymElem:
     """Gamma(E, w, G), or Gamma+(E, w, G) if ``plus``: (1/|G|) sum over every
     g in G of Gamma(E^g, w^g), each term times sign(g) if ``plus``, as the
     paper defines them, with no reduction to conjugacy classes."""
-    return orbit_sum(a.base, a.order, ((g, 1) for g in a.elements), plus)
+    return from_masks(*orbit_sum(a.base, a.order, ((g, 1) for g in a.elements), plus))
 
 
 def _orbit_walk(a: GroupAction, q: int) -> Tuple[int, int]:

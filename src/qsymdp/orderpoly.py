@@ -57,13 +57,13 @@ def order_polynomial(a: GroupAction) -> OrderPolynomial:
     """Omega(q) = number of G-orbits of E-partitions into [q]: the principal
     specialization (x_1 = ... = x_q = 1, the rest 0) of the equivariant
     generating function with w identically 1, which sends M_alpha to
-    C(q, len(alpha)), so c_k sums the coefficients of the alpha with k parts."""
+    C(q, len(alpha)), so c_k sums the coefficients of the alpha with k parts:
+    those of the descent masks of popcount k in the orbit sum."""
     b = a.base
-    g = orbit_sum(DoublePoset(b.elements, b.lt1, b.lt2), a.order, a.classes)
-    n = b.size
-    coeffs = [0] * (n + 1)
-    for alpha, c in g.terms.items():
-        coeffs[len(alpha)] += c
+    _, masks = orbit_sum(DoublePoset(b.elements, b.lt1, b.lt2), a.order, a.classes)
+    coeffs = [0] * (b.size + 1)
+    for mask, c in masks.items():
+        coeffs[mask.bit_count()] += c
     return OrderPolynomial(binom_coeffs=tuple(coeffs))
 
 

@@ -170,16 +170,22 @@ def squeeze(rel: Rel, mask: int) -> Rel:
 
 
 def down_sets(d: DoublePoset) -> List[int]:
-    """All down-sets of (E, <1) as bitmasks, lexicographic in the
-    characteristic vector (element 0 first).  They are the P of the admissible
-    pairs (P, Q): no p in P, q in Q with q <1 p, so Q is the complement of P.
+    """All down-sets of (E, <1) as bitmasks, as `order_down_sets` lists them.
+    They are the P of the admissible pairs (P, Q): no p in P, q in Q with
+    q <1 p, so Q is the complement of P."""
+    return order_down_sets(d.lt1)
 
-    Built in declaration order: e may be left out unless a chosen f has e <1 f,
-    and put in unless a left-out f has f <1 e; as <1 is transitive, no branch
+
+def order_down_sets(lt: Rel) -> List[int]:
+    """All down-sets of the strict order lt as bitmasks, lexicographic in the
+    characteristic vector (element 0 first).
+
+    Built in index order: e may be left out unless a chosen f has e < f, and
+    put in unless a left-out f has f < e; as lt is transitive, no branch
     dead-ends.  Each state carries the elements above a left-out one.
     """
     states = [(0, 0)]  # (chosen, blocked)
-    for i, up in enumerate(d.lt1):
+    for i, up in enumerate(lt):
         bit = 1 << i
         nxt = []
         for chosen, blocked in states:

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from .compositions import (
     Composition,
+    _parts,
     all_descents,
     compositions_between,
     cube,
@@ -27,6 +28,8 @@ from .compositions import (
 
 Comp = Tuple[int, ...]
 Coeff = int
+Masks = Dict[int, Coeff]  # a degree-n element as {descent mask: c}, each mask as compositions._parts reads it
+Cells = Callable[[int, int, int], Tuple[List[int], list]]  # as cube: (n, low, top) -> (sub-masks of top, their keys)
 
 ENUM_LIMIT = 2_000_000  # the most terms, cells or maps one enumeration may build
 DEFAULT_GROUP_CAP = 5040  # the largest group materialised from generators unless --group-cap says otherwise
@@ -141,6 +144,22 @@ def coproduct(f: QSymElem) -> Dict[Tuple[Comp, Comp], Coeff]:
     return {(alpha[:k], alpha[k:]): c for alpha, c in f.terms.items() for k in range(len(alpha) + 1)}
 
 
+def coproduct_masks(n: int, masks: Masks) -> Dict[Tuple[int, int], Coeff]:
+    """The table of `coproduct` for a degree-n element in descent masks, keyed
+    (p, m) for M_beta (x) M_gamma with beta of degree p and mask m & (2^p - 1),
+    and gamma of mask m >> p: a term m is cut at the start p of each part and at
+    n, the set bits of m | 2^n."""
+    table: Dict[Tuple[int, int], Coeff] = {}
+    end = 1 << n
+    for mask, c in masks.items():
+        cuts = mask | end
+        while cuts:
+            bit = cuts & -cuts
+            cuts ^= bit
+            table[bit.bit_length() - 1, mask] = c
+    return table
+
+
 def rights_by_left(table: Dict[Tuple[Comp, Comp], Coeff]) -> Dict[Comp, Dict[Comp, Coeff]]:
     """A tensor table {(beta, gamma): c} grouped by left, as {beta: {gamma: c}}."""
     rights: Dict[Comp, Dict[Comp, Coeff]] = {}
@@ -157,15 +176,7 @@ def antipode_closed(f: QSymElem) -> QSymElem:
     """S(M_alpha) = (-1)^l sum_{D(gamma) subseteq D(rev alpha)} M_gamma, extended linearly.
 
     In degree n, S(f)[G] = sum over E >= G of c'[E], with c'[D(rev alpha)] = (-1)^l c_alpha:
-    a superset-sum.  A degree with one mask E needs no pass: every sub-mask of E
-    sums to c'[E].  Otherwise it is run by Yates's passes on sub-cubes of masks that
-    cover the degree's support.  The cover is one cube over the OR u of the support's masks
-    when 2^|u| <= sum over the support of 2^|m| (a dense support, such as a Gamma's)
-    and that cube fits the bound; otherwise it is one cube per maximal mask of the
-    support, at most the 2^|D(rev alpha)| cells per term that the closed form visits,
-    so a spread-out support never pays for its OR.  The bound, ENUM_LIMIT, is on the
-    cells of the cubes of each degree on its own, each counted once per 64-bit word
-    of a degree-n mask.
+    a superset-sum, taken degree by degree by `_superset_sums`.
     """
     by_degree: Dict[int, Dict[int, Coeff]] = {}
     for alpha, c in f.terms.items():
@@ -175,40 +186,97 @@ def antipode_closed(f: QSymElem) -> QSymElem:
         by_degree.setdefault(n, {})[descent_set(reverse(alpha))] = -c if len(alpha) & 1 else c
     terms: Dict[Comp, Coeff] = {}
     for n, values in by_degree.items():
-        words = n // 64 + 1
-        if len(values) == 1:  # every sub-mask of the one mask sums to its value
-            (mask, v), = values.items()
-            if (1 << mask.bit_count()) * words > ENUM_LIMIT:
-                raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
-            terms.update(dict.fromkeys(compositions_between(n, 0, mask), v))
-            continue
-        union = 0
-        for mask in values:
-            union |= mask
-        size = 1 << union.bit_count()
-        if size <= sum(1 << mask.bit_count() for mask in values) and size * words <= ENUM_LIMIT:
-            terms.update(_antipode_cube(n, union, values.get))
-            continue
-        left, cells = dict(values), 0  # each mask is popped into the first cube that holds it
-        for mask in sorted(values, key=int.bit_count, reverse=True):
-            if mask in left:
-                cells += (1 << mask.bit_count()) * words
-                if cells > ENUM_LIMIT:
-                    raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
-                for gamma, v in _antipode_cube(n, mask, left.pop):
-                    terms[gamma] = terms.get(gamma, 0) + v
+        _superset_sums(n, values, cube, terms)
     return QSymElem(terms)
 
 
-def _antipode_cube(n: int, top: int, value: Callable[[int, int], Coeff]) -> Iterable[Tuple[Comp, Coeff]]:
-    """The pairs (composition of n with descent mask s, sum over the E >= s below top
-    of value(E, 0)) over the sub-masks s of top: Yates's passes on the cube's list."""
-    subs, comps = cube(n, 0, top)
+def antipode_masks(n: int, masks: Masks) -> Masks:
+    """S of the degree-n element sum of c M_alpha over the (mask, c) of masks, in
+    the same form and with no zero coefficient: the mask of alpha holds the start
+    of each part, as `compositions._parts` reads it.
+
+    Over bits 0..n, mask | 2^n holds 0, the cut points of alpha and n, and
+    reversed (bit k to bit n - k) it holds 0, those of rev alpha and n, so
+    D(rev alpha) is the reversal without its bits 0 and n, and l is the popcount
+    of mask.  Each sub-mask s of a cube is the descent set of a composition of n,
+    whose mask is s | 1.  The sums are `antipode_closed`'s, with the same cover and
+    the same bounds.
+    """
+    if n // 64 >= ENUM_LIMIT:
+        raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
+    end, values = 1 << n, {}
+    for mask, c in masks.items():
+        values[int(format(mask | end, "b")[::-1], 2) & ~(1 | end)] = -c if mask.bit_count() & 1 else c
+    terms: Masks = {}
+    _superset_sums(n, values, _mask_cube, terms)
+    return {mask: c for mask, c in terms.items() if c}
+
+
+def from_masks(n: int, masks: Masks) -> QSymElem:
+    """The sum of c M_alpha over the (mask, c) of a degree-n element in descent
+    masks, each alpha built from its mask by `compositions._parts`."""
+    return QSymElem({_parts(n, mask): c for mask, c in masks.items()})
+
+
+def _superset_sums(n: int, values: Dict[int, Coeff], cells: Cells, terms: Dict) -> None:
+    """Add to terms, at the key that cells(n, 0, top) gives each sub-mask G of a
+    cube's top, the sum over the E >= G of values[E], for the descent masks E of
+    degree n.
+
+    A degree with one mask E needs no pass: every sub-mask of E sums to values[E].
+    Otherwise it is run by Yates's passes on sub-cubes of masks that cover the
+    support.  The cover is one cube over the OR u of the support's masks when
+    2^|u| <= sum over the support of 2^|m| (a dense support, such as a Gamma's)
+    and that cube fits the bound; otherwise it is one cube per maximal mask of the
+    support, at most the 2^|E| cells per term that the closed form visits, so a
+    spread-out support never pays for its OR.  The bound, ENUM_LIMIT, is on the
+    cells of the cubes of the degree, each counted once per 64-bit word of a
+    degree-n mask.
+    """
+    words = n // 64 + 1
+    if len(values) == 1:  # every sub-mask of the one mask sums to its value
+        (mask, v), = values.items()
+        if (1 << mask.bit_count()) * words > ENUM_LIMIT:
+            raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
+        terms.update(dict.fromkeys(cells(n, 0, mask)[1], v))
+        return
+    union = 0
+    for mask in values:
+        union |= mask
+    size = 1 << union.bit_count()
+    if size <= sum(1 << mask.bit_count() for mask in values) and size * words <= ENUM_LIMIT:
+        terms.update(_antipode_cube(*cells(n, 0, union), values.get))
+        return
+    left, spent = dict(values), 0  # each mask is popped into the first cube that holds it
+    for mask in sorted(values, key=int.bit_count, reverse=True):
+        if mask in left:
+            spent += (1 << mask.bit_count()) * words
+            if spent > ENUM_LIMIT:
+                raise BoundExceededError(f"antipode in degree {n} needs over {ENUM_LIMIT} cell words")
+            for key, v in _antipode_cube(*cells(n, 0, mask), left.pop):
+                terms[key] = terms.get(key, 0) + v
+
+
+def _mask_cube(n: int, low: int, top: int) -> Tuple[List[int], List[int]]:
+    """`cube` in masks: the sub-masks s of top in index order, and beside each
+    the mask low | s | 1 of the composition of n with descent set low | s, as
+    `compositions._parts` reads it (0 for n = 0)."""
+    subs = [0]
+    while top:
+        bit = top & -top
+        top ^= bit
+        subs += [s | bit for s in subs]
+    return subs, [low | s | 1 for s in subs] if n else subs
+
+
+def _antipode_cube(subs: List[int], keys: list, value: Callable[[int, int], Coeff]) -> Iterable[Tuple[object, Coeff]]:
+    """The pairs (key of s, sum over the E >= s in the cube of value(E, 0)) over the
+    cube's sub-masks s, in index order: Yates's passes on the cube's list."""
     a = [value(s, 0) for s in subs]
     for _ in range(len(a).bit_length() - 1):
         odd = a[1::2]
         a = list(map(add, a[0::2], odd)) + odd
-    return zip(comps, a)
+    return zip(keys, a)
 
 
 def fundamental(alpha: Iterable[int]) -> QSymElem:

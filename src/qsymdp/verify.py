@@ -101,15 +101,17 @@ def gamma_truncation(size: int) -> Iterator[bool]:
 def antipode_theorem(size: int) -> Iterator[bool]:
     """Per poset: the antipode theorem, if tertispecial; then its failure on a <1 b.
     A verdict is reused within the call by every poset with the same <1, strict
-    pairs of E and of opposite1(E), and w: all that the two sides read."""
+    pairs of E and of opposite1(E), and w: all that the two sides read.  The
+    strict pairs of the key are taken once per poset and passed to the check."""
     verdicts: Dict[tuple, bool] = {}
     for poset in _all_posets(size):
         if not pos.is_tertispecial(poset):
             yield True
             continue
-        key = (poset.lt1, gm.strict_pairs(poset), gm.strict_pairs(pos.opposite1(poset)), poset.w)
+        strict, flipped = gm.strict_pairs(poset), gm.strict_pairs(pos.opposite1(poset))
+        key = (poset.lt1, strict, flipped, poset.w)
         if key not in verdicts:
-            verdicts[key] = gm.antipode_theorem_check(poset)
+            verdicts[key] = gm.antipode_theorem_check(poset, strict, flipped)
         yield verdicts[key]
     yield not gm.antipode_theorem_check(pos.build(["a", "b"], [("a", "b")], []))
 
@@ -117,13 +119,15 @@ def antipode_theorem(size: int) -> Iterator[bool]:
 def coproduct_product_rules(size: int) -> Iterator[bool]:
     """Per poset: the coproduct rule; then the product rule on pairs of a sample of four.
     A verdict is reused within the call by every poset with the same <1, strict
-    pairs and w: all that the rule reads."""
+    pairs and w: all that the rule reads.  The strict pairs of the key are taken
+    once per poset and passed to the check."""
     verdicts: Dict[tuple, bool] = {}
     sample = []
     for i, poset in enumerate(_all_posets(size)):
-        key = (poset.lt1, gm.strict_pairs(poset), poset.w)
+        strict = gm.strict_pairs(poset)
+        key = (poset.lt1, strict, poset.w)
         if key not in verdicts:
-            verdicts[key] = gm.gamma_coproduct_check(poset)
+            verdicts[key] = gm.gamma_coproduct_check(poset, strict)
         yield verdicts[key]
         if i % 37 == 0 and poset.size <= 2:
             sample.append(poset)

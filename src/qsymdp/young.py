@@ -6,9 +6,9 @@ import re
 from typing import Iterable, Tuple
 
 from .compositions import parse_parts
-from .gamma import gamma
+from .gamma import gamma, gamma_masks, strict_pairs
 from .poset import DoublePoset, Rel
-from .qsym import QSymElem, antipode_closed
+from .qsym import QSymElem, antipode_masks
 
 Cell = Tuple[int, int]
 
@@ -98,10 +98,13 @@ def skew_schur(shape: SkewShape) -> QSymElem:
 
 
 def schur_antipode_check(shape: SkewShape) -> bool:
-    """True iff S(s_{lambda/mu}) = (-1)^(number of cells) s_{lambda^t/mu^t}."""
-    lhs = antipode_closed(skew_schur(shape))
-    rhs = skew_schur(conjugate_shape(shape)).scale((-1) ** shape.size)
-    return lhs == rhs
+    """True iff S(s_{lambda/mu}) = (-1)^(number of cells) s_{lambda^t/mu^t},
+    both sides in descent masks: the Gammas of the two cell posets."""
+    y, t = build_Y(shape), build_Y(conjugate_shape(shape))
+    n, masks = gamma_masks(y.lt1, strict_pairs(y), y.w)
+    sign = (-1) ** shape.size
+    rhs = {mask: sign * c for mask, c in gamma_masks(t.lt1, strict_pairs(t), t.w)[1].items()}
+    return antipode_masks(n, masks) == rhs
 
 
 _SHAPE_RE = re.compile(r"^\s*(\[[0-9,\s]*\])\s*(?:/\s*(\[[0-9,\s]*\]))?\s*$")

@@ -684,6 +684,19 @@ GOLDEN_FILES = {
     "empty.json": {
         "elements": [],
     },
+    # a <1 b weakly with w = 12, 3, whose antipode reverses M(12,3), and
+    # a <1 b with w = 1, 2, which is not tertispecial
+    "weak-chain.json": {
+        "elements": ["a", "b"],
+        "lt1": [["a", "b"]],
+        "lt2": [["a", "b"]],
+        "w": {"a": 12, "b": 3},
+    },
+    "chain-1-2.json": {
+        "elements": ["a", "b"],
+        "lt1": [["a", "b"]],
+        "w": {"a": 1, "b": 2},
+    },
 }
 
 # argv, exit code, stdout and stderr (file names stand for the written files).
@@ -850,6 +863,30 @@ GOLDEN = [
         ),
         "",
         id="verify-antipode-fail",
+    ),
+    pytest.param(
+        # S(M(15) + M(12,3)) = M(3,12): the reversal of a mask reaches its top bit
+        ["verify-antipode", "weak-chain.json"],
+        0,
+        (
+            "S(Gamma): M(3,12)\n"
+            "(-1)^|E| Gamma(opposite): M(3,12)\n"
+            "PASS\n"
+        ),
+        "",
+        id="verify-antipode-reversed",
+    ),
+    pytest.param(
+        # the right side is printed from its own masks only when the sides differ
+        ["verify-antipode", "chain-1-2.json"],
+        1,
+        (
+            "S(Gamma): M(2,1)\n"
+            "(-1)^|E| Gamma(opposite): M(3) + M(2,1)\n"
+            "FAIL\n"
+        ),
+        "",
+        id="verify-antipode-fail-weighted",
     ),
     pytest.param(
         ["equivariant", "fork.json", "readme-group.json"],

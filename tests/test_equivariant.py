@@ -19,7 +19,7 @@ from qsymdp.equivariant import (
     orbits_of,
     sign_of,
 )
-from qsymdp.compositions import Composition
+from qsymdp.compositions import Composition, _parts
 from qsymdp.gamma import NotTertispecialError, gamma, strict_pairs
 from qsymdp.oracles import _expand, automorphisms, count_orbits_bruteforce, orbit_sum_by_elements
 from qsymdp.orderpoly import order_polynomial, reciprocity_check
@@ -427,6 +427,23 @@ def test_quotient_matches_its_pair_definition():
             assert quotient_of(g, d) == (lt1, strict, w), (d, g)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_mask_orbit_sums_equal_the_sums_by_elements(n):
+    # every subgroup of Aut(d), for one double poset per isomorphism class,
+    # weighted all 1 and by aut_orbit_weight: the class sum in descent masks is
+    # of degree sum(w), keeps no zero, and read as compositions is the sum by elements
+    for p in isomorphism_class_representatives(n):
+        for w in ((), aut_orbit_weight(p)):
+            d = weighted(p, w)
+            for gens in subgroup_generators(d):
+                a = build_action(d, gens)
+                for plus in (False, True):
+                    degree, masks = orbit_sum(d, a.order, a.classes, plus)
+                    assert degree == sum(d.w) and 0 not in masks.values()
+                    terms = {_parts(degree, mask): c for mask, c in masks.items()}
+                    assert terms == orbit_sum_by_elements(a, plus).terms, (d, gens, plus)
+
+
 @pytest.mark.parametrize("n, distinct", [(3, 2), (6, 4)])
 def test_orbit_sum_takes_one_gamma_per_orbit_partition(monkeypatch, n, distinct):
     # C_n on the n-antichain: r^k and r^(n-k) have the same orbits, so C3 has
@@ -434,13 +451,13 @@ def test_orbit_sum_takes_one_gamma_per_orbit_partition(monkeypatch, n, distinct)
     import qsymdp.equivariant as m
 
     calls = []
-    memo = m.gamma_of_orders
+    memo = m.gamma_masks
 
     def counted(*key):
         calls.append(key)
         return memo(*key)
 
-    monkeypatch.setattr(m, "gamma_of_orders", counted)
+    monkeypatch.setattr(m, "gamma_masks", counted)
     base = antichain(n)
     a = build_action(base, [cycle_gen(base.elements)])
     assert (a.order, len(a.classes)) == (n, n)

@@ -17,6 +17,7 @@ from qsymdp.gamma import (
     antipode_theorem_sides,
     gamma,
     gamma_coproduct_check,
+    gamma_masks,
     gamma_product_check,
     strict_pairs,
     weighted_from_dict,
@@ -31,7 +32,18 @@ from qsymdp.oracles import (
     product_truncation_matches,
 )
 from qsymdp.poset import DoublePoset, build, is_special, is_tertispecial, opposite1, squeeze
-from qsymdp.qsym import BoundExceededError, QSymElem, antipode_closed, coproduct, fundamental, monomial, product
+from qsymdp.qsym import (
+    BoundExceededError,
+    QSymElem,
+    antipode_closed,
+    antipode_masks,
+    coproduct,
+    coproduct_masks,
+    from_masks,
+    fundamental,
+    monomial,
+    product,
+)
 
 from conftest import (
     all_double_posets,
@@ -178,7 +190,8 @@ def test_antipode_theorem_on_zigzag_chain_is_conjugate_rule():
             d = zigzag_chain(alpha)
             assert is_tertispecial(d)
             expected = fundamental(conjugate(alpha)).scale((-1) ** n)
-            assert antipode_theorem_sides(d) == (expected, expected)
+            degree, lhs, rhs = antipode_theorem_sides(d)
+            assert lhs == rhs and (degree, from_masks(degree, lhs)) == (n, expected)
 
 
 def test_gamma_matches_bruteforce_truncation():
@@ -294,13 +307,13 @@ def test_coproduct_check_takes_gamma_of_each_restriction_once(monkeypatch):
     import qsymdp.gamma as m
 
     calls = []
-    memo = m.gamma_of_orders
+    memo = m.gamma_masks
 
     def counted(*key):
         calls.append(key)
         return memo(*key)
 
-    monkeypatch.setattr(m, "gamma_of_orders", counted)
+    monkeypatch.setattr(m, "gamma_masks", counted)
     # distinct weights give each subset of the 3-antichain its own key
     assert gamma_coproduct_check(build("abc", [], [], w=(1, 2, 3)))
     # the 8 subsets, each once, and E itself for the left side
@@ -329,7 +342,32 @@ def test_index_routes_match_the_labelled_posets(n):
         for w in ((), tuple(1 + i % 2 for i in range(p.size))):
             d = weighted(p, w)
             flipped = gamma(weighted(opposite1(p), d.w)).scale((-1) ** n)
-            assert antipode_theorem_sides(d) == (antipode_closed(gamma(d)), flipped)
+            degree, lhs, rhs = antipode_theorem_sides(d)
+            assert (from_masks(degree, lhs), from_masks(degree, rhs)) == (antipode_closed(gamma(d)), flipped)
+
+
+def as_compositions(n, masks):
+    """{alpha: c} for a degree-n element in descent masks, with no mask dropped."""
+    return {_parts(n, mask): c for mask, c in masks.items()}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_mask_routes_equal_the_composition_routes(n):
+    # the antipode and the coproduct table of Gamma in descent masks against
+    # antipode_closed and coproduct on Gamma's compositions: same keys, same
+    # coefficients, and no zero kept on the mask side
+    for p in all_double_posets(n):
+        for w in ((1,) * n, tuple(1 + i % 2 for i in range(n))):
+            degree, masks = gamma_masks(p.lt1, strict_pairs(p), w)
+            f = gamma(weighted(p, w))
+            assert degree == sum(w) and as_compositions(degree, masks) == f.terms
+            s = antipode_masks(degree, masks)
+            assert as_compositions(degree, s) == antipode_closed(f).terms and 0 not in s.values(), (p, w)
+            table = {
+                (_parts(cut, mask & (1 << cut) - 1), _parts(degree - cut, mask >> cut)): c
+                for (cut, mask), c in coproduct_masks(degree, masks).items()
+            }
+            assert table == coproduct(f), (p, w)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
@@ -407,11 +445,11 @@ def test_mask_peel_is_refused_above_its_term_count_before_any_term(monkeypatch):
     with pytest.raises(BoundExceededError, match="^Gamma times M\\(3\\) needs over 13 terms$"):
         _times_part(4, UnbuiltMasks(masks), 3)
     # the 3-antichain: its third point multiplies 2 masks of up to 2 parts, 10 terms at most
-    m.gamma_of_orders.cache_clear()
+    m.gamma_masks.cache_clear()
     monkeypatch.setattr(m, "ENUM_LIMIT", 9)
     with pytest.raises(BoundExceededError, match="^Gamma times M\\(1\\) needs over 9 terms$"):
         gamma(build("abc", [], []))
-    assert m.gamma_of_orders.cache_info().currsize == 0  # a refused Gamma is not cached
+    assert m.gamma_masks.cache_info().currsize == 0  # a refused Gamma is not cached
     monkeypatch.setattr(m, "ENUM_LIMIT", 10)
     M = lambda *alpha: monomial(alpha)
     assert gamma(build("abc", [], [])) == M(3) + M(1, 2).scale(3) + M(2, 1).scale(3) + M(1, 1, 1).scale(6)
@@ -420,7 +458,7 @@ def test_mask_peel_is_refused_above_its_term_count_before_any_term(monkeypatch):
 def test_gamma_antichain12_takes_the_peel():
     import qsymdp.gamma as m
 
-    m.gamma_of_orders.cache_clear()
+    m.gamma_masks.cache_clear()
     d = build("abcdefghijkl", [], [])
     start = time.perf_counter()
     terms = gamma(d).terms
@@ -428,13 +466,13 @@ def test_gamma_antichain12_takes_the_peel():
     assert terms == {
         alpha: math.factorial(12) // math.prod(math.factorial(a) for a in alpha) for alpha in compositions_of(12)
     }
-    assert m.gamma_of_orders.cache_info()[:2] == (0, 1)
+    assert m.gamma_masks.cache_info()[:2] == (0, 1)
 
 
 def test_gamma_is_memoised_on_orders_and_weights():
     import qsymdp.gamma as m
 
-    cache = m.gamma_of_orders
+    cache = m.gamma_masks
     assert callable(cache.cache_clear) and 0 < cache.cache_info().maxsize < math.inf
     cache.cache_clear()
     d = build("abc", [("a", "b")], [("b", "a")], w=(1, 2, 1))
@@ -484,7 +522,7 @@ def test_coproduct_suite_keys_its_verdicts_on_the_strict_pairs(monkeypatch):
 
     strict = build("ab", [("a", "b")], [("b", "a")])
     weak = build("ab", [("a", "b")], [])
-    monkeypatch.setattr(v.gm, "gamma_coproduct_check", lambda d: any(strict_pairs(d)))
+    monkeypatch.setattr(v.gm, "gamma_coproduct_check", lambda d, strict: any(strict))
     for posets in ([strict, weak], [weak, strict]):
         assert _suite_verdicts(monkeypatch, v.coproduct_product_rules, posets) == [d is strict for d in posets]
 
@@ -498,9 +536,9 @@ def test_suites_reuse_verdicts_within_a_call_only(monkeypatch):
     calls = Counter()
 
     def counted(name, check):
-        def wrapper(d):
+        def wrapper(d, *strict):
             calls[name] += 1
-            return check(d)
+            return check(d, *strict)
 
         return wrapper
 

@@ -9,6 +9,7 @@ from conftest import random_double_poset, weighted
 from qsymdp import qsym
 from qsymdp.compositions import (
     Composition,
+    _parts,
     all_descents,
     comp_of_subset,
     compositions_of,
@@ -26,6 +27,7 @@ from qsymdp.qsym import (
     BoundExceededError,
     QSymElem,
     antipode_closed,
+    antipode_masks,
     coproduct,
     counit,
     format_coproduct,
@@ -358,6 +360,56 @@ def test_antipode_of_one_mask_per_degree_fills_its_cube_without_a_pass(monkeypat
             assert antipode_closed(f.scale(-3)) == antipode_recursive(f).scale(-3)
     f = M(2, 1).scale(5) + M(1, 1, 1, 1).scale(-2) + M(3, 1, 2)
     assert antipode_closed(f) == antipode_recursive(f)
+
+
+@st.composite
+def homogeneous_masks(draw):
+    """(n, {descent mask: c}) for a degree-n element as `gamma_masks` returns
+    one, n <= 24, coefficients -3..3 but 0: each mask holds bit 0 and the cuts of
+    its composition.  Up to 8 masks of up to 4 cuts each, so the supports run
+    from one mask through dense ones to ones spread out over n."""
+    n = draw(st.integers(0, 24))
+    coeff = st.integers(-3, -1) | st.integers(1, 3)
+    if n < 2:
+        return n, {n: draw(coeff)}  # the mask of () is 0, that of (1) is 1
+    cuts = st.sets(st.integers(1, n - 1), max_size=4)
+    chosen = draw(st.lists(cuts, min_size=1, max_size=8))
+    return n, {1 | sum(1 << cut for cut in each): draw(coeff) for each in chosen}
+
+
+def test_antipode_of_drawn_masks_is_that_of_their_compositions_in_every_cover():
+    # antipode_masks against antipode_closed on the same element's compositions,
+    # under the limit and under a drawn one: the same terms, no zero, or the same
+    # refusal.  The drawn elements must reach each cover: one mask (no Yates
+    # pass), the OR cube (one pass) and the maximal masks (one pass each)
+    reached = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(homogeneous_masks(), st.integers(1, 300))
+    def check(degree_and_masks, limit):
+        n, masks = degree_and_masks
+        f = QSymElem({_parts(n, mask): c for mask, c in masks.items()})
+        passes = []
+        with pytest.MonkeyPatch.context() as mp:
+            cube_pass = qsym._antipode_cube
+            mp.setattr(qsym, "_antipode_cube", lambda *args: passes.append(args) or cube_pass(*args))
+            s = antipode_masks(n, masks)
+        reached.add(min(len(passes), 2))
+        assert {_parts(n, mask): c for mask, c in s.items()} == antipode_closed(f).terms
+        assert 0 not in s.values()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qsym, "ENUM_LIMIT", limit)
+            outcomes = []
+            for route in (lambda: antipode_masks(n, masks), lambda: antipode_closed(f)):
+                try:
+                    route()
+                    outcomes.append("built")
+                except BoundExceededError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    check()
+    assert reached == {0, 1, 2}
 
 
 def test_antipode_of_one_mask_is_refused_at_the_same_bound(monkeypatch):
